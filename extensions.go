@@ -187,9 +187,9 @@ type (
 // AttachFlashStore models the cache device under a serving engine: one
 // log-structured store per shard, sized to the shard's policy capacity
 // times overprovision (> 1), with erase blocks of segmentSize bytes.
-// Every admitted miss is appended to the owning shard's log, evictions
-// invalidate lazily at GC time, and EngineMetrics grows the Flash*
-// wear counters. Call it after the engine is fully assembled and
+// Every admitted miss is appended to the owning shard's log, the
+// policy's evictions invalidate their extents as they happen, and
+// EngineMetrics grows the Flash* wear counters. Call it after the engine is fully assembled and
 // before restoring any snapshot.
 func AttachFlashStore(srv EngineServer, segmentSize int64, overprovision float64) error {
 	return engine.AttachFlash(srv, segmentSize, overprovision)

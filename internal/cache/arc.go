@@ -12,6 +12,7 @@ package cache
 // object that hit the ghost list, so one large object moves p as much as
 // an equivalent volume of small ones.
 type ARC struct {
+	evictHook
 	capacity int64
 	p        int64 // target size of T1 in bytes
 	t1, t2   dlist // resident
@@ -95,6 +96,7 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 			} else if v := c.t1.back(); v != nil {
 				c.t1.remove(v)
 				delete(c.items, v.key)
+				c.evicted(v.key)
 			} else {
 				break
 			}
@@ -134,11 +136,13 @@ func (c *ARC) replace(inB2 bool, size int64) {
 			c.t1.remove(v)
 			v.seg = arcB1
 			c.b1.pushFront(v)
+			c.evicted(v.key)
 		} else if !c.t2.empty() {
 			v := c.t2.back()
 			c.t2.remove(v)
 			v.seg = arcB2
 			c.b2.pushFront(v)
+			c.evicted(v.key)
 		} else {
 			return
 		}

@@ -12,6 +12,7 @@ import (
 // is exactly how the paper uses it, as the upper-limit curve in Figures
 // 2 and 6–10.
 type Belady struct {
+	evictHook
 	capacity int64
 	next     []int // trace-wide next-access index (trace.BuildNextAccess)
 	items    map[uint64]*beladyItem
@@ -110,6 +111,7 @@ func (c *Belady) evictFarthest() bool {
 		}
 		delete(c.items, e.key)
 		c.used -= it.size
+		c.evicted(e.key)
 		return true
 	}
 	return false

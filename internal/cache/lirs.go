@@ -13,6 +13,7 @@ package cache
 // non-resident (ghost) stack entries are bounded to one capacity's worth
 // of bytes.
 type LIRS struct {
+	evictHook
 	capacity int64
 	lirCap   int64
 
@@ -232,6 +233,7 @@ func (c *LIRS) makeRoom(size int64) {
 			} else {
 				delete(c.items, v.key)
 			}
+			c.evicted(v.key)
 			continue
 		}
 		if !c.demoteBottomLIR() {

@@ -5,6 +5,7 @@ package cache
 // (§2.3) and the policy its one-time-access criteria (§4.3) is derived
 // for.
 type LRU struct {
+	evictHook
 	capacity int64
 	list     dlist
 	items    map[uint64]*entry
@@ -40,6 +41,7 @@ func (c *LRU) Admit(key uint64, size int64, _ int) {
 		victim := c.list.back()
 		c.list.remove(victim)
 		delete(c.items, victim.key)
+		c.evicted(victim.key)
 	}
 	e := &entry{key: key, size: size}
 	c.list.pushFront(e)
@@ -65,6 +67,7 @@ func (c *LRU) Cap() int64 { return c.capacity }
 // paper includes it as the simplest baseline, and it benefits the most
 // from the one-time-access-exclusion policy (Figures 6 and 10).
 type FIFO struct {
+	evictHook
 	capacity int64
 	list     dlist
 	items    map[uint64]*entry
@@ -96,6 +99,7 @@ func (c *FIFO) Admit(key uint64, size int64, _ int) {
 		victim := c.list.back()
 		c.list.remove(victim)
 		delete(c.items, victim.key)
+		c.evicted(victim.key)
 	}
 	e := &entry{key: key, size: size}
 	c.list.pushFront(e)

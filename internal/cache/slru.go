@@ -15,6 +15,7 @@ import "fmt"
 //
 // The paper's S3LRU is SLRU with k=3.
 type SLRU struct {
+	evictHook
 	capacity int64
 	segCap   []int64
 	segs     []dlist
@@ -100,6 +101,7 @@ func (c *SLRU) rebalance(i int) {
 			c.segs[s].remove(victim)
 			if s == 0 {
 				delete(c.items, victim.key)
+				c.evicted(victim.key)
 				continue
 			}
 			victim.seg = int8(s - 1)
@@ -114,6 +116,7 @@ func (c *SLRU) evictLowest() {
 		if v := c.segs[s].back(); v != nil {
 			c.segs[s].remove(v)
 			delete(c.items, v.key)
+			c.evicted(v.key)
 			return
 		}
 	}

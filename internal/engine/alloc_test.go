@@ -75,6 +75,29 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("EngineGetHitFlashAttached", func(t *testing.T) {
+		// A hit with a store attached reads the extent's record back and
+		// verifies its checksum, through the store's own record buffer.
+		eng := newShard()
+		if err := AttachFlash(eng, 64<<10, 1.25); err != nil {
+			t.Fatal(err)
+		}
+		if out := eng.Lookup(key, size, eng.NextTick(), nil); !out.Written {
+			t.Fatalf("seeding Offer not admitted: %+v", out)
+		}
+		if !eng.Flash().Contains(key) {
+			t.Fatal("seeded key has no extent")
+		}
+		tick := eng.NextTick()
+		if n := testing.AllocsPerRun(200, func() {
+			if !eng.Get(key, size, tick) {
+				t.Fatal("hit path missed")
+			}
+		}); n != 0 {
+			t.Errorf("flash-attached Engine.Get hit path allocates %.1f/op, baseline pins 0", n)
+		}
+	})
+
 	t.Run("ShardedLookupHit", func(t *testing.T) {
 		shards := make([]*Engine, 4)
 		for i := range shards {

@@ -143,6 +143,29 @@ func BenchmarkLookupInstrumented(b *testing.B) {
 	benchLookup(b, eng, false)
 }
 
+// BenchmarkLookupFlashAttached is BenchmarkLookupAdmitAll with a flash
+// store under the policy at cmd/otacached's documented geometry (4 MiB
+// segments, overprovision 1.15): every admitted miss is a device write
+// and the collector runs in steady state. The device is filled before
+// the timer starts, so no iteration is measured on an empty log;
+// gc-passes/op (a pass erases one victim; the in-memory device never
+// fails an erase) lands beside ns/op in BENCH_serve.json.
+func BenchmarkLookupFlashAttached(b *testing.B) {
+	eng := benchEngine(b, nil)
+	if err := AttachFlash(eng, 4<<20, 1.15); err != nil {
+		b.Fatal(err)
+	}
+	fs := eng.Flash()
+	// Keys the timed loop never sends.
+	for key := uint64(1 << 21); fs.Stats().Erases == 0; key++ {
+		eng.Lookup(key, 100<<10, eng.NextTick(), nil)
+	}
+	before := fs.Stats().Erases
+	benchLookup(b, eng, false)
+	b.StopTimer()
+	b.ReportMetric(float64(fs.Stats().Erases-before)/float64(b.N), "gc-passes/op")
+}
+
 // BenchmarkLookupShardedAdmitAll measures ring routing over N
 // independent admit-all engines; shards=1 prices the routing layer
 // itself against BenchmarkLookupAdmitAll.

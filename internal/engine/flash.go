@@ -18,15 +18,27 @@ func (e *Engine) Flash() *flash.Store { return e.flash.Load() }
 // AttachFlash builds and attaches one flash store per shard of srv.
 // Each store is sized at the shard policy's capacity times
 // overprovision (> 1; the slack is the collector's working room — real
-// devices ship 7–28% [1.07–1.28]) and consults the shard policy's
-// Contains as its liveness oracle, so policy evictions invalidate
-// extents lazily at collection time with no callback threaded through
-// the policies.
+// devices ship 7–28% [1.07–1.28]).
 //
-// Lock ordering: the store calls Contains while holding its own mutex,
-// and the engine calls flash.Write only after the policy's Admit has
-// returned — flash → policy is the only nesting, so the pair cannot
-// deadlock.
+// How a store learns that the policy evicted an object depends on the
+// shard policy, and on nothing else:
+//
+//   - A policy that is a cache.EvictNotifier (the six policies and
+//     cache.Sharded over them) gets store.Invalidate as its eviction
+//     callback, and the store is built with no liveness oracle: live
+//     counts are exact and a collection pass calls nothing outside the
+//     store. The callback runs under the policy's stripe lock, so the
+//     nesting is policy → flash and the store never calls the policy.
+//   - Any other policy (a wrapper that hides the interface, such as
+//     faults.Policy) is polled instead: the store gets policy.Contains
+//     as its Live oracle and probes it for every sealed extent at each
+//     collection. That nesting is flash → policy, and nothing enters
+//     the store from under a policy lock.
+//
+// The two orders would deadlock against each other; a store has exactly
+// one of them for its whole life (flash.Store.Lazy says which). In both
+// the engine calls flash.Write only after the policy's Admit has
+// returned, holding no lock.
 func AttachFlash(srv Server, segmentSize int64, overprovision float64) error {
 	return AttachFlashOpts(srv, FlashOptions{SegmentSize: segmentSize, Overprovision: overprovision})
 }
@@ -46,8 +58,9 @@ type FlashOptions struct {
 	// geometry no longer fits the policy and /readyz reports EOL.
 	SpareBlocks int
 	// Device, when set, supplies each shard's flash device (shard index
-	// and segment count); nil means a plain in-memory device. The daemon's
-	// fault drill injects media faults here.
+	// and the store's segment count, flash.SegmentCount); nil means a
+	// plain in-memory device. The daemon's fault drill injects media
+	// faults here.
 	Device func(shard, segments int) flash.Device
 }
 
@@ -68,7 +81,7 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 	for i, sh := range srv.Shards() {
 		pol := sh.Policy()
 		capacity := int64(float64(pol.Cap()) * opts.Overprovision)
-		segments := int(capacity / opts.SegmentSize)
+		segments := flash.SegmentCount(capacity, opts.SegmentSize)
 		spare := opts.SpareBlocks
 		if spare == 0 {
 			// The overprovision slack in whole segments: what the device
@@ -83,15 +96,26 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 		if opts.Device != nil {
 			dev = opts.Device(i, segments)
 		}
+		// Uninstalling first asks the policy whether it reports evictions
+		// at all, and stops a store attached earlier from hearing them.
+		notifier, _ := pol.(cache.EvictNotifier)
+		notified := notifier != nil && notifier.SetEvictNotify(nil)
+		live := pol.Contains
+		if notified {
+			live = nil
+		}
 		st, err := flash.New(flash.Config{
 			SegmentSize: opts.SegmentSize,
 			Capacity:    capacity,
-			Live:        pol.Contains,
+			Live:        live,
 			Device:      dev,
 			SpareBlocks: spare,
 		})
 		if err != nil {
 			return fmt.Errorf("engine: shard %d: %w", i, err)
+		}
+		if notified {
+			notifier.SetEvictNotify(func(key uint64) { st.Invalidate(key) })
 		}
 		sh.SetFlash(st)
 	}
@@ -109,8 +133,9 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 //
 // The caller must not run traffic concurrently (the snapshot restore
 // path is drained); residency is buffered outside the policy lock
-// because Range holds it and a Restore-triggered collection consults
-// policy.Contains.
+// because Range holds it and, on a lazy store, a Restore-triggered
+// collection consults policy.Contains. With no traffic there are no
+// evictions either, so the rebuild is the same for both kinds of store.
 func RebuildFlash(srv Server) {
 	for _, sh := range srv.Shards() {
 		fs := sh.Flash()

@@ -1,0 +1,289 @@
+package engine
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"otacache/internal/cache"
+	"otacache/internal/faults"
+	"otacache/internal/flash"
+)
+
+// hiddenPolicy shows the engine a policy's cache.Policy methods and
+// nothing else — what faults.Policy or a tracing decorator does to the
+// optional interfaces — so AttachFlash falls back to the lazy oracle.
+type hiddenPolicy struct{ cache.Policy }
+
+// countingPolicy counts Contains calls and forwards the eviction
+// callback, so AttachFlash still wires the store eagerly.
+type countingPolicy struct {
+	cache.Policy
+	contains int
+}
+
+func (p *countingPolicy) Contains(key uint64) bool {
+	p.contains++
+	return p.Policy.Contains(key)
+}
+
+func (p *countingPolicy) SetEvictNotify(fn func(key uint64)) bool {
+	return p.Policy.(cache.EvictNotifier).SetEvictNotify(fn)
+}
+
+// notifyStream is a seeded request stream over a small key universe
+// with one fixed size per key, and its next-access index for Belady.
+type notifyStream struct {
+	keys []uint64
+	next []int
+}
+
+const notifyUniverse = 400
+
+func notifySize(key uint64) int64 { return int64(200 + (key*131)%2800) }
+
+func newNotifyStream(seed uint64, n int) notifyStream {
+	st := notifyStream{keys: make([]uint64, n), next: make([]int, n)}
+	x := seed
+	for i := range st.keys {
+		x = x*6364136223846793005 + 1442695040888963407
+		// Half the requests go to a hot tenth of the keys, so hits,
+		// re-admissions and survivors in collected segments all occur.
+		if (x>>20)&1 == 0 {
+			st.keys[i] = (x >> 33) % (notifyUniverse / 10)
+		} else {
+			st.keys[i] = (x >> 33) % notifyUniverse
+		}
+	}
+	last := map[uint64]int{}
+	for i := n - 1; i >= 0; i-- {
+		st.next[i] = -1
+		if j, ok := last[st.keys[i]]; ok {
+			st.next[i] = j
+		}
+		last[st.keys[i]] = i
+	}
+	return st
+}
+
+// TestFlashNotifiedMatchesLazy replays one trace per policy through an
+// engine whose store hears evictions and through one whose policy hides
+// the callback and is polled instead. Exact live counts must pick the
+// victims the full liveness refresh picked, so every wear counter and
+// every block's erase count agree — and the notified store must not ask
+// the policy anything.
+func TestFlashNotifiedMatchesLazy(t *testing.T) {
+	const (
+		capacity = 64 << 10
+		segment  = 8 << 10
+	)
+	st := newNotifyStream(5, 20000)
+	for _, name := range cache.Names() {
+		t.Run(name, func(t *testing.T) {
+			run := func(wrap func(cache.Policy) cache.Policy) (*Engine, Metrics) {
+				pol, err := cache.New(name, capacity, st.next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(wrap(pol), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := AttachFlash(e, segment, 1.25); err != nil {
+					t.Fatal(err)
+				}
+				for i, key := range st.keys {
+					e.Lookup(key, notifySize(key), i, nil)
+				}
+				return e, e.Snapshot()
+			}
+			counter := &countingPolicy{}
+			eager, em := run(func(p cache.Policy) cache.Policy { counter.Policy = p; return counter })
+			lazy, lm := run(func(p cache.Policy) cache.Policy { return hiddenPolicy{p} })
+
+			if eager.Flash().Lazy() || !lazy.Flash().Lazy() {
+				t.Fatalf("Lazy() = %v with the callback, %v without; want false, true",
+					eager.Flash().Lazy(), lazy.Flash().Lazy())
+			}
+			if em != lm {
+				t.Errorf("metrics differ:\n notified %+v\n lazy     %+v", em, lm)
+			}
+			if got, want := eager.Flash().ErasesPerSegment(), lazy.Flash().ErasesPerSegment(); !reflect.DeepEqual(got, want) {
+				t.Errorf("erases per segment differ:\n notified %v\n lazy     %v", got, want)
+			}
+			if em.FlashErases == 0 || em.FlashGCBytes == 0 {
+				t.Fatalf("trace drove %d erases and %d relocated bytes; the comparison needs both", em.FlashErases, em.FlashGCBytes)
+			}
+			// The engine asks Contains once after each admission and once
+			// more after each write; anything beyond that is the store.
+			if want := int(em.Misses + em.Writes); counter.contains != want {
+				t.Errorf("notified path made %d Contains calls, want %d (misses + writes) — the store must make none", counter.contains, want)
+			}
+			// Notified, the store holds exactly the residents.
+			if got, want := eager.Flash().Len(), eager.Policy().Len(); got != want {
+				t.Errorf("notified store holds %d extents, policy %d residents", got, want)
+			}
+			if got, want := eager.Flash().Stats().LiveBytes, eager.Policy().Used(); got != want {
+				t.Errorf("notified store has %d live bytes, policy %d resident bytes", got, want)
+			}
+		})
+	}
+}
+
+// TestFlashNotifiedQuiescentIdentity hammers a small, churn-heavy cache
+// from several clients and checks ROADMAP item 4's identity once they
+// stop: every extent in the store belongs to a policy resident, and the
+// store's live bytes are exactly those extents. An eviction racing the
+// admission's own write is the case the re-check in Offer exists for; a
+// missed one would leave an extent no one ever reclaims.
+func TestFlashNotifiedQuiescentIdentity(t *testing.T) {
+	const (
+		clients  = 6
+		universe = 512
+		requests = 4000
+	)
+	size := func(key uint64) int64 { return int64(64 + (key*37)%449) }
+	for _, name := range []string{"s3lru", "arc"} {
+		t.Run(name, func(t *testing.T) {
+			pol, err := cache.NewSharded(16<<10, 2, func(c int64) cache.Policy {
+				p, err := cache.New(name, c, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(pol, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := AttachFlash(e, 2<<10, 1.5); err != nil {
+				t.Fatal(err)
+			}
+			fs := e.Flash()
+			if fs.Lazy() {
+				t.Fatal("sharded policy attached lazily")
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					x := seed
+					for i := 0; i < requests; i++ {
+						x = x*6364136223846793005 + 1442695040888963407
+						key := (x >> 33) % universe
+						e.Lookup(key, size(key), e.NextTick(), nil)
+					}
+				}(uint64(c + 1))
+			}
+			wg.Wait()
+
+			var extents int
+			var bytes int64
+			for key := uint64(0); key < universe; key++ {
+				if !fs.Contains(key) {
+					continue
+				}
+				extents++
+				bytes += size(key)
+				if !pol.Contains(key) {
+					t.Errorf("key %d has an extent and is not resident", key)
+				}
+			}
+			if got := fs.Len(); got != extents {
+				t.Errorf("store indexes %d extents, %d of them for keys the clients sent", got, extents)
+			}
+			stats := fs.Stats()
+			if stats.LiveBytes != bytes {
+				t.Errorf("LiveBytes = %d, indexed extents add up to %d", stats.LiveBytes, bytes)
+			}
+			if stats.LiveBytes > pol.Used() {
+				t.Errorf("LiveBytes = %d exceeds resident bytes %d", stats.LiveBytes, pol.Used())
+			}
+			if stats.Erases == 0 {
+				t.Fatal("no collection ran; the stream is too light for this geometry")
+			}
+		})
+	}
+}
+
+// TestAttachFlashSizesDeviceHook: the Device hook is told the segment
+// count the store is built with, so a device made to that size has every
+// block the log will reach. One segment short, the last block's first
+// program fails out of range and good NAND is retired as bad.
+func TestAttachFlashSizesDeviceHook(t *testing.T) {
+	const segment = 1 << 10
+	e, err := New(cache.NewLRU(10_000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var told int
+	err = AttachFlashOpts(e, FlashOptions{
+		SegmentSize:   segment,
+		Overprovision: 1.25, // 12500 bytes: twelve segments and a bit
+		Device: func(_, segments int) flash.Device {
+			told = segments
+			return faults.WrapDevice(flash.NewMemDevice(segments), nil, nil, nil, nil)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Flash().Stats()
+	if told != st.Segments || told != flash.SegmentCount(12500, segment) {
+		t.Fatalf("hook told %d segments, store has %d, SegmentCount says %d", told, st.Segments, flash.SegmentCount(12500, segment))
+	}
+	// The slack beyond the policy's ten segments, counted in the same
+	// whole segments the store has.
+	if st.SpareBlocks != int64(st.Segments-10) {
+		t.Fatalf("SpareBlocks = %d with %d segments over a 10-segment policy", st.SpareBlocks, st.Segments)
+	}
+	for i := uint64(0); i < 400; i++ {
+		e.Lookup(i, 500, e.NextTick(), nil)
+	}
+	st = e.Flash().Stats()
+	// The collector runs only once the free pool is empty, that is once
+	// every segment has been the log head and taken a program.
+	if st.Erases == 0 {
+		t.Fatal("no collection ran; the writes did not reach every segment")
+	}
+	if st.RetiredBlocks != 0 || st.Dropped != 0 {
+		t.Fatalf("healthy device retired %d blocks and dropped %d objects", st.RetiredBlocks, st.Dropped)
+	}
+}
+
+// TestReattachFlashMovesTheCallback: attaching again must leave the
+// first store deaf, not invalidated from a policy it no longer serves.
+func TestReattachFlashMovesTheCallback(t *testing.T) {
+	e, err := New(cache.NewLRU(1000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach := func() *flash.Store {
+		if err := AttachFlash(e, 512, 2); err != nil {
+			t.Fatal(err)
+		}
+		return e.Flash()
+	}
+	first := attach()
+	for i := uint64(0); i < 10; i++ {
+		e.Lookup(i, 100, e.NextTick(), nil)
+	}
+	held := first.Len()
+	second := attach()
+	for i := uint64(10); i < 40; i++ {
+		e.Lookup(i, 100, e.NextTick(), nil)
+	}
+	if first.Len() != held {
+		t.Fatalf("detached store went from %d to %d extents", held, first.Len())
+	}
+	if got, want := second.Len(), e.Policy().Len(); got != want {
+		t.Fatalf("attached store holds %d extents, policy %d residents", got, want)
+	}
+	if first.Lazy() || second.Lazy() {
+		t.Fatal("LRU attached lazily")
+	}
+}

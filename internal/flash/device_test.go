@@ -405,3 +405,53 @@ func TestScrubStepRoundRobin(t *testing.T) {
 		t.Fatalf("cursor did not advance: scrubbed %d twice", first)
 	}
 }
+
+// TestMemDeviceProgramAppends pins the in-memory device's image
+// handling: appends at the write head keep what was programmed before,
+// a program past the head leaves zeros (never a previous lap's bytes),
+// and an erased block reads as empty.
+func TestMemDeviceProgramAppends(t *testing.T) {
+	d := NewMemDevice(2)
+	var want []byte
+	for i := 0; i < 200; i++ {
+		rec := bytes.Repeat([]byte{byte(i + 1)}, 16+i%5)
+		if err := d.Program(1, int64(len(want)), rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec...)
+	}
+	got := make([]byte, len(want))
+	if err := d.Read(1, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("appended records do not read back")
+	}
+	if err := d.Erase(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Read(1, 0, got[:1]); err == nil {
+		t.Fatal("read of an erased block succeeded")
+	}
+	if err := d.Program(1, 8, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	got = got[:9]
+	if err := d.Read(1, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xEE}) {
+		t.Fatalf("image after a program past the head of an erased block = %x", got)
+	}
+	// An overwrite in place (no store does this, the seam allows it).
+	if err := d.Program(1, 7, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	got = got[:10]
+	if err := d.Read(1, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{0, 0, 0, 0, 0, 0, 0, 1, 2, 3}) {
+		t.Fatalf("image after an overlapping program = %x", got)
+	}
+}

@@ -7,9 +7,12 @@
 // the store's capacity is divided into fixed-size segments mapped onto
 // erase blocks. Writes append to the head segment of a log; an object
 // index maps key -> (segment, offset, length). An object dies when it
-// is overwritten, explicitly invalidated, or — lazily — when the
-// composed replacement policy no longer considers it resident (the
-// Live callback). Dead space is reclaimed by a greedy garbage
+// is overwritten or invalidated. The serving engine invalidates from
+// the replacement policy's eviction callback (cache.EvictNotifier), so
+// every segment's live-byte count is exact at all times; a store whose
+// owner cannot be told of evictions is instead given a Live oracle
+// (Config.Live) and reconciles lazily, probing every sealed extent at
+// each collection. Dead space is reclaimed by a greedy garbage
 // collector: when the free-segment pool runs low it picks the sealed
 // segment with the fewest live bytes, relocates the survivors to the
 // log head, and erases the block. Those relocations are exactly where
@@ -96,7 +99,8 @@ type Device interface {
 }
 
 // memDevice is the default in-RAM Device: one lazily grown byte slice
-// per segment.
+// per segment. An erase frees the image, so a block's footprint follows
+// what its current lap programmed, not its high-water mark.
 type memDevice struct {
 	segs [][]byte
 }
@@ -112,13 +116,17 @@ func (d *memDevice) Program(seg int, off int64, p []byte) error {
 	if seg < 0 || seg >= len(d.segs) || off < 0 {
 		return fmt.Errorf("flash: program out of range: segment %d offset %d", seg, off)
 	}
-	need := off + int64(len(p))
-	if int64(len(d.segs[seg])) < need {
-		grown := make([]byte, need)
-		copy(grown, d.segs[seg])
-		d.segs[seg] = grown
+	img := d.segs[seg]
+	if gap := off - int64(len(img)); gap > 0 {
+		// A program past the write head leaves a hole; it reads as zeros,
+		// never as what the block held before its last erase.
+		img = append(img, make([]byte, gap)...)
 	}
-	copy(d.segs[seg][off:], p)
+	// The store programs at the write head, so this is an append and the
+	// image grows on append's amortised schedule instead of being copied
+	// whole for every extent.
+	n := copy(img[off:], p)
+	d.segs[seg] = append(img, p[n:]...)
 	return nil
 }
 
@@ -134,7 +142,7 @@ func (d *memDevice) Erase(seg int) error {
 	if seg < 0 || seg >= len(d.segs) {
 		return fmt.Errorf("flash: erase out of range: segment %d", seg)
 	}
-	d.segs[seg] = d.segs[seg][:0]
+	d.segs[seg] = nil
 	return nil
 }
 
@@ -150,11 +158,15 @@ type Config struct {
 	// its capacity grinds into relocation storms exactly like a real
 	// device at 100% utilization.
 	Capacity int64
-	// Live reports whether a key is still logically live — the composed
-	// replacement policy's Contains. The collector consults it before
-	// relocating, so policy evictions invalidate lazily without an
-	// eviction callback threaded through every policy. nil means objects
-	// stay live until overwritten or explicitly invalidated.
+	// Live is the lazy liveness oracle for owners that cannot report
+	// evictions as they happen — the composed replacement policy's
+	// Contains. Every collection pass probes it once per live extent in
+	// every sealed segment, under the store's mutex, so it must not be
+	// set on a store that is also invalidated from under the policy's
+	// lock (see Lazy). nil — what engine.AttachFlash passes whenever the
+	// policy is a cache.EvictNotifier — means objects stay live until
+	// overwritten or invalidated, live counts are exact, and collection
+	// makes no calls out of the store.
 	Live func(key uint64) bool
 	// Device is the byte-storage seam; nil uses the in-memory default.
 	// Fault-drill and test callers wrap NewMemDevice in faults.Device.
@@ -187,9 +199,9 @@ type Stats struct {
 	// distribution (wear leveling inspection).
 	MinSegmentErases int64
 	MaxSegmentErases int64
-	// LiveBytes is the store's live-byte estimate: exact with respect to
-	// overwrites and explicit invalidation, an upper bound with respect
-	// to lazy policy evictions (those are discovered at collection).
+	// LiveBytes is the bytes of live extents: exact for a store whose
+	// owner invalidates on eviction, an upper bound for a lazy one
+	// (Config.Live set), which learns of policy evictions at collection.
 	LiveBytes int64
 	// Relocations counts objects moved out of collected or retired
 	// segments.
@@ -257,7 +269,7 @@ type segment struct {
 	objs   []obj
 	used   int64 // logical write head (includes dead extents until erase)
 	phys   int64 // physical write head in the device image
-	live   int64 // live-byte estimate, see Stats.LiveBytes
+	live   int64 // bytes of extents not marked dead, see Stats.LiveBytes
 	sealed bool
 	erases int64
 	// retired marks a bad block: a program or erase failed on it, its
@@ -279,6 +291,10 @@ type Store struct {
 	live    func(key uint64) bool
 	dev     Device
 	spare   int64
+	// rec is the record buffer readRecord and encodeRecord share; every
+	// user holds mu and is done with (or has copied out of) the bytes
+	// before the next record is read or encoded.
+	rec []byte
 	// obsv is the optional latency observer (see Observer); atomic so
 	// attachment may race serving traffic.
 	obsv atomic.Pointer[Observer]
@@ -303,6 +319,18 @@ type Store struct {
 	scrubbed       int64
 }
 
+// SegmentCount returns how many segments New lays a store of the given
+// capacity out in: capacity rounded up to whole segments, and to the
+// minimum count the collector needs. A caller that supplies
+// Config.Device sizes the device with it.
+func SegmentCount(capacity, segmentSize int64) int {
+	n := int((capacity + segmentSize - 1) / segmentSize)
+	if n < minSegments {
+		n = minSegments
+	}
+	return n
+}
+
 // New builds a store. Capacity is rounded up to whole segments and to
 // the minimum segment count the collector needs.
 func New(cfg Config) (*Store, error) {
@@ -315,10 +343,7 @@ func New(cfg Config) (*Store, error) {
 	if cfg.SpareBlocks < 0 {
 		return nil, fmt.Errorf("flash: spare blocks must be non-negative, got %d", cfg.SpareBlocks)
 	}
-	n := int((cfg.Capacity + cfg.SegmentSize - 1) / cfg.SegmentSize)
-	if n < minSegments {
-		n = minSegments
-	}
+	n := SegmentCount(cfg.Capacity, cfg.SegmentSize)
 	spare := int64(cfg.SpareBlocks)
 	if spare == 0 {
 		spare = int64(n / 8)
@@ -351,6 +376,13 @@ func New(cfg Config) (*Store, error) {
 
 // SegmentSize returns the erase-block size.
 func (s *Store) SegmentSize() int64 { return s.segSize }
+
+// Lazy reports whether the store was built with a liveness oracle
+// (Config.Live). A lazy store calls out to the policy while holding its
+// mutex, so it must never be entered from under a policy lock; a store
+// that is not lazy calls nothing and may be, but then nothing reclaims
+// an extent its owner forgets to Invalidate.
+func (s *Store) Lazy() bool { return s.live != nil }
 
 // Capacity returns the store capacity (whole segments).
 func (s *Store) Capacity() int64 {
@@ -421,10 +453,27 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	return nil
 }
 
-// encodeRecord lays out the device record for one extent: the 16-byte
-// header plus the payload, if any.
-func encodeRecord(key uint64, size int64, data []byte) []byte {
-	rec := make([]byte, recHeaderSize+len(data))
+// recBuf returns the store's record buffer sized to n bytes. Caller
+// holds mu.
+func (s *Store) recBuf(n int) []byte {
+	if cap(s.rec) < n {
+		s.growRec(n)
+	}
+	return s.rec[:n]
+}
+
+// growRec replaces the record buffer with one of n bytes: once per
+// store for each new largest record, never in steady state. Kept out of
+// line so the hotalloc analyzer charges the allocation here and not to
+// the hit path recBuf is inlined into.
+//
+//go:noinline
+func (s *Store) growRec(n int) { s.rec = make([]byte, n) }
+
+// encodeRecord lays out the device record for one extent in the record
+// buffer: the 16-byte header plus the payload, if any. Caller holds mu.
+func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
+	rec := s.recBuf(recHeaderSize + len(data))
 	binary.LittleEndian.PutUint64(rec[0:8], key)
 	binary.LittleEndian.PutUint64(rec[8:16], uint64(size))
 	copy(rec[recHeaderSize:], data)
@@ -439,7 +488,6 @@ func encodeRecord(key uint64, size int64, data []byte) []byte {
 // draw on the reserve instead — collection must never reenter itself.
 // Caller holds mu.
 func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool) bool {
-	rec := encodeRecord(key, size, data)
 	for attempt := 0; attempt <= len(s.segs); attempt++ {
 		head := s.segs[s.active]
 		if head.retired || head.used+size > s.segSize {
@@ -454,6 +502,9 @@ func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool)
 			s.active = next
 			head = s.segs[s.active]
 		}
+		// Encoded per attempt: a collection or retirement above read and
+		// re-appended other records through the same buffer.
+		rec := s.encodeRecord(key, size, data)
 		//lint:allow errsink retireSegment charges the retirement counters for this media failure
 		if err := s.dev.Program(s.active, head.phys, rec); err != nil {
 			// Bad block: retire it (relocating whatever was already on
@@ -521,8 +572,9 @@ func (s *Store) collect() {
 	o.GC.Record(int64(o.Now().Sub(start)))
 }
 
-// collectLocked is the collection pass itself: refresh liveness against
-// the policy, pick the sealed segment with the fewest live bytes, stash
+// collectLocked is the collection pass itself: on a lazy store refresh
+// liveness against the policy, then pick the sealed segment with the
+// fewest live bytes (already exact on a store that is not lazy), stash
 // the survivors, erase the block, and re-append the survivors to the
 // log head — which may be the block just erased, so collection makes
 // forward progress with zero standing free segments. Caller holds mu.
@@ -567,11 +619,9 @@ func (s *Store) collectLocked() {
 		seg.live -= o.size
 		delete(s.index, o.key)
 	}
-	if !s.eraseSegment(victim) {
-		// The erase failed and the victim was retired; its survivors are
-		// already stashed in keep, so fall through and place them.
-		_ = victim
-	}
+	// A failed erase retires the victim instead of freeing it; either
+	// way its survivors are stashed in keep and still need placing.
+	s.eraseSegment(victim)
 	for _, st := range keep {
 		// Relocation rides the same append path as host writes — that is
 		// the amplification — but lands in gcBytes, not hostBytes, and
@@ -604,9 +654,11 @@ func (s *Store) stashObj(id int, o *obj) (relocObj, error) {
 
 // readRecord fetches and verifies one extent's record from the
 // device, charging the read-error and corruption counters on failure.
-// Caller holds mu.
+// The returned bytes are the store's record buffer: the caller copies
+// out what it keeps before the next record is read or encoded. Caller
+// holds mu.
 func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
-	rec := make([]byte, o.physLen)
+	rec := s.recBuf(int(o.physLen))
 	if err := s.dev.Read(id, o.physOff, rec); err != nil {
 		s.readErrors++
 		return nil, fmt.Errorf("%w: %v", ErrUncorrectable, err)
@@ -672,10 +724,10 @@ func (s *Store) drainReloc() {
 	}
 }
 
-// refreshLiveness reconciles one segment's extents with the policy:
-// objects the policy evicted since their append are marked dead so the
-// victim choice and the relocation pass see true liveness. Caller
-// holds mu.
+// refreshLiveness reconciles one segment's extents with the Live
+// oracle of a lazy store: objects the policy evicted since their append
+// are marked dead so the victim choice and the relocation pass see true
+// liveness. Caller holds mu.
 func (s *Store) refreshLiveness(id int) {
 	if s.live == nil {
 		return
@@ -703,13 +755,13 @@ func (s *Store) refreshLiveness(id int) {
 
 // eraseSegment wipes one block and returns it to the free pool,
 // charging the erase counters. A failed erase retires the block
-// instead and reports false. Caller holds mu.
-func (s *Store) eraseSegment(id int) bool {
+// instead. Caller holds mu.
+func (s *Store) eraseSegment(id int) {
 	seg := s.segs[id]
 	//lint:allow errsink retireSegment charges the retirement counters for this media failure
 	if err := s.dev.Erase(id); err != nil {
 		s.retireSegment(id)
-		return false
+		return
 	}
 	seg.objs = seg.objs[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
@@ -717,7 +769,6 @@ func (s *Store) eraseSegment(id int) bool {
 	seg.erases++
 	s.erases++
 	s.free = append(s.free, id)
-	return true
 }
 
 // markDead invalidates one extent. Caller holds mu.
@@ -730,9 +781,10 @@ func (s *Store) markDead(l loc) {
 	}
 }
 
-// Invalidate drops key's extent (overwrite-by-delete, or an eager
-// eviction callback for callers that have one). It reports whether the
-// key was present.
+// Invalidate drops key's extent: the policy's eviction callback on a
+// store wired by engine.AttachFlash, or overwrite-by-delete. It calls
+// nothing outside the store, so it is safe under a policy lock as long
+// as the store is not Lazy. It reports whether the key was present.
 func (s *Store) Invalidate(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
