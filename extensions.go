@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"otacache/internal/cache"
-	"otacache/internal/cluster"
 	"otacache/internal/core"
 	"otacache/internal/engine"
 	"otacache/internal/flash"
@@ -214,19 +213,6 @@ func WriteDensityRatio(cacheBytes, backendBytes int64) float64 {
 // byte capacity.
 func NewShardedPolicy(capacity int64, shards int, factory func(shardCapacity int64) Policy) (Policy, error) {
 	return cache.NewSharded(capacity, shards, factory)
-}
-
-// Distributed fleet (the paper's "many cache servers", §2.1).
-
-// CacheCluster is a consistent-hash fleet of independent cache servers
-// exposing the Policy interface.
-type CacheCluster = cluster.Cluster
-
-// NewCacheCluster builds a fleet of n servers splitting totalCapacity
-// evenly, routed by consistent hashing. It satisfies Policy, so it
-// drops into any place a single cache fits.
-func NewCacheCluster(n int, totalCapacity int64, seed uint64, factory func(capacity int64) Policy) (*CacheCluster, error) {
-	return cluster.New(n, totalCapacity, seed, factory)
 }
 
 // Non-ML admission baseline.

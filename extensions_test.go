@@ -56,19 +56,6 @@ func TestExtensionsFacade(t *testing.T) {
 		t.Fatal("sharded admit lost the key")
 	}
 
-	// Cluster.
-	fleet, err := NewCacheCluster(4, 1<<20, 1, func(c int64) Policy {
-		p, _ := NewPolicy("lru", c, nil)
-		return p
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.Admit(7, 64, 0)
-	if !fleet.Contains(7) {
-		t.Fatal("cluster admit lost the key")
-	}
-
 	// Frequency baseline.
 	freq, err := NewFrequencyAdmission(1024, 1)
 	if err != nil {

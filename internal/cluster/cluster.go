@@ -5,17 +5,13 @@
 // remaps only ~1/n of the keyspace — the property that makes cache
 // fleets operable.
 //
-// A Cluster composes the ring with one independent replacement policy
-// per server and exposes the cache.Policy interface, so the simulation
-// engine (and the admission system in front of it) works unchanged over
-// a fleet.
+// The ring routes keys to the shards of engine.ShardedEngine.
 package cluster
 
 import (
 	"fmt"
 	"sort"
 
-	"otacache/internal/cache"
 	"otacache/internal/stats"
 )
 
@@ -142,97 +138,4 @@ func (r *Ring) WithServer() *Ring {
 	nr.addPoints(int32(r.ids))
 	sort.Slice(nr.points, func(a, b int) bool { return nr.points[a].hash < nr.points[b].hash })
 	return nr
-}
-
-// Cluster is a fleet of independent cache servers behind a ring.
-type Cluster struct {
-	ring    *Ring
-	servers []cache.Policy
-}
-
-// New builds a cluster of n servers, splitting totalCapacity evenly;
-// factory builds each server's policy.
-func New(n int, totalCapacity int64, seed uint64, factory func(capacity int64) cache.Policy) (*Cluster, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("cluster: nil factory")
-	}
-	if totalCapacity <= 0 {
-		return nil, fmt.Errorf("cluster: capacity must be positive, got %d", totalCapacity)
-	}
-	ring, err := NewRing(n, 0, seed)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{ring: ring, servers: make([]cache.Policy, n)}
-	per := totalCapacity / int64(n)
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.servers {
-		p := factory(per)
-		if p == nil {
-			return nil, fmt.Errorf("cluster: factory returned nil for server %d", i)
-		}
-		c.servers[i] = p
-	}
-	return c, nil
-}
-
-var _ cache.Policy = (*Cluster)(nil)
-
-// Name implements cache.Policy.
-func (c *Cluster) Name() string {
-	return fmt.Sprintf("cluster-%d-%s", len(c.servers), c.servers[0].Name())
-}
-
-// Get implements cache.Policy.
-func (c *Cluster) Get(key uint64, tick int) bool {
-	return c.servers[c.ring.Server(key)].Get(key, tick)
-}
-
-// Admit implements cache.Policy.
-func (c *Cluster) Admit(key uint64, size int64, tick int) {
-	c.servers[c.ring.Server(key)].Admit(key, size, tick)
-}
-
-// Contains implements cache.Policy.
-func (c *Cluster) Contains(key uint64) bool {
-	return c.servers[c.ring.Server(key)].Contains(key)
-}
-
-// Len implements cache.Policy.
-func (c *Cluster) Len() int {
-	n := 0
-	for _, s := range c.servers {
-		n += s.Len()
-	}
-	return n
-}
-
-// Used implements cache.Policy.
-func (c *Cluster) Used() int64 {
-	var b int64
-	for _, s := range c.servers {
-		b += s.Used()
-	}
-	return b
-}
-
-// Cap implements cache.Policy.
-func (c *Cluster) Cap() int64 {
-	var b int64
-	for _, s := range c.servers {
-		b += s.Cap()
-	}
-	return b
-}
-
-// ServerLoad returns each server's resident byte count, for balance
-// inspection.
-func (c *Cluster) ServerLoad() []int64 {
-	out := make([]int64, len(c.servers))
-	for i, s := range c.servers {
-		out[i] = s.Used()
-	}
-	return out
 }

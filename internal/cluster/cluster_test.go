@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"otacache/internal/cache"
-)
+import "testing"
 
 func TestRingValidation(t *testing.T) {
 	if _, err := NewRing(0, 64, 1); err == nil {
@@ -255,113 +251,5 @@ func TestWithoutServerErrors(t *testing.T) {
 	one, _ := NewRing(1, 16, 1)
 	if _, err := one.WithoutServer(0); err == nil {
 		t.Fatal("removing the last server must error")
-	}
-}
-
-func newCluster(t testing.TB, n int, capacity int64) *Cluster {
-	c, err := New(n, capacity, 1, func(cap int64) cache.Policy { return cache.NewLRU(cap) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestClusterBasics(t *testing.T) {
-	c := newCluster(t, 4, 4000)
-	if c.Cap() != 4000 {
-		t.Fatalf("cap = %d", c.Cap())
-	}
-	c.Admit(1, 10, 0)
-	if !c.Get(1, 1) || !c.Contains(1) {
-		t.Fatal("admitted key missing")
-	}
-	if c.Len() != 1 || c.Used() != 10 {
-		t.Fatalf("len=%d used=%d", c.Len(), c.Used())
-	}
-	if c.Name() != "cluster-4-lru" {
-		t.Fatalf("name = %s", c.Name())
-	}
-}
-
-func TestClusterErrors(t *testing.T) {
-	if _, err := New(4, 100, 1, nil); err == nil {
-		t.Fatal("nil factory must error")
-	}
-	if _, err := New(0, 100, 1, func(int64) cache.Policy { return cache.NewLRU(1) }); err == nil {
-		t.Fatal("zero servers must error")
-	}
-	if _, err := New(2, 0, 1, func(c int64) cache.Policy { return cache.NewLRU(c) }); err == nil {
-		t.Fatal("zero capacity must error")
-	}
-	if _, err := New(2, 100, 1, func(int64) cache.Policy { return nil }); err == nil {
-		t.Fatal("nil server must error")
-	}
-}
-
-func TestClusterOfOneEqualsSingleCache(t *testing.T) {
-	c := newCluster(t, 1, 512)
-	single := cache.NewLRU(512)
-	x := uint64(7)
-	for i := 0; i < 5000; i++ {
-		x = x*6364136223846793005 + 1
-		key := (x >> 33) % 200
-		size := int64(1 + (x>>50)%8)
-		hc := c.Get(key, i)
-		hs := single.Get(key, i)
-		if hc != hs {
-			t.Fatalf("step %d: cluster-of-1 diverged from single cache", i)
-		}
-		if !hc {
-			c.Admit(key, size, i)
-			single.Admit(key, size, i)
-		}
-	}
-	if c.Used() != single.Used() || c.Len() != single.Len() {
-		t.Fatal("accounting diverged")
-	}
-}
-
-func TestClusterLoadSpread(t *testing.T) {
-	c := newCluster(t, 8, 1<<20)
-	for key := uint64(0); key < 20000; key++ {
-		c.Admit(key, 8, 0)
-	}
-	loads := c.ServerLoad()
-	var total int64
-	for _, l := range loads {
-		total += l
-	}
-	per := total / int64(len(loads))
-	for s, l := range loads {
-		if l < per/2 || l > per*2 {
-			t.Fatalf("server %d load %d, mean %d: unbalanced", s, l, per)
-		}
-	}
-}
-
-func TestClusterVsMonolithicHitRate(t *testing.T) {
-	// Partitioning costs a little hit rate (per-server capacity
-	// fragments the working set) but must stay in the same ballpark.
-	run := func(p cache.Policy) float64 {
-		x := uint64(3)
-		hits, total := 0, 30000
-		for i := 0; i < total; i++ {
-			x = x*6364136223846793005 + 1
-			key := (x >> 33) % 3000
-			if p.Get(key, i) {
-				hits++
-			} else {
-				p.Admit(key, 16, i)
-			}
-		}
-		return float64(hits) / float64(total)
-	}
-	mono := run(cache.NewLRU(16 * 1024))
-	clus := run(newCluster(t, 8, 16*1024))
-	if clus > mono+0.01 {
-		t.Fatalf("cluster hit rate %.4f above monolithic %.4f?", clus, mono)
-	}
-	if clus < mono-0.15 {
-		t.Fatalf("cluster hit rate %.4f collapsed vs monolithic %.4f", clus, mono)
 	}
 }

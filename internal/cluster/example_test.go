@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"fmt"
 
-	"otacache/internal/cache"
 	"otacache/internal/cluster"
 )
 
@@ -28,19 +27,4 @@ func Example() {
 	// Output:
 	// thousands of surviving keys checked: true
 	// surviving keys remapped: 0
-}
-
-// ExampleNew drives a fleet through the cache.Policy interface.
-func ExampleNew() {
-	fleet, _ := cluster.New(4, 4096, 7, func(capacity int64) cache.Policy {
-		return cache.NewLRU(capacity)
-	})
-	for key := uint64(0); key < 100; key++ {
-		fleet.Admit(key, 16, 0)
-	}
-	fmt.Println("name:", fleet.Name())
-	fmt.Println("all resident:", fleet.Len() == 100)
-	// Output:
-	// name: cluster-4-lru
-	// all resident: true
 }

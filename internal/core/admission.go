@@ -20,7 +20,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"otacache/internal/labeling"
 	"otacache/internal/mlcore"
@@ -109,10 +111,13 @@ func (o *OracleAdmission) Decide(_ uint64, tick int, _ []float64) Decision {
 // (§4.4.2). Capacity is fixed at construction; inserting beyond it
 // evicts the oldest entry.
 //
-// FIFO slots are lazily reclaimed: Remove only deletes the map entry,
-// and each slot carries the insertion sequence number so that a key
-// removed and later re-inserted cannot be evicted through its stale
-// older slot.
+// Its memory is fixed at construction too, and no operation allocates:
+// a slab of capacity slots holds the live records, doubly linked from
+// oldest to newest insertion with the unused slots on a free list, and
+// a linear-probing index of int32 slot numbers (a power of two at least
+// twice the capacity, so it is at most half full) maps keys to slots.
+// Removal unlinks the slot and closes the index hole by backward shift,
+// so there are no tombstones and no stale FIFO entries to skip.
 //
 // All methods are safe for concurrent use. The consult-and-update step
 // of the admission workflow needs more than per-method atomicity, so
@@ -120,28 +125,48 @@ func (o *OracleAdmission) Decide(_ uint64, tick int, _ []float64) Decision {
 type HistoryTable struct {
 	mu       sync.Mutex
 	capacity int
-	ticks    map[uint64]htEntry
-	fifo     []htSlot
-	head     int    // index of the oldest live slot in fifo
-	seq      uint64 // insertion sequence counter
-}
-
-type htEntry struct {
-	tick int
-	seq  uint64
+	slots    []htSlot
+	index    []int32 // slot number per bucket, -1 = empty
+	shift    uint    // 64 - log2(len(index)), for Fibonacci hashing
+	head     int32   // oldest live slot, -1 when empty
+	tail     int32   // newest live slot, -1 when empty
+	free     int32   // first unused slot, chained through next
+	n        int
 }
 
 type htSlot struct {
-	key uint64
-	seq uint64
+	key        uint64
+	tick       int
+	prev, next int32
 }
 
-// NewHistoryTable returns an empty table. capacity < 1 is clamped to 1.
+// maxTableCapacity keeps slot numbers inside int32.
+const maxTableCapacity = 1 << 30
+
+// NewHistoryTable returns an empty table. capacity is clamped to
+// [1, 2^30].
 func NewHistoryTable(capacity int) *HistoryTable {
-	if capacity < 1 {
-		capacity = 1
+	capacity = max(1, min(capacity, maxTableCapacity))
+	buckets := 2
+	for buckets < 2*capacity {
+		buckets <<= 1
 	}
-	return &HistoryTable{capacity: capacity, ticks: make(map[uint64]htEntry)}
+	t := &HistoryTable{
+		capacity: capacity,
+		slots:    make([]htSlot, capacity),
+		index:    make([]int32, buckets),
+		shift:    uint(64 - bits.TrailingZeros(uint(buckets))),
+		head:     -1,
+		tail:     -1,
+	}
+	for i := range t.slots {
+		t.slots[i].next = int32(i + 1)
+	}
+	t.slots[capacity-1].next = -1
+	for i := range t.index {
+		t.index[i] = -1
+	}
+	return t
 }
 
 // TableCapacity returns the paper's sizing rule M·(1-h)·p·0.05
@@ -158,7 +183,7 @@ func TableCapacity(crit labeling.Criteria) int {
 func (t *HistoryTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ticks)
+	return t.n
 }
 
 // Capacity returns the configured bound.
@@ -168,8 +193,10 @@ func (t *HistoryTable) Capacity() int { return t.capacity }
 func (t *HistoryTable) Lookup(key uint64) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.ticks[key]
-	return e.tick, ok
+	if _, s := t.find(key); s >= 0 {
+		return t.slots[s].tick, true
+	}
+	return 0, false
 }
 
 // Insert records (or refreshes) key at the given tick, evicting the
@@ -179,29 +206,17 @@ func (t *HistoryTable) Lookup(key uint64) (int, bool) {
 func (t *HistoryTable) Insert(key uint64, tick int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.insertLocked(key, tick)
+	pos, s := t.find(key)
+	t.put(key, tick, pos, s)
 }
 
-func (t *HistoryTable) insertLocked(key uint64, tick int) {
-	if e, ok := t.ticks[key]; ok {
-		e.tick = tick
-		t.ticks[key] = e
-		return
-	}
-	for len(t.ticks) >= t.capacity {
-		t.evictOldest()
-	}
-	t.seq++
-	t.ticks[key] = htEntry{tick: tick, seq: t.seq}
-	t.fifo = append(t.fifo, htSlot{key: key, seq: t.seq})
-	t.compact()
-}
-
-// Remove deletes key if present. Its FIFO slot is lazily reclaimed.
+// Remove deletes key if present.
 func (t *HistoryTable) Remove(key uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.ticks, key)
+	if pos, s := t.find(key); s >= 0 {
+		t.drop(pos, s)
+	}
 }
 
 // Rectify performs the §4.4.2 consult-and-update step as one critical
@@ -214,11 +229,12 @@ func (t *HistoryTable) Remove(key uint64) {
 func (t *HistoryTable) Rectify(key uint64, tick, m int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.ticks[key]; ok && tick-e.tick < m {
-		delete(t.ticks, key)
+	pos, s := t.find(key)
+	if s >= 0 && tick-t.slots[s].tick < m {
+		t.drop(pos, s)
 		return true
 	}
-	t.insertLocked(key, tick)
+	t.put(key, tick, pos, s)
 	return false
 }
 
@@ -235,35 +251,86 @@ type TableEntry struct {
 func (t *HistoryTable) Entries() []TableEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TableEntry, 0, len(t.ticks))
-	for i := t.head; i < len(t.fifo); i++ {
-		slot := t.fifo[i]
-		if e, ok := t.ticks[slot.key]; ok && e.seq == slot.seq {
-			out = append(out, TableEntry{Key: slot.key, Tick: e.tick})
-		}
+	out := make([]TableEntry, 0, t.n)
+	for s := t.head; s >= 0; s = t.slots[s].next {
+		out = append(out, TableEntry{Key: t.slots[s].key, Tick: t.slots[s].tick})
 	}
 	return out
 }
 
-func (t *HistoryTable) evictOldest() {
-	for t.head < len(t.fifo) {
-		slot := t.fifo[t.head]
-		t.head++
-		if e, ok := t.ticks[slot.key]; ok && e.seq == slot.seq {
-			delete(t.ticks, slot.key)
-			return
+// home is key's preferred bucket.
+func (t *HistoryTable) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns key's bucket and slot, or, when key is absent, the empty
+// bucket where it would go and slot -1. The index is at most half full,
+// so the probe always ends.
+func (t *HistoryTable) find(key uint64) (int, int32) {
+	mask := len(t.index) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := t.index[i]
+		if s < 0 || t.slots[s].key == key {
+			return i, s
 		}
-		// Stale slot (removed, or superseded by a re-insert): skip.
 	}
 }
 
-// compact reclaims the consumed prefix of the FIFO slice once it
-// dominates the backing array.
-func (t *HistoryTable) compact() {
-	if t.head > 4096 && t.head*2 > len(t.fifo) {
-		t.fifo = append([]htSlot(nil), t.fifo[t.head:]...)
-		t.head = 0
+// put records key at tick given find's result for it: a present key
+// (s >= 0) is refreshed in place; an absent one takes a free slot at the
+// newest end, first evicting the oldest entry when the table is full.
+func (t *HistoryTable) put(key uint64, tick int, pos int, s int32) {
+	if s >= 0 {
+		t.slots[s].tick = tick
+		return
 	}
+	if t.n == t.capacity {
+		t.drop(t.find(t.slots[t.head].key))
+		pos, _ = t.find(key) // the eviction may have shifted key's bucket
+	}
+	s = t.free
+	t.free = t.slots[s].next
+	t.slots[s] = htSlot{key: key, tick: tick, prev: t.tail, next: -1}
+	if t.tail >= 0 {
+		t.slots[t.tail].next = s
+	} else {
+		t.head = s
+	}
+	t.tail = s
+	t.index[pos] = s
+	t.n++
+}
+
+// drop removes slot s, found at bucket pos, from the index and the FIFO
+// list and returns it to the free list.
+func (t *HistoryTable) drop(pos int, s int32) {
+	// Backward-shift deletion: walk the cluster after the hole and move
+	// back every entry whose home bucket does not lie in (hole, j], so
+	// each remaining key stays reachable from its home without
+	// tombstones.
+	mask := len(t.index) - 1
+	for j := (pos + 1) & mask; t.index[j] >= 0; j = (j + 1) & mask {
+		if (j-t.home(t.slots[t.index[j]].key))&mask >= (j-pos)&mask {
+			t.index[pos] = t.index[j]
+			pos = j
+		}
+	}
+	t.index[pos] = -1
+
+	e := &t.slots[s]
+	if e.prev >= 0 {
+		t.slots[e.prev].next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next >= 0 {
+		t.slots[e.next].prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+	e.next = t.free
+	t.free = s
+	t.n--
 }
 
 // ClassifierAdmission is the paper's classification system ("Proposal"
@@ -276,13 +343,19 @@ func (t *HistoryTable) compact() {
 // and qualifies; OnlineLogit mutates on Update and is restricted to
 // single-goroutine callers.
 type ClassifierAdmission struct {
-	// mu guards clf and threshold: Decide snapshots both under the read
-	// lock, so a concurrent SetClassifier swap is seen atomically. The
-	// history table serializes itself.
-	mu    sync.RWMutex
-	clf   mlcore.Classifier
+	// model is swapped copy-on-write: Decide loads it once, so it sees a
+	// classifier and threshold that were installed together, and never
+	// takes a lock. mu only serializes the writers' read-modify-write.
+	// The history table serializes itself.
+	model atomic.Pointer[admissionModel]
+	mu    sync.Mutex
 	table *HistoryTable
 	m     int
+}
+
+// admissionModel is one immutable {classifier, threshold} pair.
+type admissionModel struct {
+	clf mlcore.Classifier
 	// threshold, when > 0, replaces the classifier's own decision rule:
 	// predict one-time only when Score >= threshold. It selects an
 	// operating point on the classifier's ROC curve, trading write
@@ -296,7 +369,7 @@ type ClassifierAdmission struct {
 func (a *ClassifierAdmission) SetScoreThreshold(t float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.threshold = t
+	a.model.Store(&admissionModel{clf: a.model.Load().clf, threshold: t})
 }
 
 // NewClassifierAdmission assembles the system. table may be nil to run
@@ -308,7 +381,9 @@ func NewClassifierAdmission(clf mlcore.Classifier, table *HistoryTable, crit lab
 	if crit.M < 1 {
 		return nil, fmt.Errorf("core: criteria M must be >= 1, got %d", crit.M)
 	}
-	return &ClassifierAdmission{clf: clf, table: table, m: crit.M}, nil
+	a := &ClassifierAdmission{table: table, m: crit.M}
+	a.model.Store(&admissionModel{clf: clf})
+	return a, nil
 }
 
 // Name implements Filter.
@@ -324,15 +399,11 @@ func (a *ClassifierAdmission) SetClassifier(clf mlcore.Classifier) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.clf = clf
+	a.model.Store(&admissionModel{clf: clf, threshold: a.model.Load().threshold})
 }
 
 // Classifier returns the current model.
-func (a *ClassifierAdmission) Classifier() mlcore.Classifier {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.clf
-}
+func (a *ClassifierAdmission) Classifier() mlcore.Classifier { return a.model.Load().clf }
 
 // M returns the reaccess-distance threshold in force.
 func (a *ClassifierAdmission) M() int { return a.m }
@@ -345,14 +416,12 @@ func (a *ClassifierAdmission) Table() *HistoryTable { return a.table }
 // (4)–(6): classify; if predicted one-time, consult the history table
 // and rectify when the photo returned within M.
 func (a *ClassifierAdmission) Decide(key uint64, tick int, feat []float64) Decision {
-	a.mu.RLock()
-	clf, threshold := a.clf, a.threshold
-	a.mu.RUnlock()
+	mdl := a.model.Load()
 	var oneTime bool
-	if threshold > 0 {
-		oneTime = clf.Score(feat) >= threshold
+	if mdl.threshold > 0 {
+		oneTime = mdl.clf.Score(feat) >= mdl.threshold
 	} else {
-		oneTime = clf.Predict(feat) == mlcore.Positive
+		oneTime = mdl.clf.Predict(feat) == mlcore.Positive
 	}
 	if !oneTime {
 		if a.table != nil {

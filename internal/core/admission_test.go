@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"otacache/internal/labeling"
@@ -107,16 +109,120 @@ func TestHistoryTableCapacityClamp(t *testing.T) {
 	}
 }
 
-func TestHistoryTableCompaction(t *testing.T) {
-	h := NewHistoryTable(8)
-	for i := uint64(0); i < 100000; i++ {
-		h.Insert(i, int(i))
+// lazyTable is the history table as it was first written, kept as the
+// differential reference: a map from key to (tick, insertion sequence)
+// plus an append-only FIFO of (key, sequence) slots that Remove leaves
+// behind and eviction skips when the sequence no longer matches.
+type lazyTable struct {
+	capacity int
+	ticks    map[uint64]lazyEntry
+	fifo     []lazySlot
+	head     int
+	seq      uint64
+}
+
+type lazyEntry struct {
+	tick int
+	seq  uint64
+}
+
+type lazySlot struct {
+	key uint64
+	seq uint64
+}
+
+func newLazyTable(capacity int) *lazyTable {
+	return &lazyTable{capacity: capacity, ticks: map[uint64]lazyEntry{}}
+}
+
+func (r *lazyTable) lookup(key uint64) (int, bool) {
+	e, ok := r.ticks[key]
+	return e.tick, ok
+}
+
+func (r *lazyTable) insert(key uint64, tick int) {
+	if e, ok := r.ticks[key]; ok {
+		e.tick = tick
+		r.ticks[key] = e
+		return
 	}
-	if h.Len() != 8 {
-		t.Fatalf("len = %d", h.Len())
+	for len(r.ticks) >= r.capacity {
+		slot := r.fifo[r.head]
+		r.head++
+		if e, ok := r.ticks[slot.key]; ok && e.seq == slot.seq {
+			delete(r.ticks, slot.key)
+		}
 	}
-	if len(h.fifo)-h.head > 1<<16 {
-		t.Fatalf("FIFO backing array never compacted: %d", len(h.fifo))
+	r.seq++
+	r.ticks[key] = lazyEntry{tick: tick, seq: r.seq}
+	r.fifo = append(r.fifo, lazySlot{key: key, seq: r.seq})
+}
+
+func (r *lazyTable) remove(key uint64) { delete(r.ticks, key) }
+
+func (r *lazyTable) rectify(key uint64, tick, m int) bool {
+	if e, ok := r.ticks[key]; ok && tick-e.tick < m {
+		delete(r.ticks, key)
+		return true
+	}
+	r.insert(key, tick)
+	return false
+}
+
+func (r *lazyTable) entries() []TableEntry {
+	var out []TableEntry
+	for _, slot := range r.fifo[r.head:] {
+		if e, ok := r.ticks[slot.key]; ok && e.seq == slot.seq {
+			out = append(out, TableEntry{Key: slot.key, Tick: e.tick})
+		}
+	}
+	return out
+}
+
+// TestHistoryTableMatchesLazyReference drives the fixed-array table and
+// the lazy-FIFO reference with the same seeded Insert/Remove/Rectify/
+// Lookup stream. The key space is about twice the capacity, so
+// refreshes, evictions, and removals followed by re-inserts all occur;
+// after every op the results, Len and Entries (the FIFO order a
+// snapshot writes) must agree.
+func TestHistoryTableMatchesLazyReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		h, ref := NewHistoryTable(capacity), newLazyTable(capacity)
+		rng := rand.New(rand.NewPCG(uint64(capacity), 1))
+		keys := uint64(2*capacity + 3)
+		for tick := 0; tick < 20000; tick++ {
+			key := rng.Uint64N(keys)
+			var op string
+			switch rng.IntN(4) {
+			case 0:
+				op = "insert"
+				h.Insert(key, tick)
+				ref.insert(key, tick)
+			case 1:
+				op = "remove"
+				h.Remove(key)
+				ref.remove(key)
+			case 2:
+				op = "rectify"
+				m := 1 + rng.IntN(3*capacity+3)
+				if got, want := h.Rectify(key, tick, m), ref.rectify(key, tick, m); got != want {
+					t.Fatalf("cap %d tick %d: Rectify(%d, m=%d) = %v, reference %v", capacity, tick, key, m, got, want)
+				}
+			default:
+				op = "lookup"
+				gt, gok := h.Lookup(key)
+				wt, wok := ref.lookup(key)
+				if gok != wok || (gok && gt != wt) {
+					t.Fatalf("cap %d tick %d: Lookup(%d) = %d,%v, reference %d,%v", capacity, tick, key, gt, gok, wt, wok)
+				}
+			}
+			if h.Len() != len(ref.ticks) {
+				t.Fatalf("cap %d tick %d after %s(%d): Len = %d, reference %d", capacity, tick, op, key, h.Len(), len(ref.ticks))
+			}
+			if got, want := h.Entries(), ref.entries(); !slices.Equal(got, want) {
+				t.Fatalf("cap %d tick %d after %s(%d): Entries = %v, reference %v", capacity, tick, op, key, got, want)
+			}
+		}
 	}
 }
 

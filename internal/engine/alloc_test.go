@@ -6,7 +6,22 @@ import (
 	"otacache/internal/cache"
 	"otacache/internal/core"
 	"otacache/internal/faults"
+	"otacache/internal/labeling"
+	"otacache/internal/mlcore"
 )
+
+// featureStub stands in for a trained tree: one-time when the first
+// feature is at least 0.5.
+type featureStub struct{}
+
+func (featureStub) Name() string { return "feature-stub" }
+func (featureStub) Predict(x []float64) int {
+	if x[0] >= 0.5 {
+		return mlcore.Positive
+	}
+	return mlcore.Negative
+}
+func (featureStub) Score(x []float64) float64 { return x[0] }
 
 // TestHotPathAllocs is the dynamic half of the hotalloc analyzer's
 // contract: the checked-in hotalloc.baseline pins the serving hot path
@@ -119,6 +134,71 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("ShardedEngine.Lookup hit path allocates %.1f/op, baseline pins 0", n)
+		}
+	})
+
+	// The classifier miss path: a healthy breaker over the classifier
+	// admission over a history table that is already full, so every new
+	// bypass evicts its oldest entry. Pinned here only; hotalloc.baseline
+	// does not list it.
+	newDecider := func(t *testing.T) (*Breaker, *core.HistoryTable) {
+		const capacity = 64
+		table := core.NewHistoryTable(capacity)
+		for k := uint64(0); k < capacity; k++ {
+			table.Insert(k, 0)
+		}
+		adm, err := core.NewClassifierAdmission(featureStub{}, table, labeling.Criteria{M: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newBreaker(t, adm, BreakerConfig{}), table
+	}
+	oneTime, reused := []float64{1}, []float64{0}
+
+	t.Run("ClassifierBypassEvicting", func(t *testing.T) {
+		b, table := newDecider(t)
+		next, tick := uint64(1<<32), 1
+		if n := testing.AllocsPerRun(200, func() {
+			next++
+			tick++
+			if d := b.Decide(next, tick, oneTime); d.Admit || d.Degraded || !d.PredictedOneTime {
+				t.Fatalf("one-time miss not bypassed: %+v", d)
+			}
+		}); n != 0 {
+			t.Errorf("bypassing classifier decision allocates %.1f/op, want 0", n)
+		}
+		if table.Len() != table.Capacity() {
+			t.Errorf("table holds %d of %d: bypasses did not evict", table.Len(), table.Capacity())
+		}
+	})
+
+	t.Run("ClassifierRectified", func(t *testing.T) {
+		b, _ := newDecider(t)
+		next, tick := uint64(1<<32), 1
+		if n := testing.AllocsPerRun(200, func() {
+			next++
+			tick++
+			b.Decide(next, tick, oneTime)
+			tick++
+			if d := b.Decide(next, tick, oneTime); !d.Admit || !d.Rectified || d.Degraded {
+				t.Fatalf("quick return not rectified: %+v", d)
+			}
+		}); n != 0 {
+			t.Errorf("rectifying classifier decision allocates %.1f/op, want 0", n)
+		}
+	})
+
+	t.Run("ClassifierAdmitted", func(t *testing.T) {
+		b, _ := newDecider(t)
+		next, tick := uint64(1<<32), 1
+		if n := testing.AllocsPerRun(200, func() {
+			next++
+			tick++
+			if d := b.Decide(next, tick, reused); !d.Admit || d.PredictedOneTime || d.Degraded {
+				t.Fatalf("reused miss not admitted: %+v", d)
+			}
+		}); n != 0 {
+			t.Errorf("admitting classifier decision allocates %.1f/op, want 0", n)
 		}
 	})
 

@@ -106,6 +106,13 @@ type Breaker struct {
 	fallible core.FallibleFilter // non-nil when primary reports errors
 	cfg      BreakerConfig
 
+	// healthy mirrors "state == BreakerClosed && fails == 0". It is
+	// written only under mu, by onSuccess and onFailure, the only paths
+	// that can close the breaker or count a failure. While it is set, a
+	// decision's admission check and success report are each one atomic
+	// load; everything else takes mu.
+	healthy atomic.Bool
+
 	mu        sync.Mutex
 	state     BreakerState
 	fails     int  // consecutive failures while closed
@@ -132,6 +139,7 @@ func NewBreaker(primary core.Filter, cfg BreakerConfig) (*Breaker, error) {
 	cfg.normalize()
 	b := &Breaker{primary: primary, cfg: cfg}
 	b.fallible, _ = primary.(core.FallibleFilter)
+	b.healthy.Store(true)
 	return b, nil
 }
 
@@ -159,9 +167,10 @@ func (b *Breaker) Opens() int64 { return b.opens.Load() }
 func (b *Breaker) Failures() int64 { return b.failures.Load() }
 
 // SetHistogram attaches (or, with nil, detaches) a latency histogram
-// observing primary decisions. The Breaker already reads its clock on
-// entry to every primary call for the latency budget, so attaching a
-// histogram adds at most one extra clock read per decision.
+// observing primary decisions. The Breaker reads its clock only for a
+// timed decision — one with a histogram attached or a LatencyBudget
+// set — so attaching a histogram to an unbudgeted breaker adds two
+// clock reads per decision.
 func (b *Breaker) SetHistogram(h *obs.Histogram) { b.hist.Store(h) }
 
 // LastError returns the most recent primary failure (nil if none).
@@ -198,6 +207,9 @@ func (b *Breaker) degrade(key uint64, tick int, feat []float64) core.Decision {
 // tryPrimary decides whether this request may consult the primary,
 // advancing Open -> HalfOpen when the cooldown has elapsed.
 func (b *Breaker) tryPrimary() bool {
+	if b.healthy.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -221,9 +233,14 @@ func (b *Breaker) tryPrimary() bool {
 }
 
 // callPrimary runs one primary decision with panic recovery, the error
-// channel, and the latency budget.
+// channel, and the latency budget. The clock is read only when the
+// decision is timed: a histogram is attached or a budget is set.
 func (b *Breaker) callPrimary(key uint64, tick int, feat []float64) (d core.Decision, err error) {
-	start := b.cfg.Now()
+	h := b.hist.Load()
+	var start time.Time
+	if h != nil || b.cfg.LatencyBudget > 0 {
+		start = b.cfg.Now()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("admission filter panic: %v", r)
@@ -234,7 +251,6 @@ func (b *Breaker) callPrimary(key uint64, tick int, feat []float64) (d core.Deci
 	} else {
 		d = b.primary.Decide(key, tick, feat)
 	}
-	h := b.hist.Load()
 	if h != nil || (err == nil && b.cfg.LatencyBudget > 0) {
 		elapsed := b.cfg.Now().Sub(start)
 		if h != nil {
@@ -249,8 +265,12 @@ func (b *Breaker) callPrimary(key uint64, tick int, feat []float64) (d core.Deci
 
 // onSuccess records a healthy primary decision.
 func (b *Breaker) onSuccess() {
+	if b.healthy.Load() {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.syncHealthy()
 	switch b.state {
 	case BreakerClosed:
 		b.fails = 0
@@ -269,6 +289,7 @@ func (b *Breaker) onSuccess() {
 func (b *Breaker) onFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.syncHealthy()
 	switch b.state {
 	case BreakerClosed:
 		b.fails++
@@ -290,6 +311,12 @@ func (b *Breaker) trip() {
 	b.openedAt = b.cfg.Now()
 	b.fails = 0
 	b.opens.Add(1)
+}
+
+// syncHealthy republishes the fast-path flag from state and fails (mu
+// held).
+func (b *Breaker) syncHealthy() {
+	b.healthy.Store(b.state == BreakerClosed && b.fails == 0)
 }
 
 var _ core.Filter = (*Breaker)(nil)

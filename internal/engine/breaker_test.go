@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,6 +167,156 @@ func TestBreakerCustomFallback(t *testing.T) {
 	}
 	if d := b.Decide(7, 1, nil); !d.Admit || !d.Degraded {
 		t.Fatalf("re-access through doorkeeper fallback: %+v", d)
+	}
+}
+
+// switchFilter is a primary whose health the test flips: while fail is
+// set, DecideErr errors. It counts its calls, and counts every call made
+// while forbid is set as a violation.
+type switchFilter struct {
+	fail, forbid      atomic.Bool
+	calls, violations atomic.Int64
+}
+
+func (f *switchFilter) Name() string { return "classifier" }
+func (f *switchFilter) Decide(key uint64, tick int, feat []float64) core.Decision {
+	d, _ := f.DecideErr(key, tick, feat)
+	return d
+}
+func (f *switchFilter) DecideErr(uint64, int, []float64) (core.Decision, error) {
+	f.calls.Add(1)
+	if f.forbid.Load() {
+		f.violations.Add(1)
+	}
+	if f.fail.Load() {
+		return core.Decision{}, errors.New("switched off")
+	}
+	return core.Decision{Admit: false, PredictedOneTime: true}, nil
+}
+
+// countingFallback is admit-all that counts the decisions it serves.
+type countingFallback struct{ calls atomic.Int64 }
+
+func (f *countingFallback) Name() string { return "counting-admit-all" }
+func (f *countingFallback) Decide(uint64, int, []float64) core.Decision {
+	f.calls.Add(1)
+	return core.Decision{Admit: true}
+}
+
+// TestBreakerSuccessResetsFailureCount pins that a success between two
+// runs of threshold-1 failures resets the consecutive count: the
+// lock-free success path must not skip the reset.
+func TestBreakerSuccessResetsFailureCount(t *testing.T) {
+	p := &switchFilter{}
+	b := newBreaker(t, p, BreakerConfig{FailureThreshold: 3})
+	fail := func(n int) {
+		p.fail.Store(true)
+		for i := 0; i < n; i++ {
+			if d := b.Decide(uint64(i), i, nil); !d.Degraded {
+				t.Fatalf("failed decision served undegraded: %+v", d)
+			}
+		}
+		p.fail.Store(false)
+	}
+	fail(2)
+	if d := b.Decide(10, 10, nil); d.Degraded {
+		t.Fatalf("healthy decision degraded: %+v", d)
+	}
+	fail(2)
+	if b.State() != BreakerClosed || b.Opens() != 0 {
+		t.Fatalf("state=%v opens=%d after 2+success+2 failures at threshold 3, want closed/0", b.State(), b.Opens())
+	}
+	fail(1)
+	if b.State() != BreakerOpen {
+		t.Fatalf("state=%v after a third consecutive failure, want open", b.State())
+	}
+}
+
+// TestBreakerConcurrentStateWalk drives eight goroutines of engine
+// lookups through closed -> open -> half-open -> closed on a fake clock.
+// Phases are separated by barriers, so each transition happens with no
+// decision in flight: nothing reaches the primary while the breaker is
+// open inside its cooldown, and the engine's Degraded counter equals the
+// decisions the fallback served. Run under -race, it also checks the
+// healthy fast path against the locked state machine.
+func TestBreakerConcurrentStateWalk(t *testing.T) {
+	clk := faults.NewFakeClock()
+	p, fb := &switchFilter{}, &countingFallback{}
+	b := newBreaker(t, p, BreakerConfig{
+		Fallback:         fb,
+		FailureThreshold: 3,
+		Cooldown:         time.Second,
+		HalfOpenProbes:   2,
+		Now:              clk.Now,
+	})
+	policy, err := cache.NewSharded(1<<20, 8, func(c int64) cache.Policy { return cache.NewLRU(c) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(policy, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, perPhase = 8, 200
+	var key atomic.Uint64 // every lookup a fresh key, so every lookup decides
+	var degraded atomic.Int64
+	phase := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perPhase; i++ {
+					if eng.Lookup(key.Add(1), 64, eng.NextTick(), nil).Decision.Degraded {
+						degraded.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	phase() // closed and healthy
+	if b.State() != BreakerClosed || fb.calls.Load() != 0 {
+		t.Fatalf("healthy phase: state=%v fallback=%d, want closed/0", b.State(), fb.calls.Load())
+	}
+
+	p.fail.Store(true)
+	phase() // closed -> open
+	if b.State() != BreakerOpen || b.Opens() != 1 {
+		t.Fatalf("failing phase: state=%v opens=%d, want open/1", b.State(), b.Opens())
+	}
+
+	p.fail.Store(false)
+	p.forbid.Store(true)
+	clk.Advance(time.Second / 2)
+	phase() // open, inside the cooldown
+	p.forbid.Store(false)
+	if v := p.violations.Load(); v != 0 {
+		t.Fatalf("%d decisions reached the primary while open inside the cooldown", v)
+	}
+
+	clk.Advance(time.Second)
+	phase() // half-open probes close the breaker
+	if b.State() != BreakerClosed {
+		t.Fatalf("probe phase: state=%v, want closed", b.State())
+	}
+	before := fb.calls.Load()
+	phase() // closed again
+	if fb.calls.Load() != before {
+		t.Fatalf("closed breaker served %d fallback decisions", fb.calls.Load()-before)
+	}
+
+	m := eng.Snapshot()
+	if m.Requests != 5*workers*perPhase || m.Misses != m.Requests {
+		t.Fatalf("requests=%d misses=%d, want %d fresh-key misses", m.Requests, m.Misses, 5*workers*perPhase)
+	}
+	if m.Degraded != fb.calls.Load() || m.Degraded != degraded.Load() {
+		t.Fatalf("engine Degraded=%d, fallback served %d, lookups saw %d degraded", m.Degraded, fb.calls.Load(), degraded.Load())
+	}
+	if served := p.calls.Load() - b.Failures(); served+fb.calls.Load() != m.Misses {
+		t.Fatalf("primary served %d + fallback %d != %d misses", served, fb.calls.Load(), m.Misses)
 	}
 }
 

@@ -13,8 +13,9 @@
 //   - the two-tier OC/DC hierarchy (internal/tier), one Engine per
 //     layer;
 //   - a concurrent cache server, which calls Lookup from many
-//     goroutines against a cache.Sharded policy and a lock-protected
-//     filter.
+//     goroutines against a cache.Sharded policy and a concurrency-safe
+//     filter (a Breaker over core.ClassifierAdmission, whose model swap
+//     is an atomic pointer and whose history table takes one mutex).
 //
 // Thread safety is compositional: the Engine's own counters are atomic,
 // so Lookup and Snapshot are safe from any number of goroutines

@@ -124,7 +124,7 @@ func (c *Config) normalize() {
 // Server serves one engine.Server over HTTP — a plain engine.Engine or
 // a ShardedEngine. Every shard's composed policy and filter must be
 // safe for concurrent use (a cache.Sharded policy and any of the
-// lock-protected filters), since every request runs on its own
+// core filters), since every request runs on its own
 // connection goroutine.
 type Server struct {
 	eng engine.Server
