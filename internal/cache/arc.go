@@ -17,10 +17,10 @@ type ARC struct {
 	p        int64 // target size of T1 in bytes
 	t1, t2   dlist // resident
 	b1, b2   dlist // ghosts
-	items    map[uint64]*entry
+	a        arena
 }
 
-// List identifiers stored in entry.seg.
+// List identifiers stored in node.seg.
 const (
 	arcT1 int8 = iota
 	arcT2
@@ -30,7 +30,7 @@ const (
 
 // NewARC returns an empty ARC cache with the given byte capacity.
 func NewARC(capacity int64) *ARC {
-	return &ARC{capacity: capacity, items: make(map[uint64]*entry)}
+	return &ARC{capacity: capacity}
 }
 
 // Name implements Policy.
@@ -40,13 +40,13 @@ func (c *ARC) Name() string { return "arc" }
 // ghost entry is a miss whose adaptation is applied when (and only when)
 // the object is admitted.
 func (c *ARC) Get(key uint64, _ int) bool {
-	e, ok := c.items[key]
-	if !ok || e.seg > arcT2 {
+	s := c.a.lookup(key)
+	if s == nilSlot || c.a.nodes[s].seg > arcT2 {
 		return false
 	}
-	c.listOf(e.seg).remove(e)
-	e.seg = arcT2
-	c.t2.pushFront(e)
+	c.a.unlink(c.listOf(c.a.nodes[s].seg), s)
+	c.a.nodes[s].seg = arcT2
+	c.a.pushFront(&c.t2, s)
 	return true
 }
 
@@ -55,36 +55,40 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	e, ok := c.items[key]
-	if ok && e.seg <= arcT2 {
+	s := c.a.lookup(key)
+	seg := int8(-1)
+	if s != nilSlot {
+		seg = c.a.nodes[s].seg
+	}
+	if seg == arcT1 || seg == arcT2 {
 		return // already resident
 	}
-	switch {
-	case ok && e.seg == arcB1:
+	switch seg {
+	case arcB1:
 		// Recency ghost hit: grow the T1 target by the object's size,
 		// scaled up when B2 outweighs B1 (the original max(|B2|/|B1|,1)).
 		delta := size
 		if c.b1.bytes > 0 && c.b2.bytes > c.b1.bytes {
 			delta = size * (c.b2.bytes / c.b1.bytes)
 		}
-		c.p = minI64(c.p+delta, c.capacity)
-		c.b1.remove(e)
-		e.size = size
+		c.p = min(c.p+delta, c.capacity)
+		c.a.unlink(&c.b1, s)
+		c.a.nodes[s].size = size
 		c.replace(false, size)
-		e.seg = arcT2
-		c.t2.pushFront(e)
-	case ok && e.seg == arcB2:
+		c.a.nodes[s].seg = arcT2
+		c.a.pushFront(&c.t2, s)
+	case arcB2:
 		// Frequency ghost hit: shrink the T1 target.
 		delta := size
 		if c.b2.bytes > 0 && c.b1.bytes > c.b2.bytes {
 			delta = size * (c.b1.bytes / c.b2.bytes)
 		}
-		c.p = maxI64(c.p-delta, 0)
-		c.b2.remove(e)
-		e.size = size
+		c.p = max(c.p-delta, 0)
+		c.a.unlink(&c.b2, s)
+		c.a.nodes[s].size = size
 		c.replace(true, size)
-		e.seg = arcT2
-		c.t2.pushFront(e)
+		c.a.nodes[s].seg = arcT2
+		c.a.pushFront(&c.t2, s)
 	default:
 		// Brand-new object: ARC Case IV, generalized to bytes. First
 		// bound L1 = T1+B1 at one capacity, preferring to shed B1
@@ -93,18 +97,15 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 		for c.t1.bytes+c.b1.bytes+size > c.capacity {
 			if !c.b1.empty() {
 				c.dropGhost(&c.b1)
-			} else if v := c.t1.back(); v != nil {
-				c.t1.remove(v)
-				delete(c.items, v.key)
-				c.evicted(v.key)
+			} else if !c.t1.empty() {
+				c.evicted(c.a.evictBack(&c.t1))
 			} else {
 				break
 			}
 		}
 		c.replace(false, size)
-		e = &entry{key: key, size: size, seg: arcT1}
-		c.t1.pushFront(e)
-		c.items[key] = e
+		s = c.a.add(key, size) // seg 0 is arcT1
+		c.a.pushFront(&c.t1, s)
 	}
 	c.trimDirectory()
 }
@@ -132,28 +133,28 @@ func (c *ARC) replace(inB2 bool, size int64) {
 		fromT1 := !c.t1.empty() &&
 			(c.t1.bytes > c.p || (inB2 && c.t1.bytes == c.p) || c.t2.empty())
 		if fromT1 {
-			v := c.t1.back()
-			c.t1.remove(v)
-			v.seg = arcB1
-			c.b1.pushFront(v)
-			c.evicted(v.key)
+			c.ghost(&c.t1, &c.b1, arcB1)
 		} else if !c.t2.empty() {
-			v := c.t2.back()
-			c.t2.remove(v)
-			v.seg = arcB2
-			c.b2.pushFront(v)
-			c.evicted(v.key)
+			c.ghost(&c.t2, &c.b2, arcB2)
 		} else {
 			return
 		}
 	}
 }
 
+// ghost moves the LRU entry of resident list from to the MRU end of
+// ghost list to, whose id is seg, and reports the eviction.
+func (c *ARC) ghost(from, to *dlist, seg int8) {
+	v := from.tail
+	c.a.unlink(from, v)
+	c.a.nodes[v].seg = seg
+	c.a.pushFront(to, v)
+	c.evicted(c.a.nodes[v].key)
+}
+
 // dropGhost removes the LRU entry of a ghost list entirely.
 func (c *ARC) dropGhost(l *dlist) {
-	v := l.back()
-	l.remove(v)
-	delete(c.items, v.key)
+	c.a.evictBack(l)
 }
 
 func (c *ARC) listOf(seg int8) *dlist {
@@ -175,8 +176,8 @@ func (c *ARC) totalBytes() int64 {
 
 // Contains implements Policy (resident lists only).
 func (c *ARC) Contains(key uint64) bool {
-	e, ok := c.items[key]
-	return ok && e.seg <= arcT2
+	s := c.a.lookup(key)
+	return s != nilSlot && c.a.nodes[s].seg <= arcT2
 }
 
 // Len implements Policy.
@@ -194,17 +195,3 @@ func (c *ARC) Target() int64 { return c.p }
 
 // GhostBytes returns the byte volume of the B1 and B2 ghost lists.
 func (c *ARC) GhostBytes() (b1, b2 int64) { return c.b1.bytes, c.b2.bytes }
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -43,7 +43,7 @@ func TestARCGhostHitAdaptsTarget(t *testing.T) {
 	// Re-admit a B1-ghosted key: a B1 hit grows p.
 	var ghostKey uint64
 	found := false
-	for k, e := range c.items {
+	for k, e := range c.a.live() {
 		if e.seg == arcB1 {
 			ghostKey, found = k, true
 			break
@@ -60,7 +60,7 @@ func TestARCGhostHitAdaptsTarget(t *testing.T) {
 		t.Fatal("ghost-hit object not resident after admit")
 	}
 	// It must have been inserted into T2 (seen twice).
-	if c.items[ghostKey].seg != arcT2 {
+	if c.a.live()[ghostKey].seg != arcT2 {
 		t.Fatal("ghost-hit object must enter T2")
 	}
 }
@@ -84,7 +84,7 @@ func TestARCB2GhostHitShrinksTarget(t *testing.T) {
 	p0 := c.Target()
 	var ghostKey uint64
 	found := false
-	for k, e := range c.items {
+	for k, e := range c.a.live() {
 		if e.seg == arcB2 {
 			ghostKey, found = k, true
 			break
@@ -183,7 +183,7 @@ func TestARCContainsExcludesGhosts(t *testing.T) {
 		c.Admit(k, 10, 0) // churn produces B1/B2 ghosts
 	}
 	hasGhost := false
-	for k, e := range c.items {
+	for k, e := range c.a.live() {
 		if e.seg == arcB1 || e.seg == arcB2 {
 			hasGhost = true
 			if c.Contains(k) {

@@ -179,10 +179,3 @@ func TestBypassDoesNotMutate(t *testing.T) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

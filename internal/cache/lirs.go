@@ -18,15 +18,17 @@ type LIRS struct {
 	lirCap   int64
 
 	lirBytes int64 // bytes of LIR objects (all resident)
-	hirBytes int64 // bytes of resident HIR objects
 
-	stack lirsList // S: recency stack, front = most recent
-	queue lirsList // Q: resident HIR, front = next eviction victim is back? see below
-	ghost lirsList // FIFO of non-resident entries for ghost bounding
-
-	ghostBytes int64
-
-	items map[uint64]*lirsNode
+	// The stack is threaded through the arena's links, the queue and the
+	// ghost FIFO through q, which grows with the arena. A node is in at
+	// most one of queue and ghost: resident HIR objects are queued,
+	// non-resident ones are ghosts. Their byte counts are the resident
+	// HIR and the ghost footprints.
+	a     arena
+	q     []link
+	stack dlist // S: recency stack, front = most recent
+	queue dlist // Q: resident HIR, back = next eviction victim
+	ghost dlist // FIFO of non-resident entries for ghost bounding
 }
 
 // DefaultLIRRatio is the fraction of capacity reserved for the LIR set.
@@ -36,90 +38,12 @@ type LIRS struct {
 // paper's Rs = Cs/C = 0.9).
 const DefaultLIRRatio = 0.9
 
-// LIRS node states.
+// LIRS node states, stored in node.seg.
 const (
-	stateLIR uint8 = iota
+	stateLIR int8 = iota
 	stateHIRResident
 	stateHIRNonResident
 )
-
-type lirsNode struct {
-	key   uint64
-	size  int64
-	state uint8
-
-	sPrev, sNext *lirsNode
-	inS          bool
-	qPrev, qNext *lirsNode
-	inQ          bool // in queue (resident HIR) or ghost FIFO (non-resident)
-}
-
-// lirsList is an intrusive list over either the stack links or the queue
-// links, selected by useQ.
-type lirsList struct {
-	head, tail *lirsNode
-	n          int
-	useQ       bool
-}
-
-func (l *lirsList) pushFront(x *lirsNode) {
-	if l.useQ {
-		x.qPrev, x.qNext = nil, l.head
-		if l.head != nil {
-			l.head.qPrev = x
-		}
-		l.head = x
-		if l.tail == nil {
-			l.tail = x
-		}
-		x.inQ = true
-	} else {
-		x.sPrev, x.sNext = nil, l.head
-		if l.head != nil {
-			l.head.sPrev = x
-		}
-		l.head = x
-		if l.tail == nil {
-			l.tail = x
-		}
-		x.inS = true
-	}
-	l.n++
-}
-
-func (l *lirsList) remove(x *lirsNode) {
-	if l.useQ {
-		if x.qPrev != nil {
-			x.qPrev.qNext = x.qNext
-		} else {
-			l.head = x.qNext
-		}
-		if x.qNext != nil {
-			x.qNext.qPrev = x.qPrev
-		} else {
-			l.tail = x.qPrev
-		}
-		x.qPrev, x.qNext = nil, nil
-		x.inQ = false
-	} else {
-		if x.sPrev != nil {
-			x.sPrev.sNext = x.sNext
-		} else {
-			l.head = x.sNext
-		}
-		if x.sNext != nil {
-			x.sNext.sPrev = x.sPrev
-		} else {
-			l.tail = x.sPrev
-		}
-		x.sPrev, x.sNext = nil, nil
-		x.inS = false
-	}
-	l.n--
-}
-
-func (l *lirsList) back() *lirsNode { return l.tail }
-func (l *lirsList) empty() bool     { return l.n == 0 }
 
 // NewLIRS returns an empty LIRS cache. ratio is the LIR byte share in
 // (0,1); use DefaultLIRRatio unless experimenting.
@@ -127,14 +51,38 @@ func NewLIRS(capacity int64, ratio float64) *LIRS {
 	if ratio <= 0 || ratio >= 1 {
 		ratio = DefaultLIRRatio
 	}
-	c := &LIRS{
+	return &LIRS{
 		capacity: capacity,
 		lirCap:   int64(float64(capacity) * ratio),
-		items:    make(map[uint64]*lirsNode),
 	}
-	c.queue.useQ = true
-	c.ghost.useQ = true
-	return c
+}
+
+// pushStack puts x on top of the stack.
+func (c *LIRS) pushStack(x int32) {
+	c.a.pushFront(&c.stack, x)
+	c.a.nodes[x].inStack = true
+}
+
+// popStack takes x out of the stack.
+func (c *LIRS) popStack(x int32) {
+	c.a.unlink(&c.stack, x)
+	c.a.nodes[x].inStack = false
+}
+
+// enqueue puts x at the front of l, the queue or the ghost FIFO.
+func (c *LIRS) enqueue(l *dlist, x int32) { l.pushFront(c.q, x, c.a.nodes[x].size) }
+
+// dequeue takes x out of l, the queue or the ghost FIFO.
+func (c *LIRS) dequeue(l *dlist, x int32) { l.remove(c.q, x, c.a.nodes[x].size) }
+
+// add stores a new key in the arena with the given state.
+func (c *LIRS) add(key uint64, size int64, state int8) int32 {
+	x := c.a.add(key, size)
+	c.a.nodes[x].seg = state
+	for len(c.q) < len(c.a.links) {
+		c.q = append(c.q, link{})
+	}
+	return x
 }
 
 // Name implements Policy.
@@ -146,31 +94,28 @@ func (c *LIRS) LIRRatio() float64 { return float64(c.lirCap) / float64(c.capacit
 
 // Get implements Policy.
 func (c *LIRS) Get(key uint64, _ int) bool {
-	x, ok := c.items[key]
-	if !ok || x.state == stateHIRNonResident {
+	x := c.a.lookup(key)
+	if x == nilSlot || c.a.nodes[x].seg == stateHIRNonResident {
 		return false
 	}
-	switch x.state {
+	switch n := &c.a.nodes[x]; n.seg {
 	case stateLIR:
-		c.stack.remove(x)
-		c.stack.pushFront(x)
+		c.a.moveToFront(&c.stack, x)
 		c.prune()
 	case stateHIRResident:
-		if x.inS {
+		if n.inStack {
 			// Its IRR beats the stack bottom's recency: promote to LIR.
-			c.queue.remove(x)
-			x.state = stateLIR
-			c.hirBytes -= x.size
-			c.lirBytes += x.size
-			c.stack.remove(x)
-			c.stack.pushFront(x)
+			c.dequeue(&c.queue, x)
+			n.seg = stateLIR
+			c.lirBytes += n.size
+			c.a.moveToFront(&c.stack, x)
 			c.shrinkLIR()
 		} else {
 			// Accessed again but with large IRR: stay HIR, refresh both
 			// the stack and the queue position.
-			c.stack.pushFront(x)
-			c.queue.remove(x)
-			c.queue.pushFront(x)
+			c.pushStack(x)
+			c.dequeue(&c.queue, x)
+			c.enqueue(&c.queue, x)
 		}
 	}
 	return true
@@ -181,38 +126,37 @@ func (c *LIRS) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	x, ok := c.items[key]
-	if ok && x.state != stateHIRNonResident {
+	x := c.a.lookup(key)
+	if x != nilSlot && c.a.nodes[x].seg != stateHIRNonResident {
 		return
 	}
 	c.makeRoom(size)
-	if ok {
+	if x != nilSlot {
+		// Making room can demote the stack's bottom LIR object and prune
+		// the ghost along with the HIR entries above it; then the key is
+		// new after all.
+		x = c.a.lookup(key)
+	}
+	if x != nilSlot {
 		// Non-resident ghost in the stack: its reuse distance beat the
 		// stack, so it enters as LIR.
-		c.ghost.remove(x)
-		c.ghostBytes -= x.size
-		x.size = size
-		x.state = stateLIR
+		c.dequeue(&c.ghost, x)
+		if c.a.nodes[x].inStack {
+			c.popStack(x)
+		}
+		c.a.nodes[x].size = size
+		c.a.nodes[x].seg = stateLIR
 		c.lirBytes += size
-		if x.inS {
-			c.stack.remove(x)
-		}
-		c.stack.pushFront(x)
+		c.pushStack(x)
 		c.shrinkLIR()
+	} else if c.lirBytes+size <= c.lirCap {
+		// Cold-start fill: LIR set not yet full.
+		c.lirBytes += size
+		c.pushStack(c.add(key, size, stateLIR))
 	} else {
-		x = &lirsNode{key: key, size: size}
-		c.items[key] = x
-		if c.lirBytes+size <= c.lirCap {
-			// Cold-start fill: LIR set not yet full.
-			x.state = stateLIR
-			c.lirBytes += size
-			c.stack.pushFront(x)
-		} else {
-			x.state = stateHIRResident
-			c.hirBytes += size
-			c.stack.pushFront(x)
-			c.queue.pushFront(x)
-		}
+		x = c.add(key, size, stateHIRResident)
+		c.pushStack(x)
+		c.enqueue(&c.queue, x)
 	}
 	c.prune()
 	c.boundGhosts()
@@ -221,19 +165,19 @@ func (c *LIRS) Admit(key uint64, size int64, _ int) {
 // makeRoom evicts resident HIR objects (queue back) until size fits;
 // if the queue runs dry it demotes the stack-bottom LIR first.
 func (c *LIRS) makeRoom(size int64) {
-	for c.lirBytes+c.hirBytes+size > c.capacity {
-		if v := c.queue.back(); v != nil {
-			c.queue.remove(v)
-			c.hirBytes -= v.size
-			if v.inS {
+	for c.lirBytes+c.queue.bytes+size > c.capacity {
+		if v := c.queue.tail; v != nilSlot {
+			c.dequeue(&c.queue, v)
+			n := &c.a.nodes[v]
+			key := n.key
+			if n.inStack {
 				// Keep it in the stack as a non-resident ghost.
-				v.state = stateHIRNonResident
-				c.ghost.pushFront(v)
-				c.ghostBytes += v.size
+				n.seg = stateHIRNonResident
+				c.enqueue(&c.ghost, v)
 			} else {
-				delete(c.items, v.key)
+				c.a.del(v)
 			}
-			c.evicted(v.key)
+			c.evicted(key)
 			continue
 		}
 		if !c.demoteBottomLIR() {
@@ -256,15 +200,14 @@ func (c *LIRS) shrinkLIR() {
 // HIR queue entry. Returns false if there is no LIR object.
 func (c *LIRS) demoteBottomLIR() bool {
 	c.prune()
-	v := c.stack.back()
-	if v == nil || v.state != stateLIR {
+	v := c.stack.tail
+	if v == nilSlot || c.a.nodes[v].seg != stateLIR {
 		return false
 	}
-	c.stack.remove(v)
-	v.state = stateHIRResident
-	c.lirBytes -= v.size
-	c.hirBytes += v.size
-	c.queue.pushFront(v)
+	c.popStack(v)
+	c.a.nodes[v].seg = stateHIRResident
+	c.lirBytes -= c.a.nodes[v].size
+	c.enqueue(&c.queue, v)
 	c.prune()
 	return true
 }
@@ -274,15 +217,14 @@ func (c *LIRS) demoteBottomLIR() bool {
 // entries are forgotten entirely.
 func (c *LIRS) prune() {
 	for {
-		v := c.stack.back()
-		if v == nil || v.state == stateLIR {
+		v := c.stack.tail
+		if v == nilSlot || c.a.nodes[v].seg == stateLIR {
 			return
 		}
-		c.stack.remove(v)
-		if v.state == stateHIRNonResident {
-			c.ghost.remove(v)
-			c.ghostBytes -= v.size
-			delete(c.items, v.key)
+		c.popStack(v)
+		if c.a.nodes[v].seg == stateHIRNonResident {
+			c.dequeue(&c.ghost, v)
+			c.a.del(v)
 		}
 		// Resident HIR entries stay in the queue, just not in the stack.
 	}
@@ -291,40 +233,31 @@ func (c *LIRS) prune() {
 // boundGhosts caps the non-resident stack footprint at one capacity of
 // bytes, dropping the oldest ghosts first.
 func (c *LIRS) boundGhosts() {
-	for c.ghostBytes > c.capacity {
-		v := c.ghost.back()
-		if v == nil {
+	for c.ghost.bytes > c.capacity {
+		v := c.ghost.tail
+		if v == nilSlot {
 			return
 		}
-		c.ghost.remove(v)
-		c.ghostBytes -= v.size
-		if v.inS {
-			c.stack.remove(v)
+		c.dequeue(&c.ghost, v)
+		if c.a.nodes[v].inStack {
+			c.popStack(v)
 		}
-		delete(c.items, v.key)
+		c.a.del(v)
 		c.prune()
 	}
 }
 
 // Contains implements Policy (resident objects only).
 func (c *LIRS) Contains(key uint64) bool {
-	x, ok := c.items[key]
-	return ok && x.state != stateHIRNonResident
+	x := c.a.lookup(key)
+	return x != nilSlot && c.a.nodes[x].seg != stateHIRNonResident
 }
 
-// Len implements Policy.
-func (c *LIRS) Len() int {
-	n := 0
-	for _, x := range c.items {
-		if x.state != stateHIRNonResident {
-			n++
-		}
-	}
-	return n
-}
+// Len implements Policy: every stored key that is not a ghost.
+func (c *LIRS) Len() int { return c.a.n - c.ghost.n }
 
 // Used implements Policy.
-func (c *LIRS) Used() int64 { return c.lirBytes + c.hirBytes }
+func (c *LIRS) Used() int64 { return c.lirBytes + c.queue.bytes }
 
 // Cap implements Policy.
 func (c *LIRS) Cap() int64 { return c.capacity }
@@ -333,13 +266,13 @@ func (c *LIRS) Cap() int64 { return c.capacity }
 func (c *LIRS) LIRBytes() int64 { return c.lirBytes }
 
 // HIRBytes returns the resident HIR byte volume (for tests).
-func (c *LIRS) HIRBytes() int64 { return c.hirBytes }
+func (c *LIRS) HIRBytes() int64 { return c.queue.bytes }
 
 // GhostBytes returns the non-resident stack footprint (for tests).
-func (c *LIRS) GhostBytes() int64 { return c.ghostBytes }
+func (c *LIRS) GhostBytes() int64 { return c.ghost.bytes }
 
 // StackBottomIsLIR reports the LIRS pruning invariant (for tests).
 func (c *LIRS) StackBottomIsLIR() bool {
-	v := c.stack.back()
-	return v == nil || v.state == stateLIR
+	v := c.stack.tail
+	return v == nilSlot || c.a.nodes[v].seg == stateLIR
 }

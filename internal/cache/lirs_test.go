@@ -64,9 +64,8 @@ func TestLIRSGhostPromotion(t *testing.T) {
 	if !c.Contains(9) {
 		t.Fatal("re-admitted ghost not resident")
 	}
-	x := c.items[9]
-	if x.state != stateLIR {
-		t.Fatalf("re-admitted ghost state = %d, want LIR", x.state)
+	if x := c.a.live()[9]; x.seg != stateLIR {
+		t.Fatalf("re-admitted ghost state = %d, want LIR", x.seg)
 	}
 }
 
@@ -120,8 +119,8 @@ func TestLIRSInvariantsUnderChurn(t *testing.T) {
 	}
 	// Accounting cross-check.
 	var lir, hir int64
-	for _, x := range c.items {
-		switch x.state {
+	for _, x := range c.a.live() {
+		switch x.seg {
 		case stateLIR:
 			lir += x.size
 		case stateHIRResident:
@@ -155,5 +154,45 @@ func TestLIRSOversizedAndDoubleAdmit(t *testing.T) {
 	c.Admit(1, 20, 0)
 	if c.Len() != 1 || c.Used() != 20 {
 		t.Fatalf("double admit: len=%d used=%d", c.Len(), c.Used())
+	}
+}
+
+// TestLIRSReadmitPrunedGhost covers an Admit of a ghost key whose
+// makeRoom demotes the stack-bottom LIR object and prunes the ghost with
+// it: the key must then enter as a new object, not as a node that is in
+// the stack but not indexed. Small capacities against 1–31 byte objects
+// make that happen often; every resident Range visits must be one
+// Contains reports, and the counts and bytes must agree.
+func TestLIRSReadmitPrunedGhost(t *testing.T) {
+	for _, capacity := range []int64{8, 40} {
+		keys, sizes, _ := digestStream(capacity, 5000)
+		c := NewLIRS(capacity, DefaultLIRRatio)
+		for i, k := range keys {
+			if !c.Get(k, i) {
+				c.Admit(k, sizes[i], i)
+			}
+			n, used := 0, int64(0)
+			c.Range(func(key uint64, size int64) bool {
+				if !c.Contains(key) {
+					t.Fatalf("cap %d step %d: Range visits %d, which is not resident", capacity, i, key)
+				}
+				n++
+				used += size
+				return true
+			})
+			if n != c.Len() || used != c.Used() {
+				t.Fatalf("cap %d step %d: Range saw %d objects/%d bytes, Len %d Used %d",
+					capacity, i, n, used, c.Len(), c.Used())
+			}
+			var ghosts int64
+			for _, x := range c.a.live() {
+				if x.seg == stateHIRNonResident {
+					ghosts += x.size
+				}
+			}
+			if ghosts != c.GhostBytes() {
+				t.Fatalf("cap %d step %d: ghosts hold %d bytes, GhostBytes %d", capacity, i, ghosts, c.GhostBytes())
+			}
+		}
 	}
 }

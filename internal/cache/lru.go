@@ -8,12 +8,12 @@ type LRU struct {
 	evictHook
 	capacity int64
 	list     dlist
-	items    map[uint64]*entry
+	a        arena
 }
 
 // NewLRU returns an empty LRU cache with the given byte capacity.
 func NewLRU(capacity int64) *LRU {
-	return &LRU{capacity: capacity, items: make(map[uint64]*entry)}
+	return &LRU{capacity: capacity}
 }
 
 // Name implements Policy.
@@ -21,11 +21,11 @@ func (c *LRU) Name() string { return "lru" }
 
 // Get implements Policy.
 func (c *LRU) Get(key uint64, _ int) bool {
-	e, ok := c.items[key]
-	if !ok {
+	s := c.a.lookup(key)
+	if s == nilSlot {
 		return false
 	}
-	c.list.moveToFront(e)
+	c.a.moveToFront(&c.list, s)
 	return true
 }
 
@@ -34,24 +34,18 @@ func (c *LRU) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if _, ok := c.items[key]; ok {
+	if c.a.lookup(key) != nilSlot {
 		return
 	}
 	for c.list.bytes+size > c.capacity {
-		victim := c.list.back()
-		c.list.remove(victim)
-		delete(c.items, victim.key)
-		c.evicted(victim.key)
+		c.evicted(c.a.evictBack(&c.list))
 	}
-	e := &entry{key: key, size: size}
-	c.list.pushFront(e)
-	c.items[key] = e
+	c.a.pushFront(&c.list, c.a.add(key, size))
 }
 
 // Contains implements Policy.
 func (c *LRU) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.a.lookup(key) != nilSlot
 }
 
 // Len implements Policy.
@@ -70,12 +64,12 @@ type FIFO struct {
 	evictHook
 	capacity int64
 	list     dlist
-	items    map[uint64]*entry
+	a        arena
 }
 
 // NewFIFO returns an empty FIFO cache with the given byte capacity.
 func NewFIFO(capacity int64) *FIFO {
-	return &FIFO{capacity: capacity, items: make(map[uint64]*entry)}
+	return &FIFO{capacity: capacity}
 }
 
 // Name implements Policy.
@@ -83,8 +77,7 @@ func (c *FIFO) Name() string { return "fifo" }
 
 // Get implements Policy. A FIFO hit changes no state.
 func (c *FIFO) Get(key uint64, _ int) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.a.lookup(key) != nilSlot
 }
 
 // Admit implements Policy.
@@ -92,24 +85,18 @@ func (c *FIFO) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if _, ok := c.items[key]; ok {
+	if c.a.lookup(key) != nilSlot {
 		return
 	}
 	for c.list.bytes+size > c.capacity {
-		victim := c.list.back()
-		c.list.remove(victim)
-		delete(c.items, victim.key)
-		c.evicted(victim.key)
+		c.evicted(c.a.evictBack(&c.list))
 	}
-	e := &entry{key: key, size: size}
-	c.list.pushFront(e)
-	c.items[key] = e
+	c.a.pushFront(&c.list, c.a.add(key, size))
 }
 
 // Contains implements Policy.
 func (c *FIFO) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.a.lookup(key) != nilSlot
 }
 
 // Len implements Policy.

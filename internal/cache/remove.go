@@ -21,68 +21,66 @@ type Remover interface {
 
 // Remove implements Remover.
 func (c *LRU) Remove(key uint64) bool {
-	e, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.list.remove(e)
-	delete(c.items, key)
-	return true
+	return removeFrom(&c.a, &c.list, key)
 }
 
 // Remove implements Remover.
 func (c *FIFO) Remove(key uint64) bool {
-	e, ok := c.items[key]
-	if !ok {
+	return removeFrom(&c.a, &c.list, key)
+}
+
+// removeFrom drops key from a single-list policy's arena and list.
+func removeFrom(a *arena, l *dlist, key uint64) bool {
+	s := a.lookup(key)
+	if s == nilSlot {
 		return false
 	}
-	c.list.remove(e)
-	delete(c.items, key)
+	a.unlink(l, s)
+	a.del(s)
 	return true
 }
 
 // Remove implements Remover.
 func (c *SLRU) Remove(key uint64) bool {
-	e, ok := c.items[key]
-	if !ok {
+	s := c.a.lookup(key)
+	if s == nilSlot {
 		return false
 	}
-	c.segs[e.seg].remove(e)
-	delete(c.items, key)
+	c.a.unlink(&c.segs[c.a.nodes[s].seg], s)
+	c.a.del(s)
 	return true
 }
 
 // Remove implements Remover. Only resident (T1/T2) entries are
 // removable; ghost entries are history, not residency, and stay.
 func (c *ARC) Remove(key uint64) bool {
-	e, ok := c.items[key]
-	if !ok || e.seg > arcT2 {
+	s := c.a.lookup(key)
+	if s == nilSlot || c.a.nodes[s].seg > arcT2 {
 		return false
 	}
-	c.listOf(e.seg).remove(e)
-	delete(c.items, key)
+	c.a.unlink(c.listOf(c.a.nodes[s].seg), s)
+	c.a.del(s)
 	return true
 }
 
 // Remove implements Remover. A removed LIR or resident-HIR object is
 // forgotten entirely (no ghost), and the stack invariant is re-pruned.
 func (c *LIRS) Remove(key uint64) bool {
-	x, ok := c.items[key]
-	if !ok || x.state == stateHIRNonResident {
+	x := c.a.lookup(key)
+	if x == nilSlot || c.a.nodes[x].seg == stateHIRNonResident {
 		return false
 	}
-	switch x.state {
+	switch n := &c.a.nodes[x]; n.seg {
 	case stateLIR:
-		c.lirBytes -= x.size
-		c.stack.remove(x)
+		c.lirBytes -= n.size
+		c.popStack(x)
 	case stateHIRResident:
-		c.hirBytes -= x.size
-		c.queue.remove(x)
-		if x.inS {
-			c.stack.remove(x)
+		c.dequeue(&c.queue, x)
+		if n.inStack {
+			c.popStack(x)
 		}
 	}
-	delete(c.items, key)
+	c.a.del(x)
 	// Removing a bottom LIR object can leave HIR entries at the stack
 	// bottom; restore the invariant.
 	c.prune()

@@ -19,10 +19,11 @@ type Ranger interface {
 	Range(fn func(key uint64, size int64) bool)
 }
 
-// rangeList walks a dlist from the eviction end to the MRU end.
-func rangeList(l *dlist, fn func(key uint64, size int64) bool) bool {
-	for e := l.back(); e != nil; e = e.prev {
-		if !fn(e.key, e.size) {
+// rangeList walks l, threaded through ln, from the eviction end to the
+// MRU end.
+func (a *arena) rangeList(l *dlist, ln []link, fn func(key uint64, size int64) bool) bool {
+	for s := l.tail; s != nilSlot; s = ln[s].prev {
+		if !fn(a.nodes[s].key, a.nodes[s].size) {
 			return false
 		}
 	}
@@ -31,19 +32,19 @@ func rangeList(l *dlist, fn func(key uint64, size int64) bool) bool {
 
 // Range implements Ranger: LRU end to MRU end.
 func (c *LRU) Range(fn func(key uint64, size int64) bool) {
-	rangeList(&c.list, fn)
+	c.a.rangeList(&c.list, c.a.links, fn)
 }
 
 // Range implements Ranger: oldest insertion to newest.
 func (c *FIFO) Range(fn func(key uint64, size int64) bool) {
-	rangeList(&c.list, fn)
+	c.a.rangeList(&c.list, c.a.links, fn)
 }
 
 // Range implements Ranger: probationary segment first (its LRU tail is
 // the global victim), then each more-protected segment, tail to head.
 func (c *SLRU) Range(fn func(key uint64, size int64) bool) {
 	for s := range c.segs {
-		if !rangeList(&c.segs[s], fn) {
+		if !c.a.rangeList(&c.segs[s], c.a.links, fn) {
 			return
 		}
 	}
@@ -53,10 +54,9 @@ func (c *SLRU) Range(fn func(key uint64, size int64) bool) {
 // adaptation target favors frequency), then the frequency list T2, each
 // tail to head. Ghost entries are not resident and are not visited.
 func (c *ARC) Range(fn func(key uint64, size int64) bool) {
-	if !rangeList(&c.t1, fn) {
-		return
+	if c.a.rangeList(&c.t1, c.a.links, fn) {
+		c.a.rangeList(&c.t2, c.a.links, fn)
 	}
-	rangeList(&c.t2, fn)
 }
 
 // Range implements Ranger: the resident-HIR queue back to front (queue
@@ -64,16 +64,11 @@ func (c *ARC) Range(fn func(key uint64, size int64) bool) {
 // up (bottom LIR objects are demoted first). Non-resident ghosts are
 // not visited.
 func (c *LIRS) Range(fn func(key uint64, size int64) bool) {
-	for x := c.queue.back(); x != nil; x = x.qPrev {
-		if !fn(x.key, x.size) {
-			return
-		}
+	if !c.a.rangeList(&c.queue, c.q, fn) {
+		return
 	}
-	for x := c.stack.back(); x != nil; x = x.sPrev {
-		if x.state != stateLIR {
-			continue
-		}
-		if !fn(x.key, x.size) {
+	for x := c.stack.tail; x != nilSlot; x = c.a.links[x].prev {
+		if n := &c.a.nodes[x]; n.seg == stateLIR && !fn(n.key, n.size) {
 			return
 		}
 	}

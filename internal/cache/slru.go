@@ -19,7 +19,7 @@ type SLRU struct {
 	capacity int64
 	segCap   []int64
 	segs     []dlist
-	items    map[uint64]*entry
+	a        arena
 }
 
 // NewSLRU returns an empty segmented LRU with k segments splitting the
@@ -33,7 +33,6 @@ func NewSLRU(capacity int64, k int) *SLRU {
 		capacity: capacity,
 		segCap:   make([]int64, k),
 		segs:     make([]dlist, k),
-		items:    make(map[uint64]*entry),
 	}
 	per := capacity / int64(k)
 	for i := range c.segCap {
@@ -50,18 +49,15 @@ func (c *SLRU) Name() string {
 
 // Get implements Policy.
 func (c *SLRU) Get(key uint64, _ int) bool {
-	e, ok := c.items[key]
-	if !ok {
+	s := c.a.lookup(key)
+	if s == nilSlot {
 		return false
 	}
-	from := int(e.seg)
-	to := from + 1
-	if to >= len(c.segs) {
-		to = len(c.segs) - 1
-	}
-	c.segs[from].remove(e)
-	e.seg = int8(to)
-	c.segs[to].pushFront(e)
+	from := int(c.a.nodes[s].seg)
+	to := min(from+1, len(c.segs)-1)
+	c.a.unlink(&c.segs[from], s)
+	c.a.nodes[s].seg = int8(to)
+	c.a.pushFront(&c.segs[to], s)
 	c.rebalance(to)
 	return true
 }
@@ -71,12 +67,10 @@ func (c *SLRU) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if _, ok := c.items[key]; ok {
+	if c.a.lookup(key) != nilSlot {
 		return
 	}
-	e := &entry{key: key, size: size, seg: 0}
-	c.segs[0].pushFront(e)
-	c.items[key] = e
+	c.a.pushFront(&c.segs[0], c.a.add(key, size))
 	c.rebalance(0)
 	// Inserting into segment 0 can still exceed the total capacity when
 	// upper segments hold surplus from promotions; trim globally from
@@ -94,18 +88,14 @@ func (c *SLRU) rebalance(i int) {
 		// budget (photo sizes can exceed capacity/k); the global trim in
 		// Admit still enforces the total capacity.
 		for c.segs[s].bytes > c.segCap[s] && c.segs[s].n > 1 {
-			victim := c.segs[s].back()
-			if victim == nil {
-				break
-			}
-			c.segs[s].remove(victim)
 			if s == 0 {
-				delete(c.items, victim.key)
-				c.evicted(victim.key)
+				c.evicted(c.a.evictBack(&c.segs[0]))
 				continue
 			}
-			victim.seg = int8(s - 1)
-			c.segs[s-1].pushFront(victim)
+			victim := c.segs[s].tail
+			c.a.unlink(&c.segs[s], victim)
+			c.a.nodes[victim].seg = int8(s - 1)
+			c.a.pushFront(&c.segs[s-1], victim)
 		}
 	}
 }
@@ -113,10 +103,8 @@ func (c *SLRU) rebalance(i int) {
 // evictLowest removes one object from the lowest non-empty segment.
 func (c *SLRU) evictLowest() {
 	for s := 0; s < len(c.segs); s++ {
-		if v := c.segs[s].back(); v != nil {
-			c.segs[s].remove(v)
-			delete(c.items, v.key)
-			c.evicted(v.key)
+		if c.segs[s].n > 0 {
+			c.evicted(c.a.evictBack(&c.segs[s]))
 			return
 		}
 	}
@@ -124,12 +112,11 @@ func (c *SLRU) evictLowest() {
 
 // Contains implements Policy.
 func (c *SLRU) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.a.lookup(key) != nilSlot
 }
 
 // Len implements Policy.
-func (c *SLRU) Len() int { return len(c.items) }
+func (c *SLRU) Len() int { return c.a.n }
 
 // Used implements Policy.
 func (c *SLRU) Used() int64 {

@@ -90,6 +90,28 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("EngineLookupMissEvicting", func(t *testing.T) {
+		// An admitted miss into a full stripe: the LRU evicts its tail
+		// and reuses that arena slot for the new key.
+		eng := newShard()
+		next := uint64(1 << 32)
+		miss := func() {
+			next++
+			if out := eng.Lookup(next, size, eng.NextTick(), nil); out.Hit || !out.Written {
+				t.Fatalf("new key not admitted on a miss: %+v", out)
+			}
+		}
+		for range 4 * (1 << 20) / size {
+			miss()
+		}
+		if n := testing.AllocsPerRun(200, miss); n != 0 {
+			t.Errorf("Engine.Lookup admitting miss allocates %.1f/op, want 0", n)
+		}
+		if p := eng.Policy(); p.Used()+size <= p.Cap() {
+			t.Fatalf("policy holds %d of %d bytes: misses did not evict", p.Used(), p.Cap())
+		}
+	})
+
 	t.Run("EngineGetHitFlashAttached", func(t *testing.T) {
 		// A hit with a store attached reads the extent's record back and
 		// verifies its checksum, through the store's own record buffer.
