@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -129,8 +130,8 @@ func main() {
 	if *flashSeg < 0 {
 		fail(fmt.Errorf("-flash-segment-size must be positive, got %d (0 disables the flash layer)", *flashSeg))
 	}
-	if *flashSeg > 0 && *flashOP <= 1.0 {
-		fail(fmt.Errorf("-flash-overprovision must exceed 1.0, got %g: the slack beyond the policy's capacity is the collector's working room and the bad-block spare pool", *flashOP))
+	if *flashSeg > 0 && (!(*flashOP > 1.0) || math.IsInf(*flashOP, 1)) {
+		fail(fmt.Errorf("-flash-overprovision must exceed 1.0 and be finite, got %g: the slack beyond the policy's capacity is the collector's working room and the bad-block spare pool", *flashOP))
 	}
 	if *flashSpare < 0 {
 		fail(fmt.Errorf("-flash-spare-blocks must not be negative, got %d (0 derives the budget from the overprovision slack)", *flashSpare))

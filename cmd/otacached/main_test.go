@@ -234,6 +234,8 @@ func TestDaemonFlashFlagValidation(t *testing.T) {
 		{[]string{"-flash-segment-size", "-5"}, "-flash-segment-size must be positive"},
 		{[]string{"-flash-segment-size", "4096", "-flash-overprovision", "1.0"}, "-flash-overprovision must exceed 1.0"},
 		{[]string{"-flash-segment-size", "4096", "-flash-overprovision", "0.5"}, "-flash-overprovision must exceed 1.0"},
+		{[]string{"-flash-segment-size", "4096", "-flash-overprovision", "NaN"}, "-flash-overprovision must exceed 1.0"},
+		{[]string{"-flash-segment-size", "4096", "-flash-overprovision", "+Inf"}, "-flash-overprovision must exceed 1.0"},
 		{[]string{"-flash-segment-size", "4096", "-flash-spare-blocks", "-1"}, "-flash-spare-blocks must not be negative"},
 		{[]string{"-flash-scrub-interval", "1s"}, "requires -flash-segment-size"},
 		{[]string{"-flash-fault-flip-every", "10"}, "requires -flash-segment-size"},

@@ -43,6 +43,24 @@ type Policy interface {
 	Used() int64
 	// Cap returns the capacity in bytes.
 	Cap() int64
+	// SetEvictNotify installs fn as the eviction callback, replacing any
+	// previous one; nil uninstalls. This is how a store holding the
+	// residents' bytes drops them the moment the policy lets go, instead
+	// of probing Contains for everything it holds.
+	//
+	// fn fires once for every resident the policy itself pushes out to
+	// make room — an LRU/FIFO/SLRU tail eviction, an ARC T1/T2 entry
+	// turned ghost (or dropped outright), a LIRS resident-HIR leaving the
+	// queue, Belady's farthest-next-access victim — with Contains(key)
+	// already false. It does not fire for ghost or history pruning (those
+	// objects left earlier) nor for Remove (the caller asked; it knows).
+	// Admit + the callback + Remove therefore account for the resident
+	// set exactly.
+	//
+	// fn runs inside the policy's mutation, under whatever lock guards it
+	// (Sharded's stripe lock): it must be quick and must never call back
+	// into the policy.
+	SetEvictNotify(fn func(key uint64))
 }
 
 // Names lists the registered policy names in the order the paper's

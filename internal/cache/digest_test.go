@@ -113,7 +113,7 @@ func policyDigest(p Policy, keys []uint64, sizes []int64, ops []uint8) uint64 {
 			put(0)
 		}
 	}
-	p.(EvictNotifier).SetEvictNotify(func(key uint64) { put(key ^ 0xe51c7ed) })
+	p.SetEvictNotify(func(key uint64) { put(key ^ 0xe51c7ed) })
 	for i, key := range keys {
 		switch op := ops[i]; {
 		case op < 14: // a request: Get, and Admit on a miss

@@ -33,10 +33,10 @@ func newEvictStream(seed uint64, n int) evictStream {
 	return st
 }
 
-// TestEvictNotifyAccountsForResidents is the EvictNotifier contract as
-// a model check: a resident set kept only from Admit, the eviction
-// callback and Remove equals what Contains and Range report, at every
-// step, for every policy, bare and behind Sharded.
+// TestEvictNotifyAccountsForResidents is the Policy.SetEvictNotify
+// contract as a model check: a resident set kept only from Admit, the
+// eviction callback and Remove equals what Contains and Range report,
+// at every step, for every policy, bare and behind Sharded.
 func TestEvictNotifyAccountsForResidents(t *testing.T) {
 	const capacity = 600
 	st := newEvictStream(11, 6000)
@@ -66,7 +66,7 @@ func checkEvictModel(t *testing.T, p Policy, st evictStream, ranged bool) {
 	// Only a bare policy can be asked from inside its own callback;
 	// Sharded would be re-entering the stripe lock it holds.
 	_, sharded := p.(*Sharded)
-	if !p.(EvictNotifier).SetEvictNotify(func(key uint64) {
+	p.SetEvictNotify(func(key uint64) {
 		if !sharded && p.Contains(key) {
 			t.Errorf("callback for %d while still resident", key)
 		}
@@ -75,9 +75,7 @@ func checkEvictModel(t *testing.T, p Policy, st evictStream, ranged bool) {
 		}
 		delete(model, key)
 		evictions++
-	}) {
-		t.Fatal("SetEvictNotify reported false")
-	}
+	})
 	check := func(step int) {
 		t.Helper()
 		for k := uint64(0); k < evictUniverse; k++ {
@@ -133,41 +131,12 @@ func checkEvictModel(t *testing.T, p Policy, st evictStream, ranged bool) {
 	}
 
 	// Uninstalled, the policy keeps evicting and says nothing.
-	p.(EvictNotifier).SetEvictNotify(nil)
+	p.SetEvictNotify(nil)
 	before := evictions
 	for k := uint64(1000); k < 1100; k++ {
 		p.Admit(k, 50, len(st.keys))
 	}
 	if evictions != before {
 		t.Fatal("callback fired after SetEvictNotify(nil)")
-	}
-}
-
-// TestShardedEvictNotifyAllOrNothing: a front whose stripes cannot all
-// notify installs the callback on none of them.
-func TestShardedEvictNotifyAllOrNothing(t *testing.T) {
-	made := 0
-	s, err := NewSharded(4000, 4, func(c int64) Policy {
-		made++
-		if made == 3 {
-			return struct{ Policy }{NewLRU(c)} // hides SetEvictNotify
-		}
-		return NewLRU(c)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	if s.SetEvictNotify(func(uint64) { fired++ }) {
-		t.Fatal("SetEvictNotify reported true with a stripe that cannot notify")
-	}
-	for k := uint64(0); k < 400; k++ {
-		s.Admit(k, 100, int(k))
-	}
-	if fired != 0 {
-		t.Fatalf("callback fired %d times on a front that reported false", fired)
-	}
-	if s.Len() == 0 {
-		t.Fatal("nothing resident; the stream did not exercise the stripes")
 	}
 }

@@ -310,14 +310,14 @@ func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome
 		if fs := e.flash.Load(); fs != nil {
 			//lint:allow errsink the store charges Oversize/Dropped internally; the engine already counted the admission above
 			fs.Write(key, size, nil)
-			// A store that relies on eviction callbacks can lose one here:
-			// another client's admission may have evicted key between the
-			// Contains above and the Write, and that Invalidate found
-			// nothing to drop. Nothing would ever reclaim the extent, so
-			// look again now that it exists. Every eviction from here on
-			// finds it; the remaining error is a resident without an
-			// extent, which Get serves as a hit.
-			if !fs.Lazy() && !e.policy.Contains(key) {
+			// The store can miss an eviction here: another client's
+			// admission may have evicted key between the Contains above
+			// and the Write, and that Invalidate found nothing to drop.
+			// Nothing would ever reclaim the extent, so look again now
+			// that it exists. Every eviction from here on finds it; the
+			// remaining error is a resident without an extent, which Get
+			// serves as a hit.
+			if !e.policy.Contains(key) {
 				fs.Invalidate(key)
 			}
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"otacache/internal/cache"
 	"otacache/internal/flash"
@@ -20,25 +21,13 @@ func (e *Engine) Flash() *flash.Store { return e.flash.Load() }
 // overprovision (> 1; the slack is the collector's working room — real
 // devices ship 7–28% [1.07–1.28]).
 //
-// How a store learns that the policy evicted an object depends on the
-// shard policy, and on nothing else:
-//
-//   - A policy that is a cache.EvictNotifier (the six policies and
-//     cache.Sharded over them) gets store.Invalidate as its eviction
-//     callback, and the store is built with no liveness oracle: live
-//     counts are exact and a collection pass calls nothing outside the
-//     store. The callback runs under the policy's stripe lock, so the
-//     nesting is policy → flash and the store never calls the policy.
-//   - Any other policy (a wrapper that hides the interface, such as
-//     faults.Policy) is polled instead: the store gets policy.Contains
-//     as its Live oracle and probes it for every sealed extent at each
-//     collection. That nesting is flash → policy, and nothing enters
-//     the store from under a policy lock.
-//
-// The two orders would deadlock against each other; a store has exactly
-// one of them for its whole life (flash.Store.Lazy says which). In both
-// the engine calls flash.Write only after the policy's Admit has
-// returned, holding no lock.
+// Each store is installed as its shard policy's eviction callback
+// (cache.Policy's SetEvictNotify), replacing any store attached
+// earlier, so its live counts are exact and a collection pass calls
+// nothing outside the store. The callback runs under the policy's
+// stripe lock: the one lock order is policy → flash, and the store
+// never calls the policy. The engine calls flash.Write only after the
+// policy's Admit has returned, holding no lock.
 func AttachFlash(srv Server, segmentSize int64, overprovision float64) error {
 	return AttachFlashOpts(srv, FlashOptions{SegmentSize: segmentSize, Overprovision: overprovision})
 }
@@ -69,8 +58,8 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 	if srv == nil {
 		return fmt.Errorf("engine: AttachFlash on nil server")
 	}
-	if opts.Overprovision <= 1 {
-		return fmt.Errorf("engine: flash overprovision must exceed 1 (got %g); the collector needs slack beyond the policy's capacity", opts.Overprovision)
+	if !(opts.Overprovision > 1) || math.IsInf(opts.Overprovision, 1) {
+		return fmt.Errorf("engine: flash overprovision must exceed 1 and be finite (got %g); the collector needs slack beyond the policy's capacity", opts.Overprovision)
 	}
 	if opts.SegmentSize <= 0 {
 		return fmt.Errorf("engine: flash segment size must be positive (got %d)", opts.SegmentSize)
@@ -78,7 +67,11 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 	if opts.SpareBlocks < 0 {
 		return fmt.Errorf("engine: flash spare blocks must not be negative (got %d)", opts.SpareBlocks)
 	}
-	for i, sh := range srv.Shards() {
+	// Every store is built before any shard changes, so an error leaves
+	// each shard with the store and callback it had.
+	shards := srv.Shards()
+	stores := make([]*flash.Store, len(shards))
+	for i, sh := range shards {
 		pol := sh.Policy()
 		capacity := int64(float64(pol.Cap()) * opts.Overprovision)
 		segments := flash.SegmentCount(capacity, opts.SegmentSize)
@@ -96,27 +89,20 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 		if opts.Device != nil {
 			dev = opts.Device(i, segments)
 		}
-		// Uninstalling first asks the policy whether it reports evictions
-		// at all, and stops a store attached earlier from hearing them.
-		notifier, _ := pol.(cache.EvictNotifier)
-		notified := notifier != nil && notifier.SetEvictNotify(nil)
-		live := pol.Contains
-		if notified {
-			live = nil
-		}
 		st, err := flash.New(flash.Config{
 			SegmentSize: opts.SegmentSize,
 			Capacity:    capacity,
-			Live:        live,
 			Device:      dev,
 			SpareBlocks: spare,
 		})
 		if err != nil {
 			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		if notified {
-			notifier.SetEvictNotify(func(key uint64) { st.Invalidate(key) })
-		}
+		stores[i] = st
+	}
+	for i, sh := range shards {
+		st := stores[i]
+		sh.Policy().SetEvictNotify(func(key uint64) { st.Invalidate(key) })
 		sh.SetFlash(st)
 	}
 	return nil
@@ -132,10 +118,9 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 // whose policy cannot enumerate residents are skipped.
 //
 // The caller must not run traffic concurrently (the snapshot restore
-// path is drained); residency is buffered outside the policy lock
-// because Range holds it and, on a lazy store, a Restore-triggered
-// collection consults policy.Contains. With no traffic there are no
-// evictions either, so the rebuild is the same for both kinds of store.
+// path is drained), so no eviction callback fires during the rebuild.
+// Range holds the policy's stripe lock while Restore takes the store's:
+// the same policy → flash order the eviction callback uses.
 func RebuildFlash(srv Server) {
 	for _, sh := range srv.Shards() {
 		fs := sh.Flash()
@@ -146,19 +131,11 @@ func RebuildFlash(srv Server) {
 		if !ok {
 			continue
 		}
-		type resident struct {
-			key  uint64
-			size int64
-		}
-		var residents []resident
+		fs.Reset()
 		r.Range(func(key uint64, size int64) bool {
-			residents = append(residents, resident{key, size})
+			//lint:allow errsink rebuild is best-effort; an unrestorable resident stays unmaterialized and reads as a miss
+			fs.Restore(key, size)
 			return true
 		})
-		fs.Reset()
-		for _, res := range residents {
-			//lint:allow errsink rebuild is best-effort; an unrestorable resident stays unmaterialized and reads as a miss
-			fs.Restore(res.key, res.size)
-		}
 	}
 }

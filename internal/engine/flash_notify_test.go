@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -10,13 +9,7 @@ import (
 	"otacache/internal/flash"
 )
 
-// hiddenPolicy shows the engine a policy's cache.Policy methods and
-// nothing else — what faults.Policy or a tracing decorator does to the
-// optional interfaces — so AttachFlash falls back to the lazy oracle.
-type hiddenPolicy struct{ cache.Policy }
-
-// countingPolicy counts Contains calls and forwards the eviction
-// callback, so AttachFlash still wires the store eagerly.
+// countingPolicy counts Contains calls.
 type countingPolicy struct {
 	cache.Policy
 	contains int
@@ -25,10 +18,6 @@ type countingPolicy struct {
 func (p *countingPolicy) Contains(key uint64) bool {
 	p.contains++
 	return p.Policy.Contains(key)
-}
-
-func (p *countingPolicy) SetEvictNotify(fn func(key uint64)) bool {
-	return p.Policy.(cache.EvictNotifier).SetEvictNotify(fn)
 }
 
 // notifyStream is a seeded request stream over a small key universe
@@ -66,65 +55,69 @@ func newNotifyStream(seed uint64, n int) notifyStream {
 	return st
 }
 
-// TestFlashNotifiedMatchesLazy replays one trace per policy through an
-// engine whose store hears evictions and through one whose policy hides
-// the callback and is polled instead. Exact live counts must pick the
-// victims the full liveness refresh picked, so every wear counter and
-// every block's erase count agree — and the notified store must not ask
-// the policy anything.
-func TestFlashNotifiedMatchesLazy(t *testing.T) {
+// TestFlashNotifiedStepIdentity replays one trace per policy and checks
+// after every lookup that the store holds exactly the policy's
+// residents: as many extents, and live bytes equal to the resident
+// bytes. The greedy collector's victim choice depends only on those
+// per-segment live counts, so exact counts at every step mean it picks
+// from the true liveness. The store itself must never ask the policy
+// anything. One arm runs the policy behind faults.Policy with some
+// Gets and Admits dropped, so the wrapper must forward the callback.
+func TestFlashNotifiedStepIdentity(t *testing.T) {
+	// 1.3× overprovision leaves the collector room for every policy:
+	// at 1.25× a full store drops a survivor now and then (Stats.Dropped),
+	// which is a resident without an extent.
 	const (
-		capacity = 64 << 10
-		segment  = 8 << 10
+		capacity      = 64 << 10
+		segment       = 8 << 10
+		overprovision = 1.3
 	)
 	st := newNotifyStream(5, 20000)
+	arms := map[string]func() cache.Policy{}
 	for _, name := range cache.Names() {
+		arms[name] = func() cache.Policy {
+			pol, err := cache.New(name, capacity, st.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol
+		}
+	}
+	inj := faults.NewInjector(faults.Seeded(9, 0.05, faults.Fault{Kind: faults.Error}), nil)
+	arms["faults-lru"] = func() cache.Policy { return faults.WrapPolicy(cache.NewLRU(capacity), inj) }
+	for name, build := range arms {
 		t.Run(name, func(t *testing.T) {
-			run := func(wrap func(cache.Policy) cache.Policy) (*Engine, Metrics) {
-				pol, err := cache.New(name, capacity, st.next)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := New(wrap(pol), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := AttachFlash(e, segment, 1.25); err != nil {
-					t.Fatal(err)
-				}
-				for i, key := range st.keys {
-					e.Lookup(key, notifySize(key), i, nil)
-				}
-				return e, e.Snapshot()
+			counter := &countingPolicy{Policy: build()}
+			e, err := New(counter, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			counter := &countingPolicy{}
-			eager, em := run(func(p cache.Policy) cache.Policy { counter.Policy = p; return counter })
-			lazy, lm := run(func(p cache.Policy) cache.Policy { return hiddenPolicy{p} })
-
-			if eager.Flash().Lazy() || !lazy.Flash().Lazy() {
-				t.Fatalf("Lazy() = %v with the callback, %v without; want false, true",
-					eager.Flash().Lazy(), lazy.Flash().Lazy())
+			if err := AttachFlash(e, segment, overprovision); err != nil {
+				t.Fatal(err)
 			}
-			if em != lm {
-				t.Errorf("metrics differ:\n notified %+v\n lazy     %+v", em, lm)
+			fs := e.Flash()
+			for i, key := range st.keys {
+				e.Lookup(key, notifySize(key), i, nil)
+				if got, want := fs.Len(), counter.Len(); got != want {
+					t.Fatalf("lookup %d: store holds %d extents, policy %d residents", i, got, want)
+				}
+				if got, want := fs.Stats().LiveBytes, counter.Used(); got != want {
+					t.Fatalf("lookup %d: store has %d live bytes, policy %d resident bytes", i, got, want)
+				}
 			}
-			if got, want := eager.Flash().ErasesPerSegment(), lazy.Flash().ErasesPerSegment(); !reflect.DeepEqual(got, want) {
-				t.Errorf("erases per segment differ:\n notified %v\n lazy     %v", got, want)
+			// FIFO evicts in log order, so its victims die whole and
+			// nothing relocates; every other policy leaves survivors.
+			m := e.Snapshot()
+			if m.FlashErases == 0 || (m.FlashGCBytes == 0 && name != "fifo") {
+				t.Fatalf("trace drove %d erases and %d relocated bytes; the check needs both", m.FlashErases, m.FlashGCBytes)
 			}
-			if em.FlashErases == 0 || em.FlashGCBytes == 0 {
-				t.Fatalf("trace drove %d erases and %d relocated bytes; the comparison needs both", em.FlashErases, em.FlashGCBytes)
+			if name == "faults-lru" && inj.Injected() == 0 {
+				t.Fatal("the injector dropped nothing")
 			}
 			// The engine asks Contains once after each admission and once
 			// more after each write; anything beyond that is the store.
-			if want := int(em.Misses + em.Writes); counter.contains != want {
-				t.Errorf("notified path made %d Contains calls, want %d (misses + writes) — the store must make none", counter.contains, want)
-			}
-			// Notified, the store holds exactly the residents.
-			if got, want := eager.Flash().Len(), eager.Policy().Len(); got != want {
-				t.Errorf("notified store holds %d extents, policy %d residents", got, want)
-			}
-			if got, want := eager.Flash().Stats().LiveBytes, eager.Policy().Used(); got != want {
-				t.Errorf("notified store has %d live bytes, policy %d resident bytes", got, want)
+			if want := int(m.Misses + m.Writes); counter.contains != want {
+				t.Errorf("%d Contains calls, want %d (misses + writes) — the store must make none", counter.contains, want)
 			}
 		})
 	}
@@ -163,9 +156,6 @@ func TestFlashNotifiedQuiescentIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs := e.Flash()
-			if fs.Lazy() {
-				t.Fatal("sharded policy attached lazily")
-			}
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
 				wg.Add(1)
@@ -283,7 +273,58 @@ func TestReattachFlashMovesTheCallback(t *testing.T) {
 	if got, want := second.Len(), e.Policy().Len(); got != want {
 		t.Fatalf("attached store holds %d extents, policy %d residents", got, want)
 	}
-	if first.Lazy() || second.Lazy() {
-		t.Fatal("LRU attached lazily")
+}
+
+// capPolicy reports a capacity the test sets, so one shard's store can
+// be made unbuildable after a first attach succeeded.
+type capPolicy struct {
+	cache.Policy
+	cap int64
+}
+
+func (p *capPolicy) Cap() int64 { return p.cap }
+
+// TestFailedReattachKeepsStores: a re-attach that fails on a later shard
+// must leave every shard with the store and callback it had, so each
+// store still holds exactly its policy's residents.
+func TestFailedReattachKeepsStores(t *testing.T) {
+	last := &capPolicy{Policy: cache.NewLRU(1000), cap: 1000}
+	shards := make([]*Engine, 3)
+	for i := range shards {
+		var pol cache.Policy = cache.NewLRU(1000)
+		if i == len(shards)-1 {
+			pol = last
+		}
+		e, err := New(pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = e
+	}
+	se, err := NewShardedEngine(shards, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AttachFlash(se, 512, 2); err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*flash.Store, len(shards))
+	for i, sh := range shards {
+		stores[i] = sh.Flash()
+	}
+	last.cap = 0 // the last shard's store now has no capacity to build
+	if err := AttachFlash(se, 512, 2); err == nil {
+		t.Fatal("re-attach over a zero-capacity policy succeeded")
+	}
+	for i := uint64(0); i < 200; i++ {
+		se.Lookup(i, 100, se.NextTick(), nil)
+	}
+	for i, sh := range shards {
+		if sh.Flash() != stores[i] {
+			t.Errorf("shard %d: failed re-attach replaced its store", i)
+		}
+		if got, want := sh.Flash().Len(), sh.Policy().Len(); got != want {
+			t.Errorf("shard %d: store holds %d extents, policy %d residents", i, got, want)
+		}
 	}
 }

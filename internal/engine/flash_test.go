@@ -99,49 +99,36 @@ func (rejectAll) Decide(key uint64, tick int, feat []float64) core.Decision {
 	return core.Decision{}
 }
 
-// TestPolicyEvictionInvalidates pins both wirings AttachFlash builds:
-// once the policy evicts a key its extent is garbage the collector drops
-// instead of relocating — at the eviction itself when the policy reports
-// it, at the next collection when the policy has to be polled.
+// TestPolicyEvictionInvalidates pins the wiring AttachFlash builds:
+// once the policy evicts a key its extent is garbage, dropped at the
+// eviction itself, so the collector never relocates it.
 func TestPolicyEvictionInvalidates(t *testing.T) {
-	for name, wrap := range map[string]func(cache.Policy) cache.Policy{
-		"notified": func(p cache.Policy) cache.Policy { return p },
-		"lazy":     func(p cache.Policy) cache.Policy { return hiddenPolicy{p} },
-	} {
-		t.Run(name, func(t *testing.T) {
-			// A tiny policy (2 x 100-byte residents) under heavy unique-key
-			// traffic: nearly every admission evicts a predecessor.
-			e, err := New(wrap(cache.NewLRU(200)), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := AttachFlash(e, 256, 4); err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < 500; i++ {
-				e.Lookup(i, 100, e.NextTick(), nil)
-			}
-			m := e.Snapshot()
-			if m.FlashHostBytes != 500*100 {
-				t.Fatalf("FlashHostBytes = %d, want 50000", m.FlashHostBytes)
-			}
-			// Evicted extents are garbage, not survivors: amplification stays
-			// near the floor even though the device saw 50x its capacity.
-			if w := m.FlashWAF(); w > 1.2 {
-				t.Fatalf("FlashWAF = %g; evicted extents must not relocate", w)
-			}
-			// A polled store may hold dead-but-undiscovered extents between
-			// collections (at most one segment's worth of 100-byte objects
-			// per sealed segment awaiting its turn); a notified one holds none.
-			slack := 0
-			if e.Flash().Lazy() {
-				slack = 8
-			}
-			if got := e.Flash().Len(); got > e.Policy().Len()+slack {
-				t.Fatalf("flash index holds %d extents, policy holds %d residents", got, e.Policy().Len())
-			}
-		})
-	}
+	t.Run("notified", func(t *testing.T) {
+		// A tiny policy (2 x 100-byte residents) under heavy unique-key
+		// traffic: nearly every admission evicts a predecessor.
+		e, err := New(cache.NewLRU(200), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AttachFlash(e, 256, 4); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 500; i++ {
+			e.Lookup(i, 100, e.NextTick(), nil)
+		}
+		m := e.Snapshot()
+		if m.FlashHostBytes != 500*100 {
+			t.Fatalf("FlashHostBytes = %d, want 50000", m.FlashHostBytes)
+		}
+		// Evicted extents are garbage, not survivors: amplification stays
+		// near the floor even though the device saw 50x its capacity.
+		if w := m.FlashWAF(); w > 1.2 {
+			t.Fatalf("FlashWAF = %g; evicted extents must not relocate", w)
+		}
+		if got, want := e.Flash().Len(), e.Policy().Len(); got != want {
+			t.Fatalf("flash index holds %d extents, policy holds %d residents", got, want)
+		}
+	})
 }
 
 // TestRebuildFlash pins the restart path: Reset + Restore re-materialize

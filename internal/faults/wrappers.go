@@ -98,6 +98,10 @@ func (p *Policy) Used() int64 { return p.Inner.Used() }
 // Cap implements cache.Policy (no injection).
 func (p *Policy) Cap() int64 { return p.Inner.Cap() }
 
+// SetEvictNotify implements cache.Policy (no injection: a store under
+// the policy must hear every eviction, faulted traffic or not).
+func (p *Policy) SetEvictNotify(fn func(key uint64)) { p.Inner.SetEvictNotify(fn) }
+
 // Range implements cache.Ranger when the inner policy does (no
 // injection: snapshots must see true residency even mid-outage).
 func (p *Policy) Range(fn func(key uint64, size int64) bool) {

@@ -390,7 +390,7 @@ func TestResetPreservesRetiredBlocks(t *testing.T) {
 // TestScrubStepRoundRobin pins the cursor: successive steps visit
 // distinct sealed segments before lapping.
 func TestScrubStepRoundRobin(t *testing.T) {
-	s := newStore(t, 100, 800, nil)
+	s := newStore(t, 100, 800)
 	for k := uint64(0); k < 6; k++ {
 		if err := s.Write(k, 100, nil); err != nil {
 			t.Fatal(err)

@@ -8,16 +8,14 @@
 // erase blocks. Writes append to the head segment of a log; an object
 // index maps key -> (segment, offset, length). An object dies when it
 // is overwritten or invalidated. The serving engine invalidates from
-// the replacement policy's eviction callback (cache.EvictNotifier), so
-// every segment's live-byte count is exact at all times; a store whose
-// owner cannot be told of evictions is instead given a Live oracle
-// (Config.Live) and reconciles lazily, probing every sealed extent at
-// each collection. Dead space is reclaimed by a greedy garbage
-// collector: when the free-segment pool runs low it picks the sealed
-// segment with the fewest live bytes, relocates the survivors to the
-// log head, and erases the block. Those relocations are exactly where
-// GC-induced write amplification comes from, so the store measures it
-// instead of guessing:
+// the replacement policy's eviction callback (cache.Policy's
+// SetEvictNotify), so every segment's live-byte count is exact at all
+// times and the store never calls the policy. Dead space is reclaimed
+// by a greedy garbage collector: when the free-segment pool runs low it
+// picks the sealed segment with the fewest live bytes, relocates the
+// survivors to the log head, and erases the block. Those relocations
+// are exactly where GC-induced write amplification comes from, so the
+// store measures it instead of guessing:
 //
 //	WAF = (host bytes + relocated bytes) / host bytes
 //
@@ -158,16 +156,6 @@ type Config struct {
 	// its capacity grinds into relocation storms exactly like a real
 	// device at 100% utilization.
 	Capacity int64
-	// Live is the lazy liveness oracle for owners that cannot report
-	// evictions as they happen — the composed replacement policy's
-	// Contains. Every collection pass probes it once per live extent in
-	// every sealed segment, under the store's mutex, so it must not be
-	// set on a store that is also invalidated from under the policy's
-	// lock (see Lazy). nil — what engine.AttachFlash passes whenever the
-	// policy is a cache.EvictNotifier — means objects stay live until
-	// overwritten or invalidated, live counts are exact, and collection
-	// makes no calls out of the store.
-	Live func(key uint64) bool
 	// Device is the byte-storage seam; nil uses the in-memory default.
 	// Fault-drill and test callers wrap NewMemDevice in faults.Device.
 	Device Device
@@ -199,9 +187,9 @@ type Stats struct {
 	// distribution (wear leveling inspection).
 	MinSegmentErases int64
 	MaxSegmentErases int64
-	// LiveBytes is the bytes of live extents: exact for a store whose
-	// owner invalidates on eviction, an upper bound for a lazy one
-	// (Config.Live set), which learns of policy evictions at collection.
+	// LiveBytes is the bytes of live extents: those neither overwritten
+	// nor invalidated. With the owner invalidating on every eviction it
+	// is exactly the bytes the policy above holds.
 	LiveBytes int64
 	// Relocations counts objects moved out of collected or retired
 	// segments.
@@ -288,7 +276,6 @@ type relocObj struct {
 // Store is a log-structured flash store. Safe for concurrent use.
 type Store struct {
 	segSize int64
-	live    func(key uint64) bool
 	dev     Device
 	spare   int64
 	// rec is the record buffer readRecord and encodeRecord share; every
@@ -357,7 +344,6 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		segSize: cfg.SegmentSize,
-		live:    cfg.Live,
 		dev:     dev,
 		spare:   spare,
 		segs:    make([]*segment, n),
@@ -376,13 +362,6 @@ func New(cfg Config) (*Store, error) {
 
 // SegmentSize returns the erase-block size.
 func (s *Store) SegmentSize() int64 { return s.segSize }
-
-// Lazy reports whether the store was built with a liveness oracle
-// (Config.Live). A lazy store calls out to the policy while holding its
-// mutex, so it must never be entered from under a policy lock; a store
-// that is not lazy calls nothing and may be, but then nothing reclaims
-// an extent its owner forgets to Invalidate.
-func (s *Store) Lazy() bool { return s.live != nil }
 
 // Capacity returns the store capacity (whole segments).
 func (s *Store) Capacity() int64 {
@@ -572,12 +551,11 @@ func (s *Store) collect() {
 	o.GC.Record(int64(o.Now().Sub(start)))
 }
 
-// collectLocked is the collection pass itself: on a lazy store refresh
-// liveness against the policy, then pick the sealed segment with the
-// fewest live bytes (already exact on a store that is not lazy), stash
-// the survivors, erase the block, and re-append the survivors to the
-// log head — which may be the block just erased, so collection makes
-// forward progress with zero standing free segments. Caller holds mu.
+// collectLocked is the collection pass itself: pick the sealed segment
+// with the fewest live bytes, stash the survivors, erase the block, and
+// re-append the survivors to the log head — which may be the block just
+// erased, so collection makes forward progress with zero standing free
+// segments. Caller holds mu.
 func (s *Store) collectLocked() {
 	victim := -1
 	var victimLive int64
@@ -585,7 +563,6 @@ func (s *Store) collectLocked() {
 		if id == s.active || !seg.sealed || seg.retired {
 			continue
 		}
-		s.refreshLiveness(id)
 		if victim == -1 || seg.live < victimLive {
 			victim, victimLive = id, seg.live
 		}
@@ -724,35 +701,6 @@ func (s *Store) drainReloc() {
 	}
 }
 
-// refreshLiveness reconciles one segment's extents with the Live
-// oracle of a lazy store: objects the policy evicted since their append
-// are marked dead so the victim choice and the relocation pass see true
-// liveness. Caller holds mu.
-func (s *Store) refreshLiveness(id int) {
-	if s.live == nil {
-		return
-	}
-	seg := s.segs[id]
-	for slot := range seg.objs {
-		o := &seg.objs[slot]
-		if o.dead {
-			continue
-		}
-		if cur, ok := s.index[o.key]; !ok || cur != (loc{seg: id, slot: slot}) {
-			// Stale extent never marked (defensive; markDead keeps these
-			// in sync on the overwrite path).
-			o.dead = true
-			seg.live -= o.size
-			continue
-		}
-		if !s.live(o.key) {
-			o.dead = true
-			seg.live -= o.size
-			delete(s.index, o.key)
-		}
-	}
-}
-
 // eraseSegment wipes one block and returns it to the free pool,
 // charging the erase counters. A failed erase retires the block
 // instead. Caller holds mu.
@@ -783,8 +731,8 @@ func (s *Store) markDead(l loc) {
 
 // Invalidate drops key's extent: the policy's eviction callback on a
 // store wired by engine.AttachFlash, or overwrite-by-delete. It calls
-// nothing outside the store, so it is safe under a policy lock as long
-// as the store is not Lazy. It reports whether the key was present.
+// nothing outside the store, so it is safe under a policy lock. It
+// reports whether the key was present.
 func (s *Store) Invalidate(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

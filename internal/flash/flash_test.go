@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func newStore(t testing.TB, segSize, capacity int64, live func(uint64) bool) *Store {
+func newStore(t testing.TB, segSize, capacity int64) *Store {
 	t.Helper()
-	s, err := New(Config{SegmentSize: segSize, Capacity: capacity, Live: live})
+	s, err := New(Config{SegmentSize: segSize, Capacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,18 +26,18 @@ func TestNewValidates(t *testing.T) {
 	}
 	// Capacity rounds up to whole segments with a floor the collector
 	// can operate in.
-	s := newStore(t, 100, 150, nil)
+	s := newStore(t, 100, 150)
 	if got := s.Capacity(); got != int64(minSegments)*100 {
 		t.Fatalf("capacity = %d, want %d", got, minSegments*100)
 	}
-	s = newStore(t, 100, 950, nil)
+	s = newStore(t, 100, 950)
 	if got := s.Capacity(); got != 1000 {
 		t.Fatalf("capacity = %d, want 1000 (rounded up)", got)
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	s := newStore(t, 1024, 8192, nil)
+	s := newStore(t, 1024, 8192)
 	payload := []byte("the quick brown fox")
 	if err := s.Write(7, int64(len(payload)), payload); err != nil {
 		t.Fatalf("write rejected: %v", err)
@@ -63,7 +63,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestWriteRejectsOversizeAndNonPositive(t *testing.T) {
-	s := newStore(t, 100, 1000, nil)
+	s := newStore(t, 100, 1000)
 	if err := s.Write(1, 101, nil); !errors.Is(err, ErrOversize) {
 		t.Fatalf("oversize write: err = %v, want ErrOversize", err)
 	}
@@ -88,7 +88,7 @@ func TestWriteRejectsOversizeAndNonPositive(t *testing.T) {
 // TestOverwriteInvalidates pins that rewriting a key kills the old
 // extent: live bytes reflect only the newest copy.
 func TestOverwriteInvalidates(t *testing.T) {
-	s := newStore(t, 100, 1000, nil)
+	s := newStore(t, 100, 1000)
 	s.Write(1, 60, nil)
 	s.Write(1, 40, nil)
 	st := s.Stats()
@@ -113,7 +113,7 @@ func TestOverwriteInvalidates(t *testing.T) {
 // overwrites so collection must kick in, and checks the accounting
 // identity the WAF measurement rests on.
 func TestGCReclaimsDeadSegments(t *testing.T) {
-	s := newStore(t, 100, 1000, nil) // 10 segments
+	s := newStore(t, 100, 1000) // 10 segments
 	// Working set of 4 keys x 50 bytes = 200 live bytes; write each key
 	// 50 times = 10000 host bytes through a 1000-byte device.
 	for round := 0; round < 50; round++ {
@@ -155,7 +155,7 @@ func TestGCReclaimsDeadSegments(t *testing.T) {
 // full of dead extents is erased before one full of live data, so live
 // objects in cold segments survive collection untouched.
 func TestGCPicksLowestLiveness(t *testing.T) {
-	s := newStore(t, 100, 400, nil) // 4 segments
+	s := newStore(t, 100, 400) // 4 segments
 	// Segment 0: two live 50-byte objects (never overwritten).
 	s.Write(1, 50, nil)
 	s.Write(2, 50, nil)
@@ -183,43 +183,13 @@ func TestGCPicksLowestLiveness(t *testing.T) {
 	}
 }
 
-// TestLazyPolicyInvalidation pins the Live callback: keys the policy
-// evicted are discovered dead at collection time, not relocated, and
-// dropped from the index.
-func TestLazyPolicyInvalidation(t *testing.T) {
-	evicted := map[uint64]bool{}
-	s := newStore(t, 100, 400, func(key uint64) bool { return !evicted[key] })
-	s.Write(1, 100, nil)
-	s.Write(2, 100, nil)
-	s.Write(3, 100, nil)
-	// The policy evicts 1 and 2; flash does not know yet.
-	evicted[1], evicted[2] = true, true
-	if !s.Contains(1) {
-		t.Fatal("lazy invalidation ran before any collection")
-	}
-	// Force collections: two more segment-sized writes need the
-	// collector, which must treat 1 and 2 as garbage.
-	s.Write(4, 100, nil)
-	s.Write(5, 100, nil)
-	st := s.Stats()
-	if st.GCBytes != 0 {
-		t.Fatalf("GCBytes = %d, want 0 (evicted keys must not relocate)", st.GCBytes)
-	}
-	if s.Contains(1) || s.Contains(2) {
-		t.Fatal("evicted keys survived collection")
-	}
-	if !s.Contains(3) || !s.Contains(4) || !s.Contains(5) {
-		t.Fatal("live keys lost")
-	}
-}
-
 // TestRelocationPreservesPayloads drives payload-carrying writes
 // through enough churn to force relocations and checks every surviving
 // object reads back intact. The key sequence is pseudo-random so
 // liveness scatters across segments — a strictly cyclic overwrite
 // pattern leaves victims fully dead and never relocates.
 func TestRelocationPreservesPayloads(t *testing.T) {
-	s := newStore(t, 256, 1024, nil)
+	s := newStore(t, 256, 1024)
 	content := func(k uint64, gen int) []byte {
 		return bytes.Repeat([]byte{byte(k), byte(gen)}, 32)
 	}
@@ -255,7 +225,7 @@ func TestRelocationPreservesPayloads(t *testing.T) {
 // contract: Restore re-materializes residency without touching the
 // host-byte counter, the WAF, or the erase counters.
 func TestRestoreDoesNotChargeHostWrites(t *testing.T) {
-	s := newStore(t, 100, 1000, nil)
+	s := newStore(t, 100, 1000)
 	for k := uint64(0); k < 8; k++ {
 		if err := s.Restore(k, 50); err != nil {
 			t.Fatalf("Restore(%d) failed: %v", k, err)
@@ -281,7 +251,7 @@ func TestRestoreDoesNotChargeHostWrites(t *testing.T) {
 // TestResetClearsDataKeepsWear pins Reset's restart semantics: data
 // and index gone, cumulative wear counters intact, no phantom erases.
 func TestResetClearsDataKeepsWear(t *testing.T) {
-	s := newStore(t, 100, 400, nil)
+	s := newStore(t, 100, 400)
 	for i := 0; i < 40; i++ {
 		s.Write(uint64(i%3), 60, nil)
 	}
@@ -306,7 +276,7 @@ func TestResetClearsDataKeepsWear(t *testing.T) {
 // total and stays roughly leveled under a uniform overwrite workload
 // (greedy victim choice over uniform death is naturally rotating).
 func TestErasesPerSegment(t *testing.T) {
-	s := newStore(t, 100, 800, nil)
+	s := newStore(t, 100, 800)
 	for i := 0; i < 400; i++ {
 		s.Write(uint64(i%5), 50, nil)
 	}
@@ -330,7 +300,7 @@ func TestErasesPerSegment(t *testing.T) {
 // the collector relocates more per erase).
 func TestWAFRisesWithUtilization(t *testing.T) {
 	run := func(capacity int64) float64 {
-		s := newStore(t, 100, capacity, nil)
+		s := newStore(t, 100, capacity)
 		// 16 keys x 50 bytes = 800 live bytes, overwritten in a
 		// pseudo-random order so segment liveness scatters.
 		rng := uint64(9)
@@ -353,7 +323,7 @@ func TestWAFRisesWithUtilization(t *testing.T) {
 // in the serving stack relies on.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() Stats {
-		s := newStore(t, 128, 1024, nil)
+		s := newStore(t, 128, 1024)
 		for i := 0; i < 500; i++ {
 			s.Write(uint64(i*7%23), int64(20+i%60), nil)
 		}
@@ -369,7 +339,7 @@ func TestDeterministicReplay(t *testing.T) {
 // race matrix runs this under -race at several GOMAXPROCS) and checks
 // the counters still satisfy the accounting invariants.
 func TestConcurrentWriters(t *testing.T) {
-	s := newStore(t, 1024, 64*1024, nil)
+	s := newStore(t, 1024, 64*1024)
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -414,7 +384,7 @@ func TestConcurrentWriters(t *testing.T) {
 // pass racing a GC or an overwrite never drops a healthy extent's
 // accounting below zero or strands the cursor.
 func TestConcurrentScrubAndWrites(t *testing.T) {
-	s := newStore(t, 1024, 64*1024, nil)
+	s := newStore(t, 1024, 64*1024)
 	const workers = 4
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -470,7 +440,7 @@ func TestConcurrentScrubAndWrites(t *testing.T) {
 func TestStatsString(t *testing.T) {
 	// Smoke: Stats is a plain value; fmt must render it without
 	// tripping any accessor.
-	s := newStore(t, 100, 400, nil)
+	s := newStore(t, 100, 400)
 	s.Write(1, 50, nil)
 	_ = fmt.Sprintf("%+v", s.Stats())
 }
