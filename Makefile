@@ -18,8 +18,8 @@ OTALINT_FLAGS ?=
 check: fmt build vet lint race
 
 # The repo-specific analyzers (see internal/lint and DESIGN.md §8):
-# lockscope, detclock, metricsync, snapshotwire, errsink, atomicfield,
-# lockorder, hotalloc. Suppress a finding only with
+# lockscope, detclock, snapshotwire, errsink, atomicfield, lockorder,
+# hotalloc. Suppress a finding only with
 # //lint:allow <analyzer> <reason>; stale or reasonless directives fail
 # the build too. The loader shells out to `go list -deps -export`,
 # which reuses (and warms) the same build cache `make vet` compiles

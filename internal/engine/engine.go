@@ -55,16 +55,8 @@ type Engine struct {
 	// Instruments.
 	inst atomic.Pointer[Instruments]
 
-	requests   atomic.Int64
-	hits       atomic.Int64
-	hitBytes   atomic.Int64
-	misses     atomic.Int64
-	writes     atomic.Int64
-	writeBytes atomic.Int64
-	bypassed   atomic.Int64
-	rectified  atomic.Int64
-	degraded   atomic.Int64
-	totalBytes atomic.Int64
+	// c holds the engine-owned counters, indexed by the c* constants.
+	c [numEngineCounters]atomic.Int64
 }
 
 // Outcome describes one Lookup (or Offer) with enough detail for a
@@ -149,53 +141,21 @@ func ratio(a, b int64) float64 {
 // traffic, so a server's /stats endpoint and a load generator can
 // report rates over an interval instead of since-boot cumulatives.
 func (m Metrics) Sub(prev Metrics) Metrics {
-	return Metrics{
-		Requests:   m.Requests - prev.Requests,
-		Hits:       m.Hits - prev.Hits,
-		HitBytes:   m.HitBytes - prev.HitBytes,
-		Misses:     m.Misses - prev.Misses,
-		Writes:     m.Writes - prev.Writes,
-		WriteBytes: m.WriteBytes - prev.WriteBytes,
-		Bypassed:   m.Bypassed - prev.Bypassed,
-		Rectified:  m.Rectified - prev.Rectified,
-		Degraded:   m.Degraded - prev.Degraded,
-		TotalBytes: m.TotalBytes - prev.TotalBytes,
-
-		FlashHostBytes: m.FlashHostBytes - prev.FlashHostBytes,
-		FlashGCBytes:   m.FlashGCBytes - prev.FlashGCBytes,
-		FlashErases:    m.FlashErases - prev.FlashErases,
-
-		FlashReadErrors:     m.FlashReadErrors - prev.FlashReadErrors,
-		FlashCorruptExtents: m.FlashCorruptExtents - prev.FlashCorruptExtents,
-		FlashRetiredBlocks:  m.FlashRetiredBlocks - prev.FlashRetiredBlocks,
+	for _, c := range Counters {
+		*c.Field(&m) -= *c.Field(&prev)
 	}
+	return m
 }
 
 // Add returns the field-wise sum m + other. ShardedEngine.Snapshot
-// folds its shards' snapshots through Add, so — like Sub — the method
-// must name every field: a counter missing here would silently vanish
-// from every aggregated metric (the metricsync analyzer enforces this).
+// folds its shards' snapshots through Add, so — like Sub — it covers
+// every row of Counters: a counter missing here would silently vanish
+// from every aggregated metric.
 func (m Metrics) Add(other Metrics) Metrics {
-	return Metrics{
-		Requests:   m.Requests + other.Requests,
-		Hits:       m.Hits + other.Hits,
-		HitBytes:   m.HitBytes + other.HitBytes,
-		Misses:     m.Misses + other.Misses,
-		Writes:     m.Writes + other.Writes,
-		WriteBytes: m.WriteBytes + other.WriteBytes,
-		Bypassed:   m.Bypassed + other.Bypassed,
-		Rectified:  m.Rectified + other.Rectified,
-		Degraded:   m.Degraded + other.Degraded,
-		TotalBytes: m.TotalBytes + other.TotalBytes,
-
-		FlashHostBytes: m.FlashHostBytes + other.FlashHostBytes,
-		FlashGCBytes:   m.FlashGCBytes + other.FlashGCBytes,
-		FlashErases:    m.FlashErases + other.FlashErases,
-
-		FlashReadErrors:     m.FlashReadErrors + other.FlashReadErrors,
-		FlashCorruptExtents: m.FlashCorruptExtents + other.FlashCorruptExtents,
-		FlashRetiredBlocks:  m.FlashRetiredBlocks + other.FlashRetiredBlocks,
+	for _, c := range Counters {
+		*c.Field(&m) += *c.Field(&other)
 	}
+	return m
 }
 
 // New assembles an Engine. filter == nil means admit every miss
@@ -260,8 +220,8 @@ func (e *Engine) ResumeTick(t int64) { e.tick.Store(t) }
 // rejected the admit as oversize or out of space) is not a media fault
 // and hits normally; the policy is the residency authority there.
 func (e *Engine) Get(key uint64, size int64, tick int) bool {
-	e.requests.Add(1)
-	e.totalBytes.Add(size)
+	e.c[cRequests].Add(1)
+	e.c[cTotalBytes].Add(size)
 	if e.policy.Get(key, tick) {
 		if fs := e.flash.Load(); fs != nil {
 			if _, _, err := fs.ReadExtent(key); err != nil && !errors.Is(err, flash.ErrNotFound) {
@@ -271,15 +231,15 @@ func (e *Engine) Get(key uint64, size int64, tick int) bool {
 				if r, ok := e.policy.(cache.Remover); ok {
 					r.Remove(key)
 				}
-				e.misses.Add(1)
+				e.c[cMisses].Add(1)
 				return false
 			}
 		}
-		e.hits.Add(1)
-		e.hitBytes.Add(size)
+		e.c[cHits].Add(1)
+		e.c[cHitBytes].Add(size)
 		return true
 	}
-	e.misses.Add(1)
+	e.c[cMisses].Add(1)
 	return false
 }
 
@@ -289,21 +249,21 @@ func (e *Engine) Get(key uint64, size int64, tick int) bool {
 func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome {
 	d := e.filter.Decide(key, tick, feat)
 	if d.Rectified {
-		e.rectified.Add(1)
+		e.c[cRectified].Add(1)
 	}
 	if d.Degraded {
-		e.degraded.Add(1)
+		e.c[cDegraded].Add(1)
 	}
 	if !d.Admit {
-		e.bypassed.Add(1)
+		e.c[cBypassed].Add(1)
 		return Outcome{Decision: d}
 	}
 	e.policy.Admit(key, size, tick)
 	out := Outcome{Decision: d}
 	if e.policy.Contains(key) {
 		out.Written = true
-		e.writes.Add(1)
-		e.writeBytes.Add(size)
+		e.c[cWrites].Add(1)
+		e.c[cWriteBytes].Add(size)
 		// An accepted admission is a device write: land the extent in the
 		// attached flash store so its collector measures the real
 		// amplification of this admission stream.
@@ -348,30 +308,22 @@ func (e *Engine) Lookup(key uint64, size int64, tick int, feat []float64) Outcom
 	return e.Offer(key, size, tick, feat)
 }
 
-// Snapshot returns the current counters.
+// Snapshot returns the current counters: the engine-owned rows of
+// Counters from the atomics, then the flash mirrors from the attached
+// store.
 func (e *Engine) Snapshot() Metrics {
-	var fst flash.Stats
+	var m Metrics
+	for i := range e.c {
+		*Counters[i].Field(&m) = e.c[i].Load()
+	}
 	if fs := e.flash.Load(); fs != nil {
-		fst = fs.Stats()
+		st := fs.Stats()
+		m.FlashHostBytes = st.HostBytes
+		m.FlashGCBytes = st.GCBytes
+		m.FlashErases = st.Erases
+		m.FlashReadErrors = st.ReadErrors
+		m.FlashCorruptExtents = st.CorruptExtents
+		m.FlashRetiredBlocks = st.RetiredBlocks
 	}
-	return Metrics{
-		Requests:   e.requests.Load(),
-		Hits:       e.hits.Load(),
-		HitBytes:   e.hitBytes.Load(),
-		Misses:     e.misses.Load(),
-		Writes:     e.writes.Load(),
-		WriteBytes: e.writeBytes.Load(),
-		Bypassed:   e.bypassed.Load(),
-		Rectified:  e.rectified.Load(),
-		Degraded:   e.degraded.Load(),
-		TotalBytes: e.totalBytes.Load(),
-
-		FlashHostBytes: fst.HostBytes,
-		FlashGCBytes:   fst.GCBytes,
-		FlashErases:    fst.Erases,
-
-		FlashReadErrors:     fst.ReadErrors,
-		FlashCorruptExtents: fst.CorruptExtents,
-		FlashRetiredBlocks:  fst.RetiredBlocks,
-	}
+	return m
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"otacache/internal/flash"
@@ -27,9 +28,34 @@ func distinctMetrics(t *testing.T, salt int64) Metrics {
 	return m
 }
 
-// TestMetricsSubCoversEveryField is the dynamic complement of the
-// metricsync analyzer: Sub must subtract every counter, or interval
-// metrics silently freeze for the forgotten field.
+// TestCountersMatchMetrics pins the table to the struct: one row per
+// Metrics field in declaration order, each row named for its field and
+// addressing it, with help text that reads like a sentence (non-empty,
+// terminated). Sub, Add, Snapshot and /metrics trust this table.
+func TestCountersMatchMetrics(t *testing.T) {
+	var m Metrics
+	v := reflect.ValueOf(&m).Elem()
+	if len(Counters) != v.NumField() {
+		t.Fatalf("Counters has %d rows, Metrics has %d fields", len(Counters), v.NumField())
+	}
+	for i, c := range Counters {
+		name := v.Type().Field(i).Name
+		if c.Name != name {
+			t.Errorf("Counters[%d].Name = %q, want %q", i, c.Name, name)
+		}
+		if reflect.ValueOf(c.Field(&m)).Pointer() != v.Field(i).Addr().Pointer() {
+			t.Errorf("Counters[%d] (%s) accessor does not address Metrics.%s", i, c.Name, name)
+		}
+		if strings.TrimSpace(c.Help) == "" {
+			t.Errorf("Counters[%d] (%s) has blank help", i, c.Name)
+		} else if !strings.HasSuffix(c.Help, ".") {
+			t.Errorf("Counters[%d] (%s) help %q does not end in a period", i, c.Name, c.Help)
+		}
+	}
+}
+
+// TestMetricsSubCoversEveryField checks Sub subtracts every counter, or
+// interval metrics silently freeze for the forgotten field.
 func TestMetricsSubCoversEveryField(t *testing.T) {
 	cur := distinctMetrics(t, 1000)
 	prev := distinctMetrics(t, 7)
@@ -188,19 +214,21 @@ func faultChurnedStore(t *testing.T, seed uint64, rounds, corrupt, reads, retire
 
 // TestEngineSnapshotCoversEveryField loads counters through the
 // engine's atomics and checks Snapshot surfaces each one: a counter
-// added to Metrics but not to Snapshot would read zero forever.
+// added to Metrics but not to Snapshot would read zero forever. Each
+// index constant stores its field's position, so a constant out of
+// step with the Counters rows lands on the wrong field.
 func TestEngineSnapshotCoversEveryField(t *testing.T) {
 	var e Engine
-	e.requests.Store(1)
-	e.hits.Store(2)
-	e.hitBytes.Store(3)
-	e.misses.Store(4)
-	e.writes.Store(5)
-	e.writeBytes.Store(6)
-	e.bypassed.Store(7)
-	e.rectified.Store(8)
-	e.degraded.Store(9)
-	e.totalBytes.Store(10)
+	e.c[cRequests].Store(1)
+	e.c[cHits].Store(2)
+	e.c[cHitBytes].Store(3)
+	e.c[cMisses].Store(4)
+	e.c[cWrites].Store(5)
+	e.c[cWriteBytes].Store(6)
+	e.c[cBypassed].Store(7)
+	e.c[cRectified].Store(8)
+	e.c[cDegraded].Store(9)
+	e.c[cTotalBytes].Store(10)
 	// The Flash* fields read through the attached store, not an atomic:
 	// churn a small store (plus injected media faults) until all six
 	// mirrored counters hold distinct nonzero values (the sequence is
@@ -213,6 +241,9 @@ func TestEngineSnapshotCoversEveryField(t *testing.T) {
 	seen := make(map[int64]string, v.NumField())
 	for i := 0; i < v.NumField(); i++ {
 		g := v.Field(i).Int()
+		if i < numEngineCounters && g != int64(i+1) {
+			t.Errorf("Snapshot.%s = %d, want %d; its index constant is out of step with Counters", typ.Field(i).Name, g, i+1)
+		}
 		if g == 0 {
 			t.Errorf("Snapshot left field %s at zero; the live counter is never read", typ.Field(i).Name)
 		}

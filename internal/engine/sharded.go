@@ -125,8 +125,8 @@ func (s *ShardedEngine) Lookup(key uint64, size int64, tick int, feat []float64)
 }
 
 // Snapshot implements Server: the field-wise sum of every shard's
-// counters. Summation lives in Metrics.Add so the metricsync analyzer
-// and the reflection tests can pin that no field skips aggregation.
+// counters. Summation lives in Metrics.Add, which loops over Counters,
+// so no field skips aggregation.
 func (s *ShardedEngine) Snapshot() Metrics {
 	var m Metrics
 	for _, sh := range s.shards {

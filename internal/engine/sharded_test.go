@@ -172,16 +172,9 @@ func TestShardedEngineSnapshotSumsEveryField(t *testing.T) {
 	se := newTestSharded(t, 3, 1<<20)
 	for si, sh := range se.Shards() {
 		salt := int64(si+1) * 1000
-		sh.requests.Store(salt + 1)
-		sh.hits.Store(salt + 2)
-		sh.hitBytes.Store(salt + 3)
-		sh.misses.Store(salt + 4)
-		sh.writes.Store(salt + 5)
-		sh.writeBytes.Store(salt + 6)
-		sh.bypassed.Store(salt + 7)
-		sh.rectified.Store(salt + 8)
-		sh.degraded.Store(salt + 9)
-		sh.totalBytes.Store(salt + 10)
+		for i := range sh.c {
+			sh.c[i].Store(salt + int64(i+1))
+		}
 		// The Flash* fields mirror an attached store's wear and fault
 		// counters, so they cannot be Store()d directly: give each shard
 		// a small store and churn it — with injected media faults —

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newStore(t testing.TB, segSize, capacity int64) *Store {
@@ -382,13 +383,17 @@ func TestConcurrentWriters(t *testing.T) {
 // Scrubber produces in the daemon. The race matrix runs this under
 // -race at several GOMAXPROCS; the invariant checks pin that a scrub
 // pass racing a GC or an overwrite never drops a healthy extent's
-// accounting below zero or strands the cursor.
+// accounting below zero or strands the cursor. The writers keep going
+// past perWorker until the scrubber has completed a step, so the
+// progress check waits on the scrubber, not on how the scheduler
+// happens to interleave the goroutines.
 func TestConcurrentScrubAndWrites(t *testing.T) {
 	s := newStore(t, 1024, 64*1024)
 	const workers = 4
 	const perWorker = 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	firstScrub := make(chan struct{})
 	scrubDone := make(chan int, 1)
 	go func() {
 		scrubbed := 0
@@ -400,15 +405,30 @@ func TestConcurrentScrubAndWrites(t *testing.T) {
 			default:
 			}
 			if seg, _, _ := s.ScrubStep(); seg >= 0 {
+				if scrubbed == 0 {
+					close(firstScrub)
+				}
 				scrubbed++
 			}
 		}
 	}()
+	deadline := time.Now().Add(30 * time.Second)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
+			for i := 0; ; i++ {
+				if i >= perWorker {
+					select {
+					case <-firstScrub:
+						return
+					default:
+					}
+					if time.Now().After(deadline) {
+						t.Error("scrubber completed no step within 30s of live traffic")
+						return
+					}
+				}
 				k := uint64(w*31+i) % 97
 				if i%17 == 0 {
 					s.Invalidate(k)

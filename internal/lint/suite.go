@@ -11,16 +11,14 @@ import (
 	"otacache/internal/lint/hotalloc"
 	"otacache/internal/lint/lockorder"
 	"otacache/internal/lint/lockscope"
-	"otacache/internal/lint/metricsync"
 	"otacache/internal/lint/snapshotwire"
 )
 
-// Suite returns the eight repo-specific analyzers with their default
+// Suite returns the seven repo-specific analyzers with their default
 // configurations:
 //
 //   - lockscope: no mutex held across blocking calls in the hot paths
 //   - detclock: no wall clocks or global RNGs in deterministic packages
-//   - metricsync: engine.Metrics stays in sync with Sub/Snapshot//stats
 //   - snapshotwire: snapshot encoder and decoder agree, layout is pinned
 //   - errsink: no dropped errors in accounting-bearing packages
 //   - atomicfield: no mixed atomic/plain access to one struct field
@@ -32,7 +30,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockscope.New(lockscope.Config{Scope: lockscope.DefaultScope}),
 		detclock.New(detclock.Config{Scope: detclock.DefaultScope}),
-		metricsync.New(metricsync.Config{}),
 		snapshotwire.New(snapshotwire.Config{}),
 		errsink.Analyzer,
 		atomicfield.Analyzer,

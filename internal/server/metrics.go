@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -15,11 +14,11 @@ import (
 
 // The /metrics page: the whole /stats surface re-expressed in the
 // Prometheus text format, plus the latency distributions /stats cannot
-// carry. Every engine.Metrics counter appears exactly once as an
+// carry. Every row of engine.Counters appears exactly once as an
 // aggregate ota_<field>_total family and once per shard under
-// ota_shard_<field>_total{shard="i"} — the exposition test asserts
-// this by reflection, so a counter added to Metrics cannot silently
-// miss the page (metricsync enforces the help text the same way).
+// ota_shard_<field>_total{shard="i"}; the engine's table test pins the
+// table to the Metrics struct, so a counter added to Metrics cannot
+// miss the page.
 
 // snakeCase converts a Go exported field name to the metric-name
 // convention: word boundaries before an upper-case rune that follows a
@@ -54,23 +53,6 @@ func MetricName(field string) string { return "ota_" + snakeCase(field) + "_tota
 // engine.Metrics field ("Requests" -> "ota_shard_requests_total").
 func ShardMetricName(field string) string { return "ota_shard_" + snakeCase(field) + "_total" }
 
-// metricsFields enumerates engine.Metrics field names in declaration
-// order, by reflection — the single source the exposition iterates, so
-// it cannot skip a counter.
-func metricsFields() []string {
-	t := reflect.TypeOf(engine.Metrics{})
-	out := make([]string, t.NumField())
-	for i := range out {
-		out[i] = t.Field(i).Name
-	}
-	return out
-}
-
-// metricValue reads one field from a Metrics snapshot by name.
-func metricValue(m engine.Metrics, field string) int64 {
-	return reflect.ValueOf(m).FieldByName(field).Int()
-}
-
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -83,28 +65,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // writeMetricsPage renders the whole exposition.
 func (s *Server) writeMetricsPage(tw *obs.TextWriter) {
-	cur := s.eng.Snapshot()
-	perShard := make([]engine.Metrics, len(s.shards))
-	for i, sh := range s.shards {
-		perShard[i] = sh.Snapshot()
-	}
+	cur, perShard := s.snapshotShards()
 
 	// Every engine.Metrics counter: the aggregate family, then the
-	// per-shard breakdown whose sum the exposition test checks against
-	// it.
-	for _, field := range metricsFields() {
-		help := engine.MetricHelp[field]
-		if help == "" {
-			help = field
-		}
-		name := MetricName(field)
-		tw.Family(name, help, "counter")
-		tw.Int(name, nil, metricValue(cur, field))
-		shardName := ShardMetricName(field)
-		tw.Family(shardName, "Per-shard: "+help, "counter")
+	// per-shard breakdown it is the sum of.
+	for _, c := range engine.Counters {
+		name := MetricName(c.Name)
+		tw.Family(name, c.Help, "counter")
+		tw.Int(name, nil, *c.Field(&cur))
+		shardName := ShardMetricName(c.Name)
+		tw.Family(shardName, "Per-shard: "+c.Help, "counter")
 		for i := range perShard {
-			tw.Int(shardName, []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}},
-				metricValue(perShard[i], field))
+			tw.Int(shardName, shardLabel(i), *c.Field(&perShard[i]))
 		}
 	}
 

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
+	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,12 +74,42 @@ func sampleIndex(samples []obs.Sample) map[string][]obs.Sample {
 	return idx
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// counterLines keeps the lines of a /metrics page that belong to the
+// engine.Metrics families (aggregate and per-shard): HELP, TYPE and
+// samples, in page order.
+func counterLines(page string) string {
+	families := make(map[string]bool)
+	mt := reflect.TypeOf(engine.Metrics{})
+	for i := 0; i < mt.NumField(); i++ {
+		families[MetricName(mt.Field(i).Name)] = true
+		families[ShardMetricName(mt.Field(i).Name)] = true
+	}
+	var b strings.Builder
+	for _, line := range strings.Split(page, "\n") {
+		name := line
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			name = strings.Fields(line)[2]
+		} else if i := strings.IndexAny(line, "{ "); i >= 0 {
+			name = line[:i]
+		}
+		if families[name] {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
 // TestMetricsExposition is the golden /metrics contract: scrape a
 // loopback daemon, parse the text back, and check by reflection that
 // every engine.Metrics field appears exactly once as an aggregate
 // family whose per-shard breakdown sums to it. A counter added to
-// Metrics fails this test until the exposition carries it — the
-// runtime half of the metricsync analyzer's static guarantee.
+// Metrics fails this test until the exposition carries it. The counter
+// families are also pinned byte for byte against
+// testdata/metrics_counters.golden (regenerate with -update only for a
+// deliberate wire change).
 func TestMetricsExposition(t *testing.T) {
 	se := shardedObsEngine(t)
 	srv := New(se, Config{
@@ -102,6 +135,28 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := sampleIndex(samples)
+
+	page, err := c.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/metrics_counters.golden"
+	got := counterLines(page)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("counter families differ from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
 
 	cur := se.Snapshot()
 	shards := se.Shards()

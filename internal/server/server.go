@@ -626,8 +626,21 @@ type BreakerStats struct {
 	LastError string `json:",omitempty"`
 }
 
+// snapshotShards reads every shard's counters once and returns them
+// with their field-wise sum, so the aggregate a scrape publishes is
+// exactly the sum of the per-shard values beside it (two separate
+// reads under live traffic would disagree).
+func (s *Server) snapshotShards() (total engine.Metrics, perShard []engine.Metrics) {
+	perShard = make([]engine.Metrics, len(s.shards))
+	for i, sh := range s.shards {
+		perShard[i] = sh.Snapshot()
+		total = total.Add(perShard[i])
+	}
+	return total, perShard
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	cur := s.eng.Snapshot()
+	cur, perShard := s.snapshotShards()
 	s.statsMu.Lock()
 	interval := cur.Sub(s.lastScan)
 	s.lastScan = cur
@@ -651,7 +664,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ResidentBytes: sh.Policy().Used(),
 			Breaker:       breakerStats(s.breakers[i]),
 			Flash:         flashStats(sh),
-			Cumulative:    sh.Snapshot(),
+			Cumulative:    perShard[i],
 		}
 		st.Residents += ss.Residents
 		st.ResidentBytes += ss.ResidentBytes
@@ -710,7 +723,6 @@ func (f *FlashStats) add(o *FlashStats) *FlashStats {
 	if f == nil {
 		cp := *o
 		f = &cp
-		f.WAF = flashWAF(f.HostBytes, f.GCBytes)
 		return f
 	}
 	f.CapacityBytes += o.CapacityBytes
@@ -721,7 +733,7 @@ func (f *FlashStats) add(o *FlashStats) *FlashStats {
 	f.Relocations += o.Relocations
 	f.Dropped += o.Dropped
 	f.LiveBytes += o.LiveBytes
-	f.WAF = flashWAF(f.HostBytes, f.GCBytes)
+	f.WAF = flash.Stats{HostBytes: f.HostBytes, GCBytes: f.GCBytes}.WAF()
 	f.Health.ReadErrors += o.Health.ReadErrors
 	f.Health.CorruptExtents += o.Health.CorruptExtents
 	f.Health.RetiredBlocks += o.Health.RetiredBlocks
@@ -730,13 +742,6 @@ func (f *FlashStats) add(o *FlashStats) *FlashStats {
 	f.Health.ScrubbedSegments += o.Health.ScrubbedSegments
 	f.Health.Exhausted = f.Health.Exhausted || o.Health.Exhausted
 	return f
-}
-
-func flashWAF(host, gc int64) float64 {
-	if host == 0 {
-		return 1
-	}
-	return float64(host+gc) / float64(host)
 }
 
 // flashLifetimeDays turns the aggregate wear counters into a

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"otacache/internal/cache"
@@ -171,6 +172,69 @@ func TestShardedStatsPerShard(t *testing.T) {
 	if residents != st.Residents || bytes != st.ResidentBytes {
 		t.Fatalf("occupancy sums %d/%d diverge from aggregate %d/%d",
 			residents, bytes, st.Residents, st.ResidentBytes)
+	}
+}
+
+// TestScrapeAggregateIsShardSum checks that every /stats and /metrics
+// scrape is self-consistent under live traffic: the aggregate counters
+// must equal the field-wise sum of the per-shard counters on the same
+// page, which holds only if each shard is read once per scrape.
+func TestScrapeAggregateIsShardSum(t *testing.T) {
+	se := newShardedTestEngine(t, 4)
+	s := New(se, Config{})
+	_, c := startTestServer(t, s)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			se.Lookup(uint64(i%500), 1000, se.NextTick(), nil)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	fields := reflect.TypeOf(engine.Metrics{})
+	for scrape := 0; scrape < 50; scrape++ {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum engine.Metrics
+		for _, ss := range st.Shards {
+			sum = sum.Add(ss.Cumulative)
+		}
+		if sum != st.Cumulative {
+			t.Fatalf("/stats scrape %d: aggregate %+v != shard sum %+v", scrape, st.Cumulative, sum)
+		}
+
+		samples, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := sampleIndex(samples)
+		for i := 0; i < fields.NumField(); i++ {
+			name := fields.Field(i).Name
+			agg := idx[MetricName(name)]
+			if len(agg) != 1 {
+				t.Fatalf("%s: %d samples, want 1", MetricName(name), len(agg))
+			}
+			var shardSum float64
+			for _, smp := range idx[ShardMetricName(name)] {
+				shardSum += smp.Value
+			}
+			if shardSum != agg[0].Value {
+				t.Fatalf("/metrics scrape %d: %s = %v, shard sum %v", scrape, MetricName(name), agg[0].Value, shardSum)
+			}
+		}
 	}
 }
 
