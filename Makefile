@@ -18,10 +18,11 @@ OTALINT_FLAGS ?=
 check: fmt build vet lint race
 
 # The repo-specific analyzers (see internal/lint and DESIGN.md §8):
-# lockscope, detclock, snapshotwire, errsink, atomicfield, lockorder,
-# hotalloc. Suppress a finding only with
-# //lint:allow <analyzer> <reason>; stale or reasonless directives fail
-# the build too. The loader shells out to `go list -deps -export`,
+# lockscope, detclock, errsink, atomicfield, lockorder. The hot path's
+# zero allocations and the snapshot wire format are pinned by tests
+# instead (TestHotPathAllocs, TestSnapshotGolden). Suppress a finding
+# only with //lint:allow <analyzer> <reason>; stale or reasonless
+# directives fail the build too. The loader shells out to `go list -deps -export`,
 # which reuses (and warms) the same build cache `make vet` compiles
 # into — running them back to back pays for the export data once.
 lint:

@@ -10,12 +10,6 @@
 //	                           as a ::error workflow annotation so CI
 //	                           runs mark the offending source line.
 //
-//	otalint -hotalloc-baseline [packages]
-//	                           measures the declared hot-path functions
-//	                           with the compiler's escape analysis and
-//	                           prints hotalloc.baseline lines on stdout;
-//	                           redirect to hotalloc.baseline to re-pin.
-//
 //	go vet -vettool=$(which otalint) ./...
 //	                           vettool mode: the go command invokes the
 //	                           binary once per package with -V=full,
@@ -36,12 +30,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"strings"
 
 	"otacache/internal/lint"
-	"otacache/internal/lint/analysis"
-	"otacache/internal/lint/hotalloc"
 	"otacache/internal/lint/loader"
 	"otacache/internal/lint/run"
 )
@@ -90,14 +81,11 @@ func version() string {
 // current directory's module and reports findings on stdout.
 func standalone(args []string) int {
 	github := false
-	baseline := false
 	var patterns []string
 	for _, a := range args {
 		switch a {
 		case "-github", "--github":
 			github = true
-		case "-hotalloc-baseline", "--hotalloc-baseline":
-			baseline = true
 		default:
 			patterns = append(patterns, a)
 		}
@@ -106,9 +94,6 @@ func standalone(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "otalint:", err)
 		return 2
-	}
-	if baseline {
-		return printBaseline(pkgs)
 	}
 	findings, err := run.Analyze(pkgs, lint.Suite())
 	if err != nil {
@@ -141,33 +126,6 @@ func annotation(f run.Finding) string {
 	msg := fmt.Sprintf("[%s] %s", f.Analyzer, f.Message)
 	msg = strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A").Replace(msg)
 	return fmt.Sprintf("::error file=%s,line=%d,col=%d::%s", file, f.Pos.Line, f.Pos.Column, msg)
-}
-
-// printBaseline measures every loaded package's declared hot functions
-// and prints the combined hotalloc.baseline on stdout.
-func printBaseline(pkgs []*loader.Package) int {
-	var lines []string
-	for _, pkg := range pkgs {
-		pass := &analysis.Pass{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		pkgLines, err := hotalloc.Snapshot(pass, hotalloc.Config{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "otalint:", err)
-			return 2
-		}
-		lines = append(lines, pkgLines...)
-	}
-	sort.Strings(lines)
-	fmt.Println("# Hot-path allocation baseline, one pinned count per declared hot")
-	fmt.Println("# function. Regenerate with: go run ./cmd/otalint -hotalloc-baseline")
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	return 0
 }
 
 // vetConfig is the subset of the go vet driver's per-package JSON

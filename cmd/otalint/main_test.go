@@ -70,7 +70,7 @@ func TestBadModule(t *testing.T) {
 	}
 	for _, analyzer := range []string{
 		"[detclock]", "[lockscope]",
-		"[errsink]", "[atomicfield]", "[lockorder]", "[hotalloc]",
+		"[errsink]", "[atomicfield]", "[lockorder]",
 	} {
 		if !strings.Contains(out, analyzer) {
 			t.Errorf("badmod findings missing %s:\n%s", analyzer, out)
@@ -96,23 +96,6 @@ func TestGitHubAnnotations(t *testing.T) {
 	}
 }
 
-// TestHotallocBaselineMode proves -hotalloc-baseline prints the
-// measured pin lines for the fixture module's hot functions.
-func TestHotallocBaselineMode(t *testing.T) {
-	bin := buildTool(t)
-	dir, err := filepath.Abs(filepath.Join("testdata", "badmod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, code := runTool(t, bin, dir, "-hotalloc-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("otalint -hotalloc-baseline exited %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "internal/engine (*Engine).Lookup 1") {
-		t.Errorf("baseline output should measure Lookup's seeded allocation:\n%s", out)
-	}
-}
-
 // TestVetToolMode drives the binary through the real go vet driver —
 // the unitchecker .cfg protocol — over the fixture module, proving the
 // vettool integration end to end (config parsing, export-data imports,
@@ -131,7 +114,7 @@ func TestVetToolMode(t *testing.T) {
 	}
 	for _, analyzer := range []string{
 		"[detclock]", "[lockscope]",
-		"[errsink]", "[atomicfield]", "[lockorder]", "[hotalloc]",
+		"[errsink]", "[atomicfield]", "[lockorder]",
 	} {
 		if !strings.Contains(string(out), analyzer) {
 			t.Errorf("go vet -vettool output missing %s finding:\n%s", analyzer, out)

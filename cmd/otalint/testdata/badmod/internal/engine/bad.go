@@ -1,7 +1,6 @@
 // Package engine is a deliberately broken fixture: its import path
 // suffix places it in the scope of detclock, lockscope, errsink,
-// atomicfield, lockorder, and hotalloc, and it commits one violation
-// of each. The otalint smoke test asserts the binary exits nonzero
+// atomicfield, and lockorder, and it commits one violation of each. The otalint smoke test asserts the binary exits nonzero
 // here and names every analyzer.
 package engine
 
@@ -61,12 +60,4 @@ func (e *Engine) gcThenLock() {
 	e.mu.Lock()
 	e.mu.Unlock()
 	e.gcMu.Unlock()
-}
-
-// Lookup allocates on the declared hot path; the module's
-// hotalloc.baseline pins it at zero: hotalloc.
-func (e *Engine) Lookup(key string) []byte {
-	out := make([]byte, len(key))
-	copy(out, key)
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"otacache/internal/cache"
 	"otacache/internal/core"
 	"otacache/internal/faults"
+	"otacache/internal/flash"
 	"otacache/internal/labeling"
 	"otacache/internal/mlcore"
 )
@@ -23,12 +24,22 @@ func (featureStub) Predict(x []float64) int {
 }
 func (featureStub) Score(x []float64) float64 { return x[0] }
 
-// TestHotPathAllocs is the dynamic half of the hotalloc analyzer's
-// contract: the checked-in hotalloc.baseline pins the serving hot path
-// at zero escape sites statically, and this test pins it at zero
-// allocations per operation at runtime. If either side drifts — a new
-// allocation on Lookup, or a baseline edit that quietly blesses one —
-// one of the two fails.
+// TestHotPathAllocs pins the serving hot path at zero allocations per
+// operation, measured at run time with testing.AllocsPerRun. Each
+// subtest drives one request shape through the exported entry point a
+// caller actually uses, so everything that shape reaches is covered,
+// append growth and map internals included:
+//
+//   - Engine.Lookup, Get and Offer (hit, instrumented hit, evicting miss);
+//   - flash.Store.ReadExtent down to readRecord (flash-attached hit);
+//   - the obs record path: Sampler.Hit, Histogram.Record, recorderShard,
+//     bucketIndex (instrumented hit, observed flash hit);
+//   - ShardedEngine.Lookup, Get, Offer and ShardFor, and cluster.Ring's
+//     Server under them (the sharded subtests);
+//   - the classifier decision behind a healthy breaker.
+//
+// A new allocation anywhere on these paths fails here, plain and under
+// -race.
 func TestHotPathAllocs(t *testing.T) {
 	newShard := func() *Engine {
 		policy, err := cache.NewSharded(1<<20, 4, func(c int64) cache.Policy {
@@ -63,7 +74,7 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal("hit path missed")
 			}
 		}); n != 0 {
-			t.Errorf("Engine.Lookup hit path allocates %.1f/op, baseline pins 0", n)
+			t.Errorf("Engine.Lookup hit path allocates %.1f/op, want 0", n)
 		}
 	})
 
@@ -83,7 +94,7 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal("hit path missed")
 			}
 		}); n != 0 {
-			t.Errorf("instrumented Engine.Lookup hit path allocates %.1f/op, baseline pins 0", n)
+			t.Errorf("instrumented Engine.Lookup hit path allocates %.1f/op, want 0", n)
 		}
 		if s := eng.Instruments().Lookup.Snapshot(); s.Count < 200 {
 			t.Errorf("instrumentation recorded %d lookups, want >= 200 (sampling must have fired)", s.Count)
@@ -112,30 +123,46 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("EngineGetHitFlashAttached", func(t *testing.T) {
-		// A hit with a store attached reads the extent's record back and
-		// verifies its checksum, through the store's own record buffer.
-		eng := newShard()
-		if err := AttachFlash(eng, 64<<10, 1.25); err != nil {
-			t.Fatal(err)
+	// A hit with a store attached reads the extent's record back and
+	// verifies its checksum, through the store's own record buffer.
+	// Observed, the store's sampler times every other read into its read
+	// histogram, so each run makes two reads: one sampled, one not.
+	for _, observed := range []bool{false, true} {
+		name, reads := "EngineGetHitFlashAttached", 1
+		if observed {
+			name, reads = "EngineGetHitFlashObserved", 2
 		}
-		if out := eng.Lookup(key, size, eng.NextTick(), nil); !out.Written {
-			t.Fatalf("seeding Offer not admitted: %+v", out)
-		}
-		if !eng.Flash().Contains(key) {
-			t.Fatal("seeded key has no extent")
-		}
-		tick := eng.NextTick()
-		if n := testing.AllocsPerRun(200, func() {
-			if !eng.Get(key, size, tick) {
-				t.Fatal("hit path missed")
+		t.Run(name, func(t *testing.T) {
+			eng := newShard()
+			if err := AttachFlash(eng, 64<<10, 1.25); err != nil {
+				t.Fatal(err)
 			}
-		}); n != 0 {
-			t.Errorf("flash-attached Engine.Get hit path allocates %.1f/op, baseline pins 0", n)
-		}
-	})
+			if observed {
+				eng.Flash().SetObserver(flash.NewObserver(faults.NewFakeClock().Now, 2))
+			}
+			if out := eng.Lookup(key, size, eng.NextTick(), nil); !out.Written {
+				t.Fatalf("seeding Offer not admitted: %+v", out)
+			}
+			if !eng.Flash().Contains(key) {
+				t.Fatal("seeded key has no extent")
+			}
+			tick := eng.NextTick()
+			if n := testing.AllocsPerRun(200, func() {
+				for range reads {
+					if !eng.Get(key, size, tick) {
+						t.Fatal("hit path missed")
+					}
+				}
+			}); n != 0 {
+				t.Errorf("%s: Engine.Get hit path allocates %.1f/op, want 0", name, n)
+			}
+			if o := eng.Flash().Observer(); o != nil && o.Read.Snapshot().Count < 200 {
+				t.Errorf("observer timed %d reads, want >= 200 (sampling must have fired)", o.Read.Snapshot().Count)
+			}
+		})
+	}
 
-	t.Run("ShardedLookupHit", func(t *testing.T) {
+	newSharded := func(t *testing.T) *ShardedEngine {
 		shards := make([]*Engine, 4)
 		for i := range shards {
 			shards[i] = newShard()
@@ -144,25 +171,70 @@ func TestHotPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return srv
+	}
+
+	t.Run("ShardedLookupHit", func(t *testing.T) {
+		srv := newSharded(t)
 		if out := srv.Lookup(key, size, srv.NextTick(), nil); !out.Written {
 			t.Fatalf("seeding Offer not admitted: %+v", out)
 		}
 		tick := srv.NextTick()
 		// Routes through Ring.Server on every call: the multi-shard
-		// composition covers internal/cluster's pinned hot function too.
+		// composition covers internal/cluster's share of the hot path.
 		if n := testing.AllocsPerRun(200, func() {
 			if out := srv.Lookup(key, size, tick, nil); !out.Hit {
 				t.Fatal("hit path missed")
 			}
 		}); n != 0 {
-			t.Errorf("ShardedEngine.Lookup hit path allocates %.1f/op, baseline pins 0", n)
+			t.Errorf("ShardedEngine.Lookup hit path allocates %.1f/op, want 0", n)
+		}
+	})
+
+	t.Run("ShardedGetHit", func(t *testing.T) {
+		srv := newSharded(t)
+		if out := srv.Lookup(key, size, srv.NextTick(), nil); !out.Written {
+			t.Fatalf("seeding Offer not admitted: %+v", out)
+		}
+		tick := srv.NextTick()
+		if n := testing.AllocsPerRun(200, func() {
+			if !srv.Get(key, size, tick) {
+				t.Fatal("hit path missed")
+			}
+		}); n != 0 {
+			t.Errorf("ShardedEngine.Get hit path allocates %.1f/op, want 0", n)
+		}
+	})
+
+	t.Run("ShardedOfferMissEvicting", func(t *testing.T) {
+		// The HTTP PUT path: an admitted miss routed to a shard whose
+		// stripes are all full. The feature vector is non-empty so a
+		// copy of it would show as an allocation.
+		srv := newSharded(t)
+		feat := []float64{0.25, 0.5, 0.75}
+		next := uint64(1 << 32)
+		offer := func() {
+			next++
+			if out := srv.Offer(next, size, srv.NextTick(), feat); !out.Written {
+				t.Fatalf("new key not admitted: %+v", out)
+			}
+		}
+		for range 4 * 4 * (1 << 20) / size {
+			offer()
+		}
+		for i, sh := range srv.Shards() {
+			if p := sh.Policy(); p.Used() != p.Cap() {
+				t.Fatalf("shard %d holds %d of %d bytes: a stripe is not full", i, p.Used(), p.Cap())
+			}
+		}
+		if n := testing.AllocsPerRun(200, offer); n != 0 {
+			t.Errorf("ShardedEngine.Offer admitting miss allocates %.1f/op, want 0", n)
 		}
 	})
 
 	// The classifier miss path: a healthy breaker over the classifier
 	// admission over a history table that is already full, so every new
-	// bypass evicts its oldest entry. Pinned here only; hotalloc.baseline
-	// does not list it.
+	// bypass evicts its oldest entry.
 	newDecider := func(t *testing.T) (*Breaker, *core.HistoryTable) {
 		const capacity = 64
 		table := core.NewHistoryTable(capacity)
@@ -225,15 +297,11 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 
 	t.Run("ShardFor", func(t *testing.T) {
-		shards := []*Engine{newShard(), newShard()}
-		srv, err := NewShardedEngine(shards, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newSharded(t)
 		if n := testing.AllocsPerRun(200, func() {
 			srv.ShardFor(key)
 		}); n != 0 {
-			t.Errorf("ShardedEngine.ShardFor allocates %.1f/op, baseline pins 0", n)
+			t.Errorf("ShardedEngine.ShardFor allocates %.1f/op, want 0", n)
 		}
 	})
 }

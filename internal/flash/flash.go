@@ -443,8 +443,7 @@ func (s *Store) recBuf(n int) []byte {
 
 // growRec replaces the record buffer with one of n bytes: once per
 // store for each new largest record, never in steady state. Kept out of
-// line so the hotalloc analyzer charges the allocation here and not to
-// the hit path recBuf is inlined into.
+// line so the allocation stays off the hit path recBuf is inlined into.
 //
 //go:noinline
 func (s *Store) growRec(n int) { s.rec = make([]byte, n) }
@@ -789,13 +788,6 @@ func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
 		data = append([]byte(nil), rec[recHeaderSize:]...)
 	}
 	return data, o.size, nil
-}
-
-// Read is the pre-verification read shape: payload, size, and a found
-// flag. A media failure reads as a miss.
-func (s *Store) Read(key uint64) (data []byte, size int64, ok bool) {
-	data, size, err := s.ReadExtent(key)
-	return data, size, err == nil
 }
 
 // ScrubSegment verifies every live extent in one segment against the

@@ -43,17 +43,17 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := s.Write(7, int64(len(payload)), payload); err != nil {
 		t.Fatalf("write rejected: %v", err)
 	}
-	data, size, ok := s.Read(7)
-	if !ok || size != int64(len(payload)) || !bytes.Equal(data, payload) {
-		t.Fatalf("Read = %q, %d, %v; want the payload back", data, size, ok)
+	data, size, err := s.ReadExtent(7)
+	if err != nil || size != int64(len(payload)) || !bytes.Equal(data, payload) {
+		t.Fatalf("ReadExtent = %q, %d, %v; want the payload back", data, size, err)
 	}
 	// Extent-only writes read back a nil payload with the right size.
 	if err := s.Write(8, 300, nil); err != nil {
 		t.Fatalf("extent-only write rejected: %v", err)
 	}
-	data, size, ok = s.Read(8)
-	if !ok || size != 300 || data != nil {
-		t.Fatalf("extent-only Read = %v, %d, %v; want nil, 300, true", data, size, ok)
+	data, size, err = s.ReadExtent(8)
+	if err != nil || size != 300 || data != nil {
+		t.Fatalf("extent-only ReadExtent = %v, %d, %v; want nil, 300, nil", data, size, err)
 	}
 	if s.Contains(99) {
 		t.Fatal("Contains(99) on an absent key")
@@ -212,9 +212,9 @@ func TestRelocationPreservesPayloads(t *testing.T) {
 		if gen[k] == 0 {
 			continue
 		}
-		data, size, ok := s.Read(k)
-		if !ok || size != 64 {
-			t.Fatalf("key %d: Read ok=%v size=%d", k, ok, size)
+		data, size, err := s.ReadExtent(k)
+		if err != nil || size != 64 {
+			t.Fatalf("key %d: ReadExtent err=%v size=%d", k, err, size)
 		}
 		if !bytes.Equal(data, content(k, gen[k])) {
 			t.Fatalf("key %d: payload corrupted across relocation", k)
@@ -356,7 +356,7 @@ func TestConcurrentWriters(t *testing.T) {
 				}
 				s.Write(k, int64(64+(i%8)*32), nil)
 				if i%5 == 0 {
-					s.Read(k)
+					s.ReadExtent(k)
 					s.Stats()
 				}
 			}
@@ -436,7 +436,7 @@ func TestConcurrentScrubAndWrites(t *testing.T) {
 				}
 				s.Write(k, int64(64+(i%8)*32), nil)
 				if i%5 == 0 {
-					s.Read(k)
+					s.ReadExtent(k)
 				}
 			}
 		}(w)

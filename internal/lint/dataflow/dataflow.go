@@ -193,36 +193,3 @@ func namedOwner(t types.Type) string {
 	}
 	return ""
 }
-
-// EnclosingFuncName returns the display name of the innermost function
-// declaration containing pos in file — "Name" for plain functions,
-// "(*Recv).Name" / "(Recv).Name" for methods — or "" when pos sits
-// outside every declaration (package scope).
-func EnclosingFuncName(file *ast.File, pos token.Pos) string {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || pos < fd.Pos() || pos > fd.End() {
-			continue
-		}
-		return FuncDisplayName(fd)
-	}
-	return ""
-}
-
-// FuncDisplayName renders a FuncDecl the way the hotalloc baseline and
-// diagnostics spell functions: "Name", "(Recv).Name", or
-// "(*Recv).Name".
-func FuncDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	switch t := fd.Recv.List[0].Type.(type) {
-	case *ast.StarExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fd.Name.Name
-		}
-	case *ast.Ident:
-		return "(" + t.Name + ")." + fd.Name.Name
-	}
-	return fd.Name.Name
-}

@@ -1,11 +1,10 @@
 // Package reasons proves the allow-reason rule is armed for every
 // wave-2 analyzer: a reasonless directive is itself a finding, for
-// each of the four names.
+// each of the three names.
 package reasons
 
 func directives() {
 	_ = 0 //lint:allow errsink // want `allow-directive for errsink has no reason`
 	_ = 1 //lint:allow atomicfield // want `allow-directive for atomicfield has no reason`
 	_ = 2 //lint:allow lockorder // want `allow-directive for lockorder has no reason`
-	_ = 3 //lint:allow hotalloc // want `allow-directive for hotalloc has no reason`
 }

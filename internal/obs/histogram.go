@@ -35,7 +35,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -130,9 +129,6 @@ func (h *Histogram) Record(v int64) {
 		row.sum.Add(v)
 	}
 }
-
-// Observe records a duration in nanoseconds.
-func (h *Histogram) Observe(d time.Duration) { h.Record(int64(d)) }
 
 // Merge folds other's current counts into h. Recording a stream into
 // one histogram and recording its partition across K histograms then

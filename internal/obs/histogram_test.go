@@ -153,7 +153,7 @@ func TestHistogramCountSum(t *testing.T) {
 	h.Record(-3) // clamped, excluded from sum
 	h.Record(0)
 	h.Record(10)
-	h.Observe(5 * time.Microsecond)
+	h.Record(int64(5 * time.Microsecond))
 	s := h.Snapshot()
 	if s.Count != 4 {
 		t.Errorf("Count = %d, want 4 (every record counts, clamped or not)", s.Count)

@@ -134,19 +134,10 @@ func FuzzDecodeObject(f *testing.F) {
 // truncated snapshot must error out, never panic or wedge the engine —
 // the daemon's "restore failed, serving cold" path depends on it.
 func FuzzReadSnapshot(f *testing.F) {
-	// Seed with a valid snapshot and mutations of it.
-	eng, err := engine.New(cache.NewLRU(1<<20), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := uint64(0); i < 64; i++ {
-		eng.Lookup(i, 512, eng.NextTick(), nil)
-	}
-	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, eng); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	// Seed with the golden snapshot and mutations of it. The golden
+	// carries a history table and a tree, so the seeds reach every
+	// section of the stream.
+	valid := goldenSnapshot(f)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0x10, 0x75, 0xa2, 0x0c}) // magic only
@@ -155,25 +146,21 @@ func FuzzReadSnapshot(f *testing.F) {
 	// of complete — seed the decode-fully-then-apply guarantee below.
 	for _, cut := range []int{2, 4, 6, 8, 12, 18, 20, 21, 24, 27, len(valid) / 4,
 		len(valid) / 2, 3 * len(valid) / 4, len(valid) - 1} {
-		if cut >= 0 && cut < len(valid) {
-			f.Add(valid[:cut])
-		}
+		f.Add(valid[:cut])
 	}
+	// Corruptions only a complete decode can see: each presence byte
+	// set to 2, and a trailing byte.
+	for _, off := range presenceOffsets(f, valid) {
+		b := bytes.Clone(valid)
+		b[off] = 2
+		f.Add(b)
+	}
+	f.Add(append(bytes.Clone(valid), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		target, err := engine.New(cache.NewLRU(1<<20), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		target := goldenEngine(t)
 		res, err := ReadSnapshot(bytes.NewReader(data), target)
 		if err != nil {
-			// A rejected snapshot must leave the engine exactly cold —
-			// never half-restored with an eviction order no run produced.
-			if n := target.Policy().Len(); n != 0 {
-				t.Fatalf("failed restore left %d residents behind", n)
-			}
-			if target.Tick() != 0 {
-				t.Fatalf("failed restore advanced the tick to %d", target.Tick())
-			}
+			requireCold(t, target, "failed restore")
 			return
 		}
 		if res.Tick < 0 || res.Residents < 0 {

@@ -47,6 +47,11 @@ import (
 //	  tabCnt  uint64  live entries, then tabCnt x (key uint64, tick int64)
 //	  hasTree uint8   1 if a cart.Tree stream (cart.(*Tree).WriteTo) follows
 //
+// Presence bytes are 0 or 1, and the stream ends with the last shard
+// section; anything else is corruption. testdata/snapshot_v2.golden is a
+// committed example of this layout, and TestSnapshotGolden fails if the
+// encoder or decoder drifts from it.
+//
 // Restoring does NOT require the stored and configured shard counts to
 // match: every record routes through the restoring engine's own ring
 // (engine.Server.ShardFor), so a 4-shard snapshot reshards cleanly into
@@ -67,15 +72,6 @@ import (
 const (
 	snapMagic   = uint32(0x0ca27510)
 	snapVersion = uint32(2)
-	// snapWireSig pins the wire layout as a sequence of scalar moves:
-	// magic, version, tick, shard count, then per shard a resident
-	// count + [key, size] records, a history-table presence count +
-	// [key, tick] records, a classifier presence byte, and the opaque
-	// cart.Tree stream. The snapshotwire analyzer derives the same
-	// signature from WriteSnapshot and ReadSnapshot and fails the build
-	// if either drifts from this pin; any deliberate layout change must
-	// bump snapVersion and update it.
-	snapWireSig = "v2 u32 u32 i64 u32 [ u64 [ u64 i64 ] u8 u64 [ u64 i64 ] u8 tree ]"
 )
 
 // SnapshotResult summarizes one written snapshot.
@@ -374,6 +370,9 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 		if err := get(&hasTable); err != nil {
 			return res, err
 		}
+		if hasTable > 1 {
+			return res, fmt.Errorf("snapshot: shard %d table presence byte %d", si, hasTable)
+		}
 		if hasTable == 1 {
 			if err := get(&count); err != nil {
 				return res, err
@@ -399,6 +398,9 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 		if err := get(&hasTree); err != nil {
 			return res, err
 		}
+		if hasTree > 1 {
+			return res, fmt.Errorf("snapshot: shard %d tree presence byte %d", si, hasTree)
+		}
 		if hasTree == 1 {
 			// Every stored section carries the (shared) classifier; the
 			// first decoded tree is installed into every target shard,
@@ -411,6 +413,12 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 				tree = shardTree
 			}
 		}
+	}
+
+	if _, err := br.ReadByte(); err == nil {
+		return res, fmt.Errorf("snapshot: trailing bytes after shard %d", storedShards-1)
+	} else if err != io.EOF {
+		return res, fmt.Errorf("snapshot: reading past shard %d: %w", storedShards-1, err)
 	}
 
 	// The stream decoded completely — only now touch engine state. One

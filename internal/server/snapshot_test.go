@@ -301,45 +301,3 @@ func TestHistoryTableSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("rectify bypassed key %d: src=%v restored=%v, want both true", last.Key, srcRect, dstRect)
 	}
 }
-
-// TestReadSnapshotTruncationLeavesCold pins the decode-fully-then-apply
-// contract at every possible cut: a v2 snapshot truncated anywhere —
-// mid-header, mid-shard-section, one byte shy of complete — must be
-// rejected with the target engine exactly cold (zero residents on every
-// shard, tick untouched). A half-warm restore would hand the daemon an
-// eviction order no real run ever produced.
-func TestReadSnapshotTruncationLeavesCold(t *testing.T) {
-	src := newChaosSharded(t, 2, 1<<20)
-	for key := uint64(0); key < 300; key++ {
-		src.Lookup(key, 512, src.NextTick(), nil)
-	}
-	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	for cut := 0; cut < len(valid); cut++ {
-		target := newChaosSharded(t, 2, 1<<20)
-		if _, err := ReadSnapshot(bytes.NewReader(valid[:cut]), target); err == nil {
-			t.Fatalf("cut at byte %d/%d accepted", cut, len(valid))
-		}
-		for i, sh := range target.Shards() {
-			if n := sh.Policy().Len(); n != 0 {
-				t.Fatalf("cut at byte %d left %d residents on shard %d", cut, n, i)
-			}
-		}
-		if target.Tick() != 0 {
-			t.Fatalf("cut at byte %d advanced the tick to %d", cut, target.Tick())
-		}
-	}
-	// Sanity: the untruncated stream restores warm.
-	target := newChaosSharded(t, 2, 1<<20)
-	res, err := ReadSnapshot(bytes.NewReader(valid), target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Residents != 300 || target.Tick() != src.Tick() {
-		t.Fatalf("full restore degenerate: %+v, tick %d", res, target.Tick())
-	}
-}
