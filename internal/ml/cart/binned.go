@@ -8,12 +8,15 @@ import (
 )
 
 // TrainBinned grows the same best-first, cost-sensitive tree as Train,
-// but finds splits with histogram counting instead of per-node sorting:
-// every feature is quantile-discretized to at most `bins` buckets once
-// up front, and each node's split search accumulates per-bucket class
-// weights in O(rows + bins) per feature. On a day's retraining sample
-// (~10^5 rows) this is several times faster than the exact trainer, at
-// the cost of only considering bucket-boundary thresholds.
+// but finds splits with histogram counting instead of scanning presorted
+// columns: every feature is quantile-discretized to at most `bins`
+// buckets once up front, and each node's split search accumulates
+// per-bucket class weights in O(rows + bins) per feature, at the cost
+// of only considering bucket-boundary thresholds. Since Train sorts
+// each column once instead of at every node, the two cost about the
+// same: on the Table 1 sample (BenchmarkCARTTrain, 20 000 rows × 9
+// features, 2 vCPUs) 9.7 ms binned against 9.2 ms exact, where the
+// per-node-sort trainer took 40.9 ms (3.9× the binned 10.5 ms).
 //
 // With bins >= the number of distinct values in every column, the
 // candidate thresholds coincide with the exact trainer's and the two

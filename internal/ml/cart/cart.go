@@ -18,7 +18,8 @@ package cart
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"otacache/internal/mlcore"
 	"otacache/internal/stats"
@@ -168,8 +169,11 @@ func (t *Tree) leaf(x []float64) *node {
 // candidate is a node awaiting its best split, prioritized by gain.
 type candidate struct {
 	n     *node
-	idx   []int // row indices reaching the node
+	idx   []int // row indices reaching the node, in row order
 	depth int
+	// lo and hi bound the node's range in every presorted column
+	// (Train only; TrainBinned leaves them zero).
+	lo, hi int
 	// best split found for this node:
 	gain      float64
 	feature   int
@@ -196,9 +200,49 @@ type trainer struct {
 	cfg Config
 	// adjusted weight per row: sample weight x class cost.
 	w []float64
+
+	// cols[f] holds every row's value of feature f in ascending order.
+	// Each open node owns the same range [lo, hi) of every column, so
+	// its split search is a linear scan.
+	cols [][]entry
+	// left marks, per row, the side of the split being applied.
+	left []bool
+	// scratch holds the right-going entries while a range is
+	// partitioned.
+	scratch []entry
+}
+
+// entry is one row's value in a presorted column.
+type entry struct {
+	v   float64
+	row int
+}
+
+// byValue orders entries by value. It returns -1 exactly when
+// a.v < b.v, so pdqsort makes the same comparisons and swaps as a sort
+// by that less function, and the root's order matches sorting its rows
+// with sort.Slice (TestTrainMatchesReference). NaN never reaches it:
+// Dataset.Validate rejects non-finite features.
+func byValue(a, b entry) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
 }
 
 // Train grows a tree on the dataset under the configuration.
+//
+// Every column is sorted once, up front. A split partitions each
+// column's range stably, so both children's ranges stay sorted and no
+// node sorts again. The result equals sorting every node's rows
+// afresh: at the root the scan order is the same sort of the same
+// sequence, and below it only the order inside runs of equal values
+// can differ. A cut falls only between distinct values, so each
+// candidate's class weights sum the same rows, in an order that is
+// exact for integer weights.
 func Train(d *mlcore.Dataset, cfg Config) (*Tree, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -217,6 +261,7 @@ func Train(d *mlcore.Dataset, cfg Config) (*Tree, error) {
 			tr.w[i] *= cfg.NegCost
 		}
 	}
+	tr.presort()
 
 	rootIdx := make([]int, d.Len())
 	for i := range rootIdx {
@@ -226,25 +271,82 @@ func Train(d *mlcore.Dataset, cfg Config) (*Tree, error) {
 	t := &Tree{root: root, cfg: cfg}
 
 	var h candidateHeap
-	if c := tr.bestSplit(root, rootIdx, 1); c != nil {
+	if c := tr.bestSplit(root, rootIdx, 0, d.Len(), 1); c != nil {
 		heap.Push(&h, c)
 	}
 	for t.splits < cfg.MaxSplits && h.Len() > 0 {
 		c := heap.Pop(&h).(*candidate)
 		leftIdx, rightIdx := tr.partition(c.idx, c.feature, c.threshold)
+		mid := tr.splitColumns(c)
 		c.n.feature = c.feature
 		c.n.threshold = c.threshold
 		c.n.left = tr.makeNode(leftIdx)
 		c.n.right = tr.makeNode(rightIdx)
 		t.splits++
-		if lc := tr.bestSplit(c.n.left, leftIdx, c.depth+1); lc != nil {
+		if lc := tr.bestSplit(c.n.left, leftIdx, c.lo, mid, c.depth+1); lc != nil {
 			heap.Push(&h, lc)
 		}
-		if rc := tr.bestSplit(c.n.right, rightIdx, c.depth+1); rc != nil {
+		if rc := tr.bestSplit(c.n.right, rightIdx, mid, c.hi, c.depth+1); rc != nil {
 			heap.Push(&h, rc)
 		}
 	}
 	return t, nil
+}
+
+// presort builds one sorted column per feature, sorting the columns in
+// parallel.
+func (tr *trainer) presort() {
+	n := tr.d.Len()
+	tr.cols = make([][]entry, tr.d.NumFeatures())
+	tr.left = make([]bool, n)
+	tr.scratch = make([]entry, 0, n)
+	var wg sync.WaitGroup
+	for f := range tr.cols {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			col := make([]entry, n)
+			for i, row := range tr.d.X {
+				col[i] = entry{v: row[f], row: i}
+			}
+			slices.SortFunc(col, byValue)
+			tr.cols[f] = col
+		}(f)
+	}
+	wg.Wait()
+}
+
+// splitColumns applies c's split to the presorted columns: every
+// column's range [c.lo, c.hi) is partitioned stably into the rows with
+// x[c.feature] <= c.threshold followed by the rest. It returns the
+// boundary between the two children's ranges.
+func (tr *trainer) splitColumns(c *candidate) (mid int) {
+	mid = c.lo
+	for _, e := range tr.cols[c.feature][c.lo:c.hi] {
+		goLeft := e.v <= c.threshold
+		tr.left[e.row] = goLeft
+		if goLeft {
+			mid++
+		}
+	}
+	for f, col := range tr.cols {
+		if f == c.feature {
+			continue // already ordered by the split value
+		}
+		r := col[c.lo:c.hi]
+		right := tr.scratch[:0]
+		k := 0
+		for _, e := range r {
+			if tr.left[e.row] {
+				r[k] = e
+				k++
+			} else {
+				right = append(right, e)
+			}
+		}
+		copy(r[k:], right)
+	}
+	return mid
 }
 
 // makeNode builds a leaf holding the rows' class weights.
@@ -271,9 +373,9 @@ func gini(wPos, wNeg float64) float64 {
 }
 
 // bestSplit evaluates every admissible (feature, threshold) for the
-// node's rows and returns the best candidate, or nil if the node should
-// stay a leaf.
-func (tr *trainer) bestSplit(n *node, idx []int, depth int) *candidate {
+// node, whose rows occupy [lo, hi) of every presorted column, and
+// returns the best candidate, or nil if the node should stay a leaf.
+func (tr *trainer) bestSplit(n *node, idx []int, lo, hi, depth int) *candidate {
 	if depth >= tr.cfg.MaxDepth || len(idx) < 2 {
 		return nil
 	}
@@ -284,32 +386,19 @@ func (tr *trainer) bestSplit(n *node, idx []int, depth int) *candidate {
 	total := n.wPos + n.wNeg
 
 	features := tr.featureSet()
-	best := candidate{n: n, idx: idx, depth: depth, gain: tr.cfg.MinGain, feature: -1}
+	best := candidate{n: n, idx: idx, lo: lo, hi: hi, depth: depth, gain: tr.cfg.MinGain, feature: -1}
 
-	type pair struct {
-		v    float64
-		wPos float64
-		wNeg float64
-	}
-	pairs := make([]pair, 0, len(idx))
 	for _, f := range features {
-		pairs = pairs[:0]
-		for _, i := range idx {
-			p := pair{v: tr.d.X[i][f]}
-			if tr.d.Y[i] == mlcore.Positive {
-				p.wPos = tr.w[i]
-			} else {
-				p.wNeg = tr.w[i]
-			}
-			pairs = append(pairs, p)
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-
+		col := tr.cols[f][lo:hi]
 		var lPos, lNeg float64
-		for k := 0; k < len(pairs)-1; k++ {
-			lPos += pairs[k].wPos
-			lNeg += pairs[k].wNeg
-			if pairs[k].v == pairs[k+1].v {
+		for k := 0; k < len(col)-1; k++ {
+			i := col[k].row
+			if tr.d.Y[i] == mlcore.Positive {
+				lPos += tr.w[i]
+			} else {
+				lNeg += tr.w[i]
+			}
+			if col[k].v == col[k+1].v {
 				continue // can only cut between distinct values
 			}
 			rPos := n.wPos - lPos
@@ -322,7 +411,7 @@ func (tr *trainer) bestSplit(n *node, idx []int, depth int) *candidate {
 			if g > best.gain {
 				best.gain = g
 				best.feature = f
-				best.threshold = (pairs[k].v + pairs[k+1].v) / 2
+				best.threshold = (col[k].v + col[k+1].v) / 2
 			}
 		}
 	}

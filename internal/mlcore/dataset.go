@@ -10,6 +10,7 @@ package mlcore
 
 import (
 	"fmt"
+	"math"
 
 	"otacache/internal/stats"
 )
@@ -55,7 +56,10 @@ func (d *Dataset) Weight(i int) float64 {
 	return d.W[i]
 }
 
-// Validate reports the first structural problem found, or nil.
+// Validate reports the first structural problem found, or nil. Every
+// feature must be finite and every weight finite and non-negative: the
+// trainers order rows by value, cut midway between values and sum
+// weights, none of which means anything for NaN or ±Inf.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("mlcore: %d feature rows but %d labels", len(d.X), len(d.Y))
@@ -68,10 +72,20 @@ func (d *Dataset) Validate() error {
 		if len(row) != nf {
 			return fmt.Errorf("mlcore: row %d has %d features, want %d", i, len(row), nf)
 		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("mlcore: feature %d at row %d is %v", f, i, v)
+			}
+		}
 	}
 	for i, y := range d.Y {
 		if y != Negative && y != Positive {
 			return fmt.Errorf("mlcore: label %d at row %d is not binary", y, i)
+		}
+	}
+	for i, w := range d.W {
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			return fmt.Errorf("mlcore: weight %v at row %d is not a finite non-negative number", w, i)
 		}
 	}
 	if d.Names != nil && len(d.Names) != nf {

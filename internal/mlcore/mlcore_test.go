@@ -44,6 +44,19 @@ func TestDatasetValidate(t *testing.T) {
 	if bad5.Validate() == nil {
 		t.Fatal("name count mismatch must fail")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if (&Dataset{X: [][]float64{{1, v}}, Y: []int{0}}).Validate() == nil {
+			t.Fatalf("feature %v must fail", v)
+		}
+	}
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if (&Dataset{X: [][]float64{{1}}, Y: []int{0}, W: []float64{w}}).Validate() == nil {
+			t.Fatalf("weight %v must fail", w)
+		}
+	}
+	if err := (&Dataset{X: [][]float64{{1}}, Y: []int{0}, W: []float64{0}}).Validate(); err != nil {
+		t.Fatalf("zero weight: %v", err)
+	}
 }
 
 func TestSubsetAndSelect(t *testing.T) {

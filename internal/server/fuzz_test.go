@@ -60,6 +60,11 @@ func FuzzParseObjectHeaders(f *testing.F) {
 		if feat != nil && len(feat) != 5 {
 			t.Fatalf("parseObject accepted %d features, arity is 5", len(feat))
 		}
+		for i, v := range feat {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("parseObject accepted non-finite feature %d: %v", i, v)
+			}
+		}
 	})
 }
 

@@ -23,10 +23,11 @@
 //
 // Both take the object size in the X-Ota-Size header (bytes, required)
 // and the projected feature vector in X-Ota-Feat (comma-separated
-// floats, required when the engine runs the classifier filter). The
-// server assigns ticks from the engine's own counter — a live daemon
-// has no trace ordering — so reaccess distances are measured in served
-// requests, exactly as the history table expects.
+// finite floats, required when the engine runs the classifier filter;
+// NaN or ±Inf is a 400). The server assigns ticks from the engine's
+// own counter — a live daemon has no trace ordering — so reaccess
+// distances are measured in served requests, exactly as the history
+// table expects.
 //
 // Control plane:
 //
@@ -59,6 +60,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -420,7 +422,7 @@ func (s *Server) parseObject(r *http.Request) (key uint64, size int64, feat []fl
 		feat = make([]float64, len(parts))
 		for i, p := range parts {
 			feat[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
+			if err != nil || math.IsNaN(feat[i]) || math.IsInf(feat[i], 0) {
 				return 0, 0, nil, fmt.Errorf("bad X-Ota-Feat element %q", p)
 			}
 		}

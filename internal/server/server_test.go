@@ -154,6 +154,37 @@ func TestObjectValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFeaturesRejected: NaN and ±Inf parse as floats, but a
+// non-finite feature would reach the tree walk and the retrainer's
+// sample buffer, so the object path answers 400 before the engine sees
+// the request.
+func TestNonFiniteFeaturesRejected(t *testing.T) {
+	s := New(newTestEngine(t, nil), Config{NumFeatures: 5})
+	ts, _ := startTestServer(t, s)
+	before := s.Engine().Snapshot()
+	for _, method := range []string{http.MethodGet, http.MethodPut} {
+		for _, feat := range []string{"1,NaN,3,4,5", "1,2,+Inf,4,5", "-inf,2,3,4,5"} {
+			req, err := http.NewRequest(method, ts.URL+"/object/5", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-Ota-Size", "10")
+			req.Header.Set("X-Ota-Feat", feat)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s with X-Ota-Feat %q -> %d, want 400", method, feat, resp.StatusCode)
+			}
+		}
+	}
+	if after := s.Engine().Snapshot(); after != before {
+		t.Fatalf("engine counters moved: %+v -> %+v", before, after)
+	}
+}
+
 func TestFeatRequiredWithClassifier(t *testing.T) {
 	adm := trainThresholdTree(t, 0.5, false)
 	s := New(newTestEngine(t, adm), Config{NumFeatures: 5})

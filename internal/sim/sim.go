@@ -100,9 +100,11 @@ type Config struct {
 	// point on the classifier's ROC curve (an alternative to the cost
 	// matrix). Only meaningful in ModeProposal.
 	ScoreThreshold float64
-	// BinnedTraining uses the histogram CART trainer (cart.TrainBinned,
-	// ~4x faster) for the bootstrap and daily retraining, trading exact
-	// thresholds for bucket boundaries. Only meaningful in ModeProposal.
+	// BinnedTraining uses the histogram CART trainer (cart.TrainBinned)
+	// for the bootstrap and daily retraining, trading exact thresholds
+	// for bucket boundaries. It is no faster than the presorted exact
+	// trainer (9.7 against 9.2 ms on the Table 1 sample). Only
+	// meaningful in ModeProposal.
 	BinnedTraining bool
 }
 

@@ -13,7 +13,8 @@ type Config struct {
 	NumPhotos int
 	// NumOwners is the owner population size.
 	NumOwners int
-	// Days is the observation-window length (the paper's log is 9 days).
+	// Days is the observation-window length (the paper's log is 9 days),
+	// at most 24 855 (2^31 seconds).
 	Days int
 	// PreDays is how far before the window photos may have been uploaded.
 	PreDays int
@@ -94,6 +95,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// maxDays is the longest window Generate supports: it sorts requests
+// as packed keys holding the request time in 31 bits of seconds.
+const maxDays = (1<<31 - 1) / 86400
+
 // Validate reports the first configuration problem found, or nil.
 func (c *Config) Validate() error {
 	switch {
@@ -103,6 +108,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("trace: NumOwners must be positive, got %d", c.NumOwners)
 	case c.Days <= 0:
 		return fmt.Errorf("trace: Days must be positive, got %d", c.Days)
+	case c.Days > maxDays:
+		return fmt.Errorf("trace: Days must be at most %d, got %d", maxDays, c.Days)
 	case c.PreDays < 0:
 		return fmt.Errorf("trace: PreDays must be non-negative, got %d", c.PreDays)
 	case c.OneTimeFraction <= 0 || c.OneTimeFraction >= 1:

@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"otacache/internal/stats"
 )
@@ -126,15 +130,7 @@ func (g *generator) assignCounts(t *Trace) {
 	n := len(t.Photos)
 	g.counts = make([]int, n)
 
-	// Calibrate the intercept a of P(one-time) = sigmoid(a - z) by
-	// bisection so the mean one-time probability equals the target.
-	a := bisect(func(a float64) float64 {
-		s := 0.0
-		for _, z := range g.latent {
-			s += sigmoid(a - z)
-		}
-		return s/float64(n) - cfg.OneTimeFraction
-	}, -40, 40)
+	a := calibrateIntercept(g.latent, cfg.OneTimeFraction)
 
 	oneTime := 0
 	multi := make([]int, 0, n)
@@ -202,7 +198,7 @@ func (g *generator) emitRequests(t *Trace) {
 	for _, c := range g.counts {
 		total += c
 	}
-	t.Requests = make([]Request, 0, total)
+	keys := make([]uint64, 0, total)
 	for i := range t.Photos {
 		p := &t.Photos[i]
 		lo := float64(maxI64(0, -p.Upload))
@@ -235,16 +231,20 @@ func (g *generator) emitRequests(t *Trace) {
 			if rng.Bernoulli(cfg.MobileFraction) {
 				term = TerminalMobile
 			}
-			t.Requests = append(t.Requests, Request{Time: at, Photo: uint32(i), Terminal: term})
+			keys = append(keys, uint64(at)<<33|uint64(i)<<1|uint64(term))
 		}
 	}
-	sort.Slice(t.Requests, func(a, b int) bool {
-		ra, rb := &t.Requests[a], &t.Requests[b]
-		if ra.Time != rb.Time {
-			return ra.Time < rb.Time
-		}
-		return ra.Photo < rb.Photo
+	// Sort by (time, photo), the key above the terminal bit. Requests
+	// that share a second and a photo stay in the order pdqsort gives
+	// them under this comparator; a stable or radix sort would reorder
+	// them and change every trace (TestGenerateDigest).
+	slices.SortFunc(keys, func(a, b uint64) int {
+		return cmp.Compare(a>>1, b>>1)
 	})
+	t.Requests = make([]Request, len(keys))
+	for j, k := range keys {
+		t.Requests[j] = Request{Time: int64(k >> 33), Photo: uint32(k >> 1), Terminal: Terminal(k & 1)}
+	}
 }
 
 // finalizeOwnerFeatures computes each owner's realized AvgViews (total
@@ -345,8 +345,44 @@ func truncExp(rng *stats.RNG, tau, lo, hi float64) float64 {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
+// calibrateIntercept returns the intercept a of P(one-time) =
+// sigmoid(a - z) at which the mean one-time probability over the latent
+// scores equals target. Each bisection step evaluates the sigmoid terms
+// in parallel and sums them in index order, so the result does not
+// depend on GOMAXPROCS.
+func calibrateIntercept(latent []float64, target float64) float64 {
+	n := len(latent)
+	terms := make([]float64, n)
+	workers := runtime.GOMAXPROCS(0)
+	chunk := (n + workers - 1) / workers
+	return bisect(func(a float64) float64 {
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for i, z := range latent[lo:hi] {
+					terms[lo+i] = sigmoid(a - z)
+				}
+			}(lo, hi)
+		}
+		wg.Wait()
+		s := 0.0
+		for _, v := range terms {
+			s += v
+		}
+		return s/float64(n) - target
+	}, -40, 40)
+}
+
 // bisect finds a root of f on [lo, hi] assuming f is monotone
 // increasing; it returns the midpoint after 80 halvings.
+//
+// Once the midpoint equals an endpoint, lo and hi are adjacent floats
+// (or equal). Every further halving can at most collapse the other
+// endpoint onto that one, and the final midpoint is then still mid, so
+// bisect returns it without evaluating f again.
 func bisect(f func(float64) float64, lo, hi float64) float64 {
 	flo, fhi := f(lo), f(hi)
 	if flo > 0 || fhi < 0 {
@@ -358,6 +394,9 @@ func bisect(f func(float64) float64, lo, hi float64) float64 {
 	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
 		if f(mid) < 0 {
 			lo = mid
 		} else {

@@ -3,6 +3,8 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"otacache/internal/stats"
 )
 
 // testTrace generates a moderate trace once and shares it across tests.
@@ -246,6 +248,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.NumPhotos = 0 },
 		func(c *Config) { c.NumOwners = 0 },
 		func(c *Config) { c.Days = 0 },
+		func(c *Config) { c.Days = maxDays + 1 },
 		func(c *Config) { c.PreDays = -1 },
 		func(c *Config) { c.OneTimeFraction = 0 },
 		func(c *Config) { c.OneTimeFraction = 1 },
@@ -378,6 +381,62 @@ func TestBisect(t *testing.T) {
 	}
 }
 
+// bisectSerial is the calibration loop before it stopped early: 80
+// halvings after the two endpoint evaluations, 82 evaluations in all.
+func bisectSerial(f func(float64) float64, lo, hi float64) float64 {
+	flo, fhi := f(lo), f(hi)
+	if flo > 0 || fhi < 0 {
+		if math.Abs(flo) < math.Abs(fhi) {
+			return lo
+		}
+		return hi
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if f(mid) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestCalibrateInterceptMatchesSerial pins the parallel, early-stopping
+// calibration to the serial 82-evaluation loop, bit for bit.
+func TestCalibrateInterceptMatchesSerial(t *testing.T) {
+	cfg := DefaultConfig(42, 60000)
+	g := &generator{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
+	g.horizon = int64(cfg.Days) * 86400
+	var tr Trace
+	g.makeOwners(&tr)
+	g.makePhotos(&tr)
+	for _, target := range []float64{cfg.OneTimeFraction, 0.05, 0.5, 0.95} {
+		want := bisectSerial(func(a float64) float64 {
+			s := 0.0
+			for _, z := range g.latent {
+				s += sigmoid(a - z)
+			}
+			return s/float64(len(g.latent)) - target
+		}, -40, 40)
+		if got := calibrateIntercept(g.latent, target); got != want {
+			t.Errorf("target %g: intercept %v (%#x), serial loop %v (%#x)", target, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	// Roots on, next to, and far inside the bracket's endpoints.
+	for _, f := range []func(float64) float64{
+		func(x float64) float64 { return x + 10 },
+		func(x float64) float64 { return x - 10 },
+		func(x float64) float64 { return math.Floor(x) },
+		func(x float64) float64 { return x - 1.0/3 },
+		func(x float64) float64 { return x - 5e-300 },
+	} {
+		if got, want := bisect(f, -10, 10), bisectSerial(f, -10, 10); got != want {
+			t.Errorf("bisect %v (%#x), serial loop %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestCalibrationTargetsAreTunable(t *testing.T) {
 	// The generator must hit overridden calibration targets, not only
 	// the paper defaults.
@@ -413,5 +472,25 @@ func TestDiurnalAmplitudeZeroFlattens(t *testing.T) {
 	}
 	if float64(max) > 1.35*float64(min) {
 		t.Fatalf("amplitude 0 should flatten hours: min %d max %d", min, max)
+	}
+}
+
+// TestGenerateMaxDays checks the packed request sort at the longest
+// supported window: times survive the 31-bit packing and stay sorted.
+func TestGenerateMaxDays(t *testing.T) {
+	cfg := DefaultConfig(3, 2000)
+	cfg.Days = maxDays
+	tr := MustGenerate(cfg)
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		if r.Time < 0 || r.Time >= tr.Horizon {
+			t.Fatalf("request %d time %d outside [0,%d)", i, r.Time, tr.Horizon)
+		}
+		if i > 0 {
+			p := &tr.Requests[i-1]
+			if p.Time > r.Time || p.Time == r.Time && p.Photo > r.Photo {
+				t.Fatalf("requests %d and %d out of order: %+v, %+v", i-1, i, *p, *r)
+			}
+		}
 	}
 }

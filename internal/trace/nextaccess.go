@@ -12,14 +12,10 @@ const NoNext = -1
 // It runs in O(n) with one backward pass.
 func BuildNextAccess(t *Trace) []int {
 	next := make([]int, len(t.Requests))
-	last := make(map[uint32]int, len(t.Photos))
+	last := lastSeen(t)
 	for i := len(t.Requests) - 1; i >= 0; i-- {
 		p := t.Requests[i].Photo
-		if j, ok := last[p]; ok {
-			next[i] = j
-		} else {
-			next[i] = NoNext
-		}
+		next[i] = last[p]
 		last[p] = i
 	}
 	return next
@@ -30,17 +26,27 @@ func BuildNextAccess(t *Trace) []int {
 // first access. The feature extractor uses it to compute recency.
 func BuildPrevAccess(t *Trace) []int {
 	prev := make([]int, len(t.Requests))
-	last := make(map[uint32]int, len(t.Photos))
+	last := lastSeen(t)
 	for i := range t.Requests {
 		p := t.Requests[i].Photo
-		if j, ok := last[p]; ok {
-			prev[i] = j
-		} else {
-			prev[i] = NoNext
-		}
+		prev[i] = last[p]
 		last[p] = i
 	}
 	return prev
+}
+
+// lastSeen returns a per-photo index table, NoNext everywhere, sized by
+// the largest photo id the requests use.
+func lastSeen(t *Trace) []int {
+	n := 0
+	for i := range t.Requests {
+		n = max(n, int(t.Requests[i].Photo)+1)
+	}
+	last := make([]int, n)
+	for p := range last {
+		last[p] = NoNext
+	}
+	return last
 }
 
 // ReaccessDistance returns, for request i with next-access index next[i],

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,5 +167,51 @@ func TestBuildNextAccessMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNextAccessMatchesMap compares both index builders with a
+// map-keyed reference, on a generated trace and on a hand-built one
+// whose photo ids are sparse.
+func TestNextAccessMatchesMap(t *testing.T) {
+	reference := func(tr *Trace) (next, prev []int) {
+		next = make([]int, len(tr.Requests))
+		prev = make([]int, len(tr.Requests))
+		last := map[uint32]int{}
+		for i := len(tr.Requests) - 1; i >= 0; i-- {
+			p := tr.Requests[i].Photo
+			next[i] = NoNext
+			if j, ok := last[p]; ok {
+				next[i] = j
+			}
+			last[p] = i
+		}
+		clear(last)
+		for i := range tr.Requests {
+			p := tr.Requests[i].Photo
+			prev[i] = NoNext
+			if j, ok := last[p]; ok {
+				prev[i] = j
+			}
+			last[p] = i
+		}
+		return next, prev
+	}
+	sparse := &Trace{Photos: make([]Photo, 1)}
+	for i, p := range []uint32{70000, 3, 70000, 0, 1 << 20, 3, 3, 1 << 20, 9, 0} {
+		sparse.Requests = append(sparse.Requests, Request{Time: int64(i), Photo: p})
+	}
+	for name, tr := range map[string]*Trace{
+		"generated": MustGenerate(DefaultConfig(42, 60000)),
+		"sparse":    sparse,
+		"empty":     {},
+	} {
+		wantNext, wantPrev := reference(tr)
+		if got := BuildNextAccess(tr); !slices.Equal(got, wantNext) {
+			t.Errorf("%s: BuildNextAccess differs from the map reference", name)
+		}
+		if got := BuildPrevAccess(tr); !slices.Equal(got, wantPrev) {
+			t.Errorf("%s: BuildPrevAccess differs from the map reference", name)
+		}
 	}
 }
