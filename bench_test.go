@@ -491,22 +491,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkCARTTrainBinned measures the histogram trainer against the
-// exact trainer (BenchmarkCARTTrain) on the same day-scale sample.
-func BenchmarkCARTTrainBinned(b *testing.B) {
-	e := env(b)
-	d, err := e.Table1Dataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cart.TrainBinned(d, cart.Default(2), 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGBDTTrain measures the extension learner's training cost.
 func BenchmarkGBDTTrain(b *testing.B) {
 	e := env(b)

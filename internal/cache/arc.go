@@ -40,12 +40,12 @@ func (c *ARC) Name() string { return "arc" }
 // ghost entry is a miss whose adaptation is applied when (and only when)
 // the object is admitted.
 func (c *ARC) Get(key uint64, _ int) bool {
-	s := c.a.lookup(key)
-	if s == nilSlot || c.a.nodes[s].seg > arcT2 {
+	s := c.a.Lookup(key)
+	if s == nilSlot || c.a.Val(s).seg > arcT2 {
 		return false
 	}
-	c.a.unlink(c.listOf(c.a.nodes[s].seg), s)
-	c.a.nodes[s].seg = arcT2
+	c.a.unlink(c.listOf(c.a.Val(s).seg), s)
+	c.a.Val(s).seg = arcT2
 	c.a.pushFront(&c.t2, s)
 	return true
 }
@@ -55,10 +55,10 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	s := c.a.lookup(key)
+	s := c.a.Lookup(key)
 	seg := int8(-1)
 	if s != nilSlot {
-		seg = c.a.nodes[s].seg
+		seg = c.a.Val(s).seg
 	}
 	if seg == arcT1 || seg == arcT2 {
 		return // already resident
@@ -68,43 +68,43 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 		// Recency ghost hit: grow the T1 target by the object's size,
 		// scaled up when B2 outweighs B1 (the original max(|B2|/|B1|,1)).
 		delta := size
-		if c.b1.bytes > 0 && c.b2.bytes > c.b1.bytes {
-			delta = size * (c.b2.bytes / c.b1.bytes)
+		if c.b1.Bytes > 0 && c.b2.Bytes > c.b1.Bytes {
+			delta = size * (c.b2.Bytes / c.b1.Bytes)
 		}
 		c.p = min(c.p+delta, c.capacity)
 		c.a.unlink(&c.b1, s)
-		c.a.nodes[s].size = size
+		c.a.Val(s).size = size
 		c.replace(false, size)
-		c.a.nodes[s].seg = arcT2
+		c.a.Val(s).seg = arcT2
 		c.a.pushFront(&c.t2, s)
 	case arcB2:
 		// Frequency ghost hit: shrink the T1 target.
 		delta := size
-		if c.b2.bytes > 0 && c.b1.bytes > c.b2.bytes {
-			delta = size * (c.b1.bytes / c.b2.bytes)
+		if c.b2.Bytes > 0 && c.b1.Bytes > c.b2.Bytes {
+			delta = size * (c.b1.Bytes / c.b2.Bytes)
 		}
 		c.p = max(c.p-delta, 0)
 		c.a.unlink(&c.b2, s)
-		c.a.nodes[s].size = size
+		c.a.Val(s).size = size
 		c.replace(true, size)
-		c.a.nodes[s].seg = arcT2
+		c.a.Val(s).seg = arcT2
 		c.a.pushFront(&c.t2, s)
 	default:
 		// Brand-new object: ARC Case IV, generalized to bytes. First
 		// bound L1 = T1+B1 at one capacity, preferring to shed B1
 		// history; with B1 empty, T1 LRU pages fall out without
 		// ghosting, exactly as the original's Case IV-A else-branch.
-		for c.t1.bytes+c.b1.bytes+size > c.capacity {
-			if !c.b1.empty() {
+		for c.t1.Bytes+c.b1.Bytes+size > c.capacity {
+			if !c.b1.Empty() {
 				c.dropGhost(&c.b1)
-			} else if !c.t1.empty() {
+			} else if !c.t1.Empty() {
 				c.evicted(c.a.evictBack(&c.t1))
 			} else {
 				break
 			}
 		}
 		c.replace(false, size)
-		s = c.a.add(key, size) // seg 0 is arcT1
+		s = c.a.Add(key, entry{size: size}) // seg 0 is arcT1
 		c.a.pushFront(&c.t1, s)
 	}
 	c.trimDirectory()
@@ -115,9 +115,9 @@ func (c *ARC) Admit(key uint64, size int64, _ int) {
 // history.
 func (c *ARC) trimDirectory() {
 	for c.totalBytes() > 2*c.capacity {
-		if !c.b2.empty() {
+		if !c.b2.Empty() {
 			c.dropGhost(&c.b2)
-		} else if !c.b1.empty() {
+		} else if !c.b1.Empty() {
 			c.dropGhost(&c.b1)
 		} else {
 			return
@@ -129,12 +129,12 @@ func (c *ARC) trimDirectory() {
 // victims from T1 or T2 to the corresponding ghost list, per the ARC
 // REPLACE routine. inB2 biases the tie toward evicting from T1.
 func (c *ARC) replace(inB2 bool, size int64) {
-	for c.t1.bytes+c.t2.bytes+size > c.capacity {
-		fromT1 := !c.t1.empty() &&
-			(c.t1.bytes > c.p || (inB2 && c.t1.bytes == c.p) || c.t2.empty())
+	for c.t1.Bytes+c.t2.Bytes+size > c.capacity {
+		fromT1 := !c.t1.Empty() &&
+			(c.t1.Bytes > c.p || (inB2 && c.t1.Bytes == c.p) || c.t2.Empty())
 		if fromT1 {
 			c.ghost(&c.t1, &c.b1, arcB1)
-		} else if !c.t2.empty() {
+		} else if !c.t2.Empty() {
 			c.ghost(&c.t2, &c.b2, arcB2)
 		} else {
 			return
@@ -145,11 +145,11 @@ func (c *ARC) replace(inB2 bool, size int64) {
 // ghost moves the LRU entry of resident list from to the MRU end of
 // ghost list to, whose id is seg, and reports the eviction.
 func (c *ARC) ghost(from, to *dlist, seg int8) {
-	v := from.tail
+	v := from.Tail
 	c.a.unlink(from, v)
-	c.a.nodes[v].seg = seg
+	c.a.Val(v).seg = seg
 	c.a.pushFront(to, v)
-	c.evicted(c.a.nodes[v].key)
+	c.evicted(c.a.Key(v))
 }
 
 // dropGhost removes the LRU entry of a ghost list entirely.
@@ -171,20 +171,20 @@ func (c *ARC) listOf(seg int8) *dlist {
 }
 
 func (c *ARC) totalBytes() int64 {
-	return c.t1.bytes + c.t2.bytes + c.b1.bytes + c.b2.bytes
+	return c.t1.Bytes + c.t2.Bytes + c.b1.Bytes + c.b2.Bytes
 }
 
 // Contains implements Policy (resident lists only).
 func (c *ARC) Contains(key uint64) bool {
-	s := c.a.lookup(key)
-	return s != nilSlot && c.a.nodes[s].seg <= arcT2
+	s := c.a.Lookup(key)
+	return s != nilSlot && c.a.Val(s).seg <= arcT2
 }
 
 // Len implements Policy.
-func (c *ARC) Len() int { return c.t1.n + c.t2.n }
+func (c *ARC) Len() int { return c.t1.N + c.t2.N }
 
 // Used implements Policy.
-func (c *ARC) Used() int64 { return c.t1.bytes + c.t2.bytes }
+func (c *ARC) Used() int64 { return c.t1.Bytes + c.t2.Bytes }
 
 // Cap implements Policy.
 func (c *ARC) Cap() int64 { return c.capacity }
@@ -194,4 +194,4 @@ func (c *ARC) Cap() int64 { return c.capacity }
 func (c *ARC) Target() int64 { return c.p }
 
 // GhostBytes returns the byte volume of the B1 and B2 ghost lists.
-func (c *ARC) GhostBytes() (b1, b2 int64) { return c.b1.bytes, c.b2.bytes }
+func (c *ARC) GhostBytes() (b1, b2 int64) { return c.b1.Bytes, c.b2.Bytes }

@@ -16,11 +16,11 @@ func TestARCBasicHitMiss(t *testing.T) {
 func TestARCHitMovesToT2(t *testing.T) {
 	c := NewARC(100)
 	c.Admit(1, 10, 0)
-	if c.t2.n != 0 || c.t1.n != 1 {
+	if c.t2.N != 0 || c.t1.N != 1 {
 		t.Fatal("new object must start in T1")
 	}
 	c.Get(1, 0)
-	if c.t2.n != 1 || c.t1.n != 0 {
+	if c.t2.N != 1 || c.t1.N != 0 {
 		t.Fatal("hit must move object to T2")
 	}
 }
@@ -110,8 +110,8 @@ func TestARCCapacityInvariants(t *testing.T) {
 			t.Fatalf("step %d: resident %d > cap %d", i, c.Used(), c.Cap())
 		}
 		b1, b2 := c.GhostBytes()
-		if c.t1.bytes+b1 > c.Cap() {
-			t.Fatalf("step %d: |T1|+|B1| = %d > c", i, c.t1.bytes+b1)
+		if c.t1.Bytes+b1 > c.Cap() {
+			t.Fatalf("step %d: |T1|+|B1| = %d > c", i, c.t1.Bytes+b1)
 		}
 		if c.Used()+b1+b2 > 2*c.Cap() {
 			t.Fatalf("step %d: total directory %d > 2c", i, c.Used()+b1+b2)

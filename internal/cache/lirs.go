@@ -1,5 +1,7 @@
 package cache
 
+import "otacache/internal/slab"
+
 // LIRS (Jiang & Zhang, SIGMETRICS'02) ranks objects by Inter-Reference
 // Recency (IRR): the recency of an object's penultimate access. Objects
 // with low IRR are LIR ("low inter-reference recency") and protected;
@@ -25,7 +27,7 @@ type LIRS struct {
 	// non-resident ones are ghosts. Their byte counts are the resident
 	// HIR and the ghost footprints.
 	a     arena
-	q     []link
+	q     []slab.Link
 	stack dlist // S: recency stack, front = most recent
 	queue dlist // Q: resident HIR, back = next eviction victim
 	ghost dlist // FIFO of non-resident entries for ghost bounding
@@ -60,27 +62,27 @@ func NewLIRS(capacity int64, ratio float64) *LIRS {
 // pushStack puts x on top of the stack.
 func (c *LIRS) pushStack(x int32) {
 	c.a.pushFront(&c.stack, x)
-	c.a.nodes[x].inStack = true
+	c.a.Val(x).inStack = true
 }
 
 // popStack takes x out of the stack.
 func (c *LIRS) popStack(x int32) {
 	c.a.unlink(&c.stack, x)
-	c.a.nodes[x].inStack = false
+	c.a.Val(x).inStack = false
 }
 
 // enqueue puts x at the front of l, the queue or the ghost FIFO.
-func (c *LIRS) enqueue(l *dlist, x int32) { l.pushFront(c.q, x, c.a.nodes[x].size) }
+func (c *LIRS) enqueue(l *dlist, x int32) { l.PushFront(c.q, x, c.a.Val(x).size) }
 
 // dequeue takes x out of l, the queue or the ghost FIFO.
-func (c *LIRS) dequeue(l *dlist, x int32) { l.remove(c.q, x, c.a.nodes[x].size) }
+func (c *LIRS) dequeue(l *dlist, x int32) { l.Unlink(c.q, x, c.a.Val(x).size) }
 
 // add stores a new key in the arena with the given state.
 func (c *LIRS) add(key uint64, size int64, state int8) int32 {
-	x := c.a.add(key, size)
-	c.a.nodes[x].seg = state
-	for len(c.q) < len(c.a.links) {
-		c.q = append(c.q, link{})
+	x := c.a.Add(key, entry{size: size})
+	c.a.Val(x).seg = state
+	for len(c.q) < len(c.a.Links()) {
+		c.q = append(c.q, slab.Link{})
 	}
 	return x
 }
@@ -94,11 +96,11 @@ func (c *LIRS) LIRRatio() float64 { return float64(c.lirCap) / float64(c.capacit
 
 // Get implements Policy.
 func (c *LIRS) Get(key uint64, _ int) bool {
-	x := c.a.lookup(key)
-	if x == nilSlot || c.a.nodes[x].seg == stateHIRNonResident {
+	x := c.a.Lookup(key)
+	if x == nilSlot || c.a.Val(x).seg == stateHIRNonResident {
 		return false
 	}
-	switch n := &c.a.nodes[x]; n.seg {
+	switch n := c.a.Val(x); n.seg {
 	case stateLIR:
 		c.a.moveToFront(&c.stack, x)
 		c.prune()
@@ -126,8 +128,8 @@ func (c *LIRS) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	x := c.a.lookup(key)
-	if x != nilSlot && c.a.nodes[x].seg != stateHIRNonResident {
+	x := c.a.Lookup(key)
+	if x != nilSlot && c.a.Val(x).seg != stateHIRNonResident {
 		return
 	}
 	c.makeRoom(size)
@@ -135,17 +137,17 @@ func (c *LIRS) Admit(key uint64, size int64, _ int) {
 		// Making room can demote the stack's bottom LIR object and prune
 		// the ghost along with the HIR entries above it; then the key is
 		// new after all.
-		x = c.a.lookup(key)
+		x = c.a.Lookup(key)
 	}
 	if x != nilSlot {
 		// Non-resident ghost in the stack: its reuse distance beat the
 		// stack, so it enters as LIR.
 		c.dequeue(&c.ghost, x)
-		if c.a.nodes[x].inStack {
+		if c.a.Val(x).inStack {
 			c.popStack(x)
 		}
-		c.a.nodes[x].size = size
-		c.a.nodes[x].seg = stateLIR
+		c.a.Val(x).size = size
+		c.a.Val(x).seg = stateLIR
 		c.lirBytes += size
 		c.pushStack(x)
 		c.shrinkLIR()
@@ -165,17 +167,17 @@ func (c *LIRS) Admit(key uint64, size int64, _ int) {
 // makeRoom evicts resident HIR objects (queue back) until size fits;
 // if the queue runs dry it demotes the stack-bottom LIR first.
 func (c *LIRS) makeRoom(size int64) {
-	for c.lirBytes+c.queue.bytes+size > c.capacity {
-		if v := c.queue.tail; v != nilSlot {
+	for c.lirBytes+c.queue.Bytes+size > c.capacity {
+		if v := c.queue.Tail; v != nilSlot {
 			c.dequeue(&c.queue, v)
-			n := &c.a.nodes[v]
-			key := n.key
+			n := c.a.Val(v)
+			key := c.a.Key(v)
 			if n.inStack {
 				// Keep it in the stack as a non-resident ghost.
 				n.seg = stateHIRNonResident
 				c.enqueue(&c.ghost, v)
 			} else {
-				c.a.del(v)
+				c.a.Del(v)
 			}
 			c.evicted(key)
 			continue
@@ -200,13 +202,13 @@ func (c *LIRS) shrinkLIR() {
 // HIR queue entry. Returns false if there is no LIR object.
 func (c *LIRS) demoteBottomLIR() bool {
 	c.prune()
-	v := c.stack.tail
-	if v == nilSlot || c.a.nodes[v].seg != stateLIR {
+	v := c.stack.Tail
+	if v == nilSlot || c.a.Val(v).seg != stateLIR {
 		return false
 	}
 	c.popStack(v)
-	c.a.nodes[v].seg = stateHIRResident
-	c.lirBytes -= c.a.nodes[v].size
+	c.a.Val(v).seg = stateHIRResident
+	c.lirBytes -= c.a.Val(v).size
 	c.enqueue(&c.queue, v)
 	c.prune()
 	return true
@@ -217,14 +219,14 @@ func (c *LIRS) demoteBottomLIR() bool {
 // entries are forgotten entirely.
 func (c *LIRS) prune() {
 	for {
-		v := c.stack.tail
-		if v == nilSlot || c.a.nodes[v].seg == stateLIR {
+		v := c.stack.Tail
+		if v == nilSlot || c.a.Val(v).seg == stateLIR {
 			return
 		}
 		c.popStack(v)
-		if c.a.nodes[v].seg == stateHIRNonResident {
+		if c.a.Val(v).seg == stateHIRNonResident {
 			c.dequeue(&c.ghost, v)
-			c.a.del(v)
+			c.a.Del(v)
 		}
 		// Resident HIR entries stay in the queue, just not in the stack.
 	}
@@ -233,31 +235,31 @@ func (c *LIRS) prune() {
 // boundGhosts caps the non-resident stack footprint at one capacity of
 // bytes, dropping the oldest ghosts first.
 func (c *LIRS) boundGhosts() {
-	for c.ghost.bytes > c.capacity {
-		v := c.ghost.tail
+	for c.ghost.Bytes > c.capacity {
+		v := c.ghost.Tail
 		if v == nilSlot {
 			return
 		}
 		c.dequeue(&c.ghost, v)
-		if c.a.nodes[v].inStack {
+		if c.a.Val(v).inStack {
 			c.popStack(v)
 		}
-		c.a.del(v)
+		c.a.Del(v)
 		c.prune()
 	}
 }
 
 // Contains implements Policy (resident objects only).
 func (c *LIRS) Contains(key uint64) bool {
-	x := c.a.lookup(key)
-	return x != nilSlot && c.a.nodes[x].seg != stateHIRNonResident
+	x := c.a.Lookup(key)
+	return x != nilSlot && c.a.Val(x).seg != stateHIRNonResident
 }
 
 // Len implements Policy: every stored key that is not a ghost.
-func (c *LIRS) Len() int { return c.a.n - c.ghost.n }
+func (c *LIRS) Len() int { return c.a.Len() - c.ghost.N }
 
 // Used implements Policy.
-func (c *LIRS) Used() int64 { return c.lirBytes + c.queue.bytes }
+func (c *LIRS) Used() int64 { return c.lirBytes + c.queue.Bytes }
 
 // Cap implements Policy.
 func (c *LIRS) Cap() int64 { return c.capacity }
@@ -266,13 +268,13 @@ func (c *LIRS) Cap() int64 { return c.capacity }
 func (c *LIRS) LIRBytes() int64 { return c.lirBytes }
 
 // HIRBytes returns the resident HIR byte volume (for tests).
-func (c *LIRS) HIRBytes() int64 { return c.queue.bytes }
+func (c *LIRS) HIRBytes() int64 { return c.queue.Bytes }
 
 // GhostBytes returns the non-resident stack footprint (for tests).
-func (c *LIRS) GhostBytes() int64 { return c.ghost.bytes }
+func (c *LIRS) GhostBytes() int64 { return c.ghost.Bytes }
 
 // StackBottomIsLIR reports the LIRS pruning invariant (for tests).
 func (c *LIRS) StackBottomIsLIR() bool {
-	v := c.stack.tail
-	return v == nilSlot || c.a.nodes[v].seg == stateLIR
+	v := c.stack.Tail
+	return v == nilSlot || c.a.Val(v).seg == stateLIR
 }

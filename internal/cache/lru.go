@@ -21,7 +21,7 @@ func (c *LRU) Name() string { return "lru" }
 
 // Get implements Policy.
 func (c *LRU) Get(key uint64, _ int) bool {
-	s := c.a.lookup(key)
+	s := c.a.Lookup(key)
 	if s == nilSlot {
 		return false
 	}
@@ -34,25 +34,25 @@ func (c *LRU) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if c.a.lookup(key) != nilSlot {
+	if c.a.Lookup(key) != nilSlot {
 		return
 	}
-	for c.list.bytes+size > c.capacity {
+	for c.list.Bytes+size > c.capacity {
 		c.evicted(c.a.evictBack(&c.list))
 	}
-	c.a.pushFront(&c.list, c.a.add(key, size))
+	c.a.pushFront(&c.list, c.a.Add(key, entry{size: size}))
 }
 
 // Contains implements Policy.
 func (c *LRU) Contains(key uint64) bool {
-	return c.a.lookup(key) != nilSlot
+	return c.a.Lookup(key) != nilSlot
 }
 
 // Len implements Policy.
-func (c *LRU) Len() int { return c.list.n }
+func (c *LRU) Len() int { return c.list.N }
 
 // Used implements Policy.
-func (c *LRU) Used() int64 { return c.list.bytes }
+func (c *LRU) Used() int64 { return c.list.Bytes }
 
 // Cap implements Policy.
 func (c *LRU) Cap() int64 { return c.capacity }
@@ -77,7 +77,7 @@ func (c *FIFO) Name() string { return "fifo" }
 
 // Get implements Policy. A FIFO hit changes no state.
 func (c *FIFO) Get(key uint64, _ int) bool {
-	return c.a.lookup(key) != nilSlot
+	return c.a.Lookup(key) != nilSlot
 }
 
 // Admit implements Policy.
@@ -85,25 +85,25 @@ func (c *FIFO) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if c.a.lookup(key) != nilSlot {
+	if c.a.Lookup(key) != nilSlot {
 		return
 	}
-	for c.list.bytes+size > c.capacity {
+	for c.list.Bytes+size > c.capacity {
 		c.evicted(c.a.evictBack(&c.list))
 	}
-	c.a.pushFront(&c.list, c.a.add(key, size))
+	c.a.pushFront(&c.list, c.a.Add(key, entry{size: size}))
 }
 
 // Contains implements Policy.
 func (c *FIFO) Contains(key uint64) bool {
-	return c.a.lookup(key) != nilSlot
+	return c.a.Lookup(key) != nilSlot
 }
 
 // Len implements Policy.
-func (c *FIFO) Len() int { return c.list.n }
+func (c *FIFO) Len() int { return c.list.N }
 
 // Used implements Policy.
-func (c *FIFO) Used() int64 { return c.list.bytes }
+func (c *FIFO) Used() int64 { return c.list.Bytes }
 
 // Cap implements Policy.
 func (c *FIFO) Cap() int64 { return c.capacity }

@@ -31,46 +31,46 @@ func (c *FIFO) Remove(key uint64) bool {
 
 // removeFrom drops key from a single-list policy's arena and list.
 func removeFrom(a *arena, l *dlist, key uint64) bool {
-	s := a.lookup(key)
+	s := a.Lookup(key)
 	if s == nilSlot {
 		return false
 	}
 	a.unlink(l, s)
-	a.del(s)
+	a.Del(s)
 	return true
 }
 
 // Remove implements Remover.
 func (c *SLRU) Remove(key uint64) bool {
-	s := c.a.lookup(key)
+	s := c.a.Lookup(key)
 	if s == nilSlot {
 		return false
 	}
-	c.a.unlink(&c.segs[c.a.nodes[s].seg], s)
-	c.a.del(s)
+	c.a.unlink(&c.segs[c.a.Val(s).seg], s)
+	c.a.Del(s)
 	return true
 }
 
 // Remove implements Remover. Only resident (T1/T2) entries are
 // removable; ghost entries are history, not residency, and stay.
 func (c *ARC) Remove(key uint64) bool {
-	s := c.a.lookup(key)
-	if s == nilSlot || c.a.nodes[s].seg > arcT2 {
+	s := c.a.Lookup(key)
+	if s == nilSlot || c.a.Val(s).seg > arcT2 {
 		return false
 	}
-	c.a.unlink(c.listOf(c.a.nodes[s].seg), s)
-	c.a.del(s)
+	c.a.unlink(c.listOf(c.a.Val(s).seg), s)
+	c.a.Del(s)
 	return true
 }
 
 // Remove implements Remover. A removed LIR or resident-HIR object is
 // forgotten entirely (no ghost), and the stack invariant is re-pruned.
 func (c *LIRS) Remove(key uint64) bool {
-	x := c.a.lookup(key)
-	if x == nilSlot || c.a.nodes[x].seg == stateHIRNonResident {
+	x := c.a.Lookup(key)
+	if x == nilSlot || c.a.Val(x).seg == stateHIRNonResident {
 		return false
 	}
-	switch n := &c.a.nodes[x]; n.seg {
+	switch n := c.a.Val(x); n.seg {
 	case stateLIR:
 		c.lirBytes -= n.size
 		c.popStack(x)
@@ -80,7 +80,7 @@ func (c *LIRS) Remove(key uint64) bool {
 			c.popStack(x)
 		}
 	}
-	c.a.del(x)
+	c.a.Del(x)
 	// Removing a bottom LIR object can leave HIR entries at the stack
 	// bottom; restore the invariant.
 	c.prune()

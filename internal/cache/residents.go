@@ -1,5 +1,7 @@
 package cache
 
+import "otacache/internal/slab"
+
 // Ranger is the optional enumeration side of Policy: policies that can
 // walk their resident set implement it so a cache server can snapshot
 // residency for a crash-safe restart. Range visits every resident
@@ -21,9 +23,9 @@ type Ranger interface {
 
 // rangeList walks l, threaded through ln, from the eviction end to the
 // MRU end.
-func (a *arena) rangeList(l *dlist, ln []link, fn func(key uint64, size int64) bool) bool {
-	for s := l.tail; s != nilSlot; s = ln[s].prev {
-		if !fn(a.nodes[s].key, a.nodes[s].size) {
+func (a *arena) rangeList(l *dlist, ln []slab.Link, fn func(key uint64, size int64) bool) bool {
+	for s := range l.Backward(ln) {
+		if !fn(a.Key(s), a.Val(s).size) {
 			return false
 		}
 	}
@@ -32,19 +34,19 @@ func (a *arena) rangeList(l *dlist, ln []link, fn func(key uint64, size int64) b
 
 // Range implements Ranger: LRU end to MRU end.
 func (c *LRU) Range(fn func(key uint64, size int64) bool) {
-	c.a.rangeList(&c.list, c.a.links, fn)
+	c.a.rangeList(&c.list, c.a.Links(), fn)
 }
 
 // Range implements Ranger: oldest insertion to newest.
 func (c *FIFO) Range(fn func(key uint64, size int64) bool) {
-	c.a.rangeList(&c.list, c.a.links, fn)
+	c.a.rangeList(&c.list, c.a.Links(), fn)
 }
 
 // Range implements Ranger: probationary segment first (its LRU tail is
 // the global victim), then each more-protected segment, tail to head.
 func (c *SLRU) Range(fn func(key uint64, size int64) bool) {
 	for s := range c.segs {
-		if !c.a.rangeList(&c.segs[s], c.a.links, fn) {
+		if !c.a.rangeList(&c.segs[s], c.a.Links(), fn) {
 			return
 		}
 	}
@@ -54,8 +56,8 @@ func (c *SLRU) Range(fn func(key uint64, size int64) bool) {
 // adaptation target favors frequency), then the frequency list T2, each
 // tail to head. Ghost entries are not resident and are not visited.
 func (c *ARC) Range(fn func(key uint64, size int64) bool) {
-	if c.a.rangeList(&c.t1, c.a.links, fn) {
-		c.a.rangeList(&c.t2, c.a.links, fn)
+	if c.a.rangeList(&c.t1, c.a.Links(), fn) {
+		c.a.rangeList(&c.t2, c.a.Links(), fn)
 	}
 }
 
@@ -67,8 +69,8 @@ func (c *LIRS) Range(fn func(key uint64, size int64) bool) {
 	if !c.a.rangeList(&c.queue, c.q, fn) {
 		return
 	}
-	for x := c.stack.tail; x != nilSlot; x = c.a.links[x].prev {
-		if n := &c.a.nodes[x]; n.seg == stateLIR && !fn(n.key, n.size) {
+	for x := range c.stack.Backward(c.a.Links()) {
+		if n := c.a.Val(x); n.seg == stateLIR && !fn(c.a.Key(x), n.size) {
 			return
 		}
 	}

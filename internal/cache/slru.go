@@ -49,14 +49,14 @@ func (c *SLRU) Name() string {
 
 // Get implements Policy.
 func (c *SLRU) Get(key uint64, _ int) bool {
-	s := c.a.lookup(key)
+	s := c.a.Lookup(key)
 	if s == nilSlot {
 		return false
 	}
-	from := int(c.a.nodes[s].seg)
+	from := int(c.a.Val(s).seg)
 	to := min(from+1, len(c.segs)-1)
 	c.a.unlink(&c.segs[from], s)
-	c.a.nodes[s].seg = int8(to)
+	c.a.Val(s).seg = int8(to)
 	c.a.pushFront(&c.segs[to], s)
 	c.rebalance(to)
 	return true
@@ -67,10 +67,10 @@ func (c *SLRU) Admit(key uint64, size int64, _ int) {
 	if size > c.capacity {
 		return
 	}
-	if c.a.lookup(key) != nilSlot {
+	if c.a.Lookup(key) != nilSlot {
 		return
 	}
-	c.a.pushFront(&c.segs[0], c.a.add(key, size))
+	c.a.pushFront(&c.segs[0], c.a.Add(key, entry{size: size}))
 	c.rebalance(0)
 	// Inserting into segment 0 can still exceed the total capacity when
 	// upper segments hold surplus from promotions; trim globally from
@@ -87,14 +87,14 @@ func (c *SLRU) rebalance(i int) {
 		// A segment may temporarily hold a single object larger than its
 		// budget (photo sizes can exceed capacity/k); the global trim in
 		// Admit still enforces the total capacity.
-		for c.segs[s].bytes > c.segCap[s] && c.segs[s].n > 1 {
+		for c.segs[s].Bytes > c.segCap[s] && c.segs[s].N > 1 {
 			if s == 0 {
 				c.evicted(c.a.evictBack(&c.segs[0]))
 				continue
 			}
-			victim := c.segs[s].tail
+			victim := c.segs[s].Tail
 			c.a.unlink(&c.segs[s], victim)
-			c.a.nodes[victim].seg = int8(s - 1)
+			c.a.Val(victim).seg = int8(s - 1)
 			c.a.pushFront(&c.segs[s-1], victim)
 		}
 	}
@@ -103,7 +103,7 @@ func (c *SLRU) rebalance(i int) {
 // evictLowest removes one object from the lowest non-empty segment.
 func (c *SLRU) evictLowest() {
 	for s := 0; s < len(c.segs); s++ {
-		if c.segs[s].n > 0 {
+		if c.segs[s].N > 0 {
 			c.evicted(c.a.evictBack(&c.segs[s]))
 			return
 		}
@@ -112,17 +112,17 @@ func (c *SLRU) evictLowest() {
 
 // Contains implements Policy.
 func (c *SLRU) Contains(key uint64) bool {
-	return c.a.lookup(key) != nilSlot
+	return c.a.Lookup(key) != nilSlot
 }
 
 // Len implements Policy.
-func (c *SLRU) Len() int { return c.a.n }
+func (c *SLRU) Len() int { return c.a.Len() }
 
 // Used implements Policy.
 func (c *SLRU) Used() int64 {
 	var b int64
 	for i := range c.segs {
-		b += c.segs[i].bytes
+		b += c.segs[i].Bytes
 	}
 	return b
 }
@@ -132,4 +132,4 @@ func (c *SLRU) Cap() int64 { return c.capacity }
 
 // SegmentBytes returns the resident bytes of segment i (for tests and
 // introspection).
-func (c *SLRU) SegmentBytes(i int) int64 { return c.segs[i].bytes }
+func (c *SLRU) SegmentBytes(i int) int64 { return c.segs[i].Bytes }

@@ -20,12 +20,12 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"otacache/internal/labeling"
 	"otacache/internal/mlcore"
+	"otacache/internal/slab"
 	"otacache/internal/trace"
 )
 
@@ -112,12 +112,9 @@ func (o *OracleAdmission) Decide(_ uint64, tick int, _ []float64) Decision {
 // evicts the oldest entry.
 //
 // Its memory is fixed at construction too, and no operation allocates:
-// a slab of capacity slots holds the live records, doubly linked from
-// oldest to newest insertion with the unused slots on a free list, and
-// a linear-probing index of int32 slot numbers (a power of two at least
-// twice the capacity, so it is at most half full) maps keys to slots.
-// Removal unlinks the slot and closes the index hole by backward shift,
-// so there are no tombstones and no stale FIFO entries to skip.
+// the entries live in a slab.Arena made for capacity keys, on one FIFO
+// list with the newest insertion at the front, so eviction takes the
+// back.
 //
 // All methods are safe for concurrent use. The consult-and-update step
 // of the admission workflow needs more than per-method atomicity, so
@@ -125,48 +122,19 @@ func (o *OracleAdmission) Decide(_ uint64, tick int, _ []float64) Decision {
 type HistoryTable struct {
 	mu       sync.Mutex
 	capacity int
-	slots    []htSlot
-	index    []int32 // slot number per bucket, -1 = empty
-	shift    uint    // 64 - log2(len(index)), for Fibonacci hashing
-	head     int32   // oldest live slot, -1 when empty
-	tail     int32   // newest live slot, -1 when empty
-	free     int32   // first unused slot, chained through next
-	n        int
+	a        slab.Arena[bypass]
+	fifo     slab.List
 }
 
-type htSlot struct {
-	key        uint64
-	tick       int
-	prev, next int32
-}
-
-// maxTableCapacity keeps slot numbers inside int32.
-const maxTableCapacity = 1 << 30
+// bypass is a history-table entry's payload: the tick of the key's
+// latest bypass.
+type bypass struct{ tick int }
 
 // NewHistoryTable returns an empty table. capacity is clamped to
 // [1, 2^30].
 func NewHistoryTable(capacity int) *HistoryTable {
-	capacity = max(1, min(capacity, maxTableCapacity))
-	buckets := 2
-	for buckets < 2*capacity {
-		buckets <<= 1
-	}
-	t := &HistoryTable{
-		capacity: capacity,
-		slots:    make([]htSlot, capacity),
-		index:    make([]int32, buckets),
-		shift:    uint(64 - bits.TrailingZeros(uint(buckets))),
-		head:     -1,
-		tail:     -1,
-	}
-	for i := range t.slots {
-		t.slots[i].next = int32(i + 1)
-	}
-	t.slots[capacity-1].next = -1
-	for i := range t.index {
-		t.index[i] = -1
-	}
-	return t
+	capacity = max(1, min(capacity, slab.MaxSlots))
+	return &HistoryTable{capacity: capacity, a: slab.Make[bypass](capacity)}
 }
 
 // TableCapacity returns the paper's sizing rule M·(1-h)·p·0.05
@@ -183,7 +151,7 @@ func TableCapacity(crit labeling.Criteria) int {
 func (t *HistoryTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.fifo.N
 }
 
 // Capacity returns the configured bound.
@@ -193,8 +161,8 @@ func (t *HistoryTable) Capacity() int { return t.capacity }
 func (t *HistoryTable) Lookup(key uint64) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, s := t.find(key); s >= 0 {
-		return t.slots[s].tick, true
+	if s := t.a.Lookup(key); s != slab.Nil {
+		return t.a.Val(s).tick, true
 	}
 	return 0, false
 }
@@ -206,16 +174,15 @@ func (t *HistoryTable) Lookup(key uint64) (int, bool) {
 func (t *HistoryTable) Insert(key uint64, tick int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos, s := t.find(key)
-	t.put(key, tick, pos, s)
+	t.put(key, tick, t.a.Lookup(key))
 }
 
 // Remove deletes key if present.
 func (t *HistoryTable) Remove(key uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pos, s := t.find(key); s >= 0 {
-		t.drop(pos, s)
+	if s := t.a.Lookup(key); s != slab.Nil {
+		t.drop(s)
 	}
 }
 
@@ -229,12 +196,12 @@ func (t *HistoryTable) Remove(key uint64) {
 func (t *HistoryTable) Rectify(key uint64, tick, m int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos, s := t.find(key)
-	if s >= 0 && tick-t.slots[s].tick < m {
-		t.drop(pos, s)
+	s := t.a.Lookup(key)
+	if s != slab.Nil && tick-t.a.Val(s).tick < m {
+		t.drop(s)
 		return true
 	}
-	t.put(key, tick, pos, s)
+	t.put(key, tick, s)
 	return false
 }
 
@@ -251,86 +218,32 @@ type TableEntry struct {
 func (t *HistoryTable) Entries() []TableEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]TableEntry, 0, t.n)
-	for s := t.head; s >= 0; s = t.slots[s].next {
-		out = append(out, TableEntry{Key: t.slots[s].key, Tick: t.slots[s].tick})
+	out := make([]TableEntry, 0, t.fifo.N)
+	for s := range t.fifo.Backward(t.a.Links()) {
+		out = append(out, TableEntry{Key: t.a.Key(s), Tick: t.a.Val(s).tick})
 	}
 	return out
 }
 
-// home is key's preferred bucket.
-func (t *HistoryTable) home(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
-}
-
-// find returns key's bucket and slot, or, when key is absent, the empty
-// bucket where it would go and slot -1. The index is at most half full,
-// so the probe always ends.
-func (t *HistoryTable) find(key uint64) (int, int32) {
-	mask := len(t.index) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		s := t.index[i]
-		if s < 0 || t.slots[s].key == key {
-			return i, s
-		}
-	}
-}
-
-// put records key at tick given find's result for it: a present key
-// (s >= 0) is refreshed in place; an absent one takes a free slot at the
-// newest end, first evicting the oldest entry when the table is full.
-func (t *HistoryTable) put(key uint64, tick int, pos int, s int32) {
-	if s >= 0 {
-		t.slots[s].tick = tick
+// put records key at tick given its slot s: a present key is refreshed
+// in place; an absent one (s is slab.Nil) goes to the front, first
+// evicting the back entry when the table is full.
+func (t *HistoryTable) put(key uint64, tick int, s int32) {
+	if s != slab.Nil {
+		t.a.Val(s).tick = tick
 		return
 	}
-	if t.n == t.capacity {
-		t.drop(t.find(t.slots[t.head].key))
-		pos, _ = t.find(key) // the eviction may have shifted key's bucket
+	if t.fifo.N == t.capacity {
+		t.a.EvictBack(&t.fifo, 0)
 	}
-	s = t.free
-	t.free = t.slots[s].next
-	t.slots[s] = htSlot{key: key, tick: tick, prev: t.tail, next: -1}
-	if t.tail >= 0 {
-		t.slots[t.tail].next = s
-	} else {
-		t.head = s
-	}
-	t.tail = s
-	t.index[pos] = s
-	t.n++
+	s = t.a.Add(key, bypass{tick}) // Add may lengthen Links, so it goes first
+	t.fifo.PushFront(t.a.Links(), s, 0)
 }
 
-// drop removes slot s, found at bucket pos, from the index and the FIFO
-// list and returns it to the free list.
-func (t *HistoryTable) drop(pos int, s int32) {
-	// Backward-shift deletion: walk the cluster after the hole and move
-	// back every entry whose home bucket does not lie in (hole, j], so
-	// each remaining key stays reachable from its home without
-	// tombstones.
-	mask := len(t.index) - 1
-	for j := (pos + 1) & mask; t.index[j] >= 0; j = (j + 1) & mask {
-		if (j-t.home(t.slots[t.index[j]].key))&mask >= (j-pos)&mask {
-			t.index[pos] = t.index[j]
-			pos = j
-		}
-	}
-	t.index[pos] = -1
-
-	e := &t.slots[s]
-	if e.prev >= 0 {
-		t.slots[e.prev].next = e.next
-	} else {
-		t.head = e.next
-	}
-	if e.next >= 0 {
-		t.slots[e.next].prev = e.prev
-	} else {
-		t.tail = e.prev
-	}
-	e.next = t.free
-	t.free = s
-	t.n--
+// drop removes slot s from the FIFO list and the arena.
+func (t *HistoryTable) drop(s int32) {
+	t.fifo.Unlink(t.a.Links(), s, 0)
+	t.a.Del(s)
 }
 
 // ClassifierAdmission is the paper's classification system ("Proposal"

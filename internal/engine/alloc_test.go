@@ -296,6 +296,38 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("HistoryTableFillFromEmpty", func(t *testing.T) {
+		// newDecider's table is prefilled, so a table that grew on first
+		// use would pass the subtests above. Here every run takes a table
+		// fresh from NewHistoryTable and fills it through twice its
+		// capacity, then rectifies half of what is left and removes the
+		// rest: its memory must be fixed at construction.
+		const capacity, runs = 64, 20
+		tables := make([]*core.HistoryTable, runs+1)
+		for i := range tables {
+			tables[i] = core.NewHistoryTable(capacity)
+		}
+		next := 0
+		if n := testing.AllocsPerRun(runs, func() {
+			table := tables[next]
+			next++
+			for k := range uint64(2 * capacity) {
+				table.Insert(k, int(k))
+			}
+			for k := uint64(capacity); k < 2*capacity; k += 2 {
+				if !table.Rectify(k, 2*capacity, 2*capacity) {
+					t.Fatalf("key %d not rectified", k)
+				}
+				table.Remove(k + 1)
+			}
+			if table.Len() != 0 {
+				t.Fatalf("table holds %d entries, want 0", table.Len())
+			}
+		}); n != 0 {
+			t.Errorf("filling a fresh history table allocates %.1f/run, want 0", n)
+		}
+	})
+
 	t.Run("ShardFor", func(t *testing.T) {
 		srv := newSharded(t)
 		if n := testing.AllocsPerRun(200, func() {

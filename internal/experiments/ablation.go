@@ -52,7 +52,6 @@ func (e *Env) Ablations() (*AblationResult, error) {
 			c.FeatureCols = allFeatureCols()
 		}},
 		{"online incremental model", func(c *sim.Config) { c.OnlineLearning = true }},
-		{"binned (histogram) training", func(c *sim.Config) { c.BinnedTraining = true }},
 		// Criteria robustness: how sensitive is the system to a badly
 		// mis-estimated hit rate h in M = C/(S(1-h)(1-p))?
 		{"h underestimated (0.2)", func(c *sim.Config) { c.HitRateEstimate = 0.2 }},

@@ -171,8 +171,7 @@ type candidate struct {
 	n     *node
 	idx   []int // row indices reaching the node, in row order
 	depth int
-	// lo and hi bound the node's range in every presorted column
-	// (Train only; TrainBinned leaves them zero).
+	// lo and hi bound the node's range in every presorted column.
 	lo, hi int
 	// best split found for this node:
 	gain      float64

@@ -212,9 +212,6 @@ func TestTrainRejectsNonFinite(t *testing.T) {
 	if _, err := Train(d, Default(2)); err == nil {
 		t.Fatal("Train accepted NaN features")
 	}
-	if _, err := TrainBinned(d, Default(2), 64); err == nil {
-		t.Fatal("TrainBinned accepted NaN features")
-	}
 	for i := range d.X {
 		if math.IsNaN(d.X[i][0]) {
 			d.X[i][0] = math.Inf(1)

@@ -154,10 +154,15 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(valid[:cut])
 	}
 	// Corruptions only a complete decode can see: each presence byte
-	// set to 2, and a trailing byte.
-	for _, off := range presenceOffsets(f, valid) {
+	// set to 2, a table tick outside [0, header tick], and a trailing
+	// byte.
+	presence, _ := presenceOffsets(f, valid)
+	for _, off := range presence {
 		b := bytes.Clone(valid)
 		b[off] = 2
+		f.Add(b)
+	}
+	for _, b := range corruptTicks(f, valid) {
 		f.Add(b)
 	}
 	f.Add(append(bytes.Clone(valid), 0))

@@ -386,6 +386,10 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 				if err := get(&etick); err != nil {
 					return res, fmt.Errorf("snapshot: shard %d table entry %d/%d: %w", si, i, count, err)
 				}
+				// Every tick was handed out before the header's was read.
+				if etick < 0 || etick > tick {
+					return res, fmt.Errorf("snapshot: shard %d table entry %d has tick %d outside [0, %d]", si, i, etick, tick)
+				}
 				dest := srv.ShardFor(key)
 				if hasDest[dest] {
 					pending[dest] = append(pending[dest], restoreRec{key: key, val: etick, table: true})

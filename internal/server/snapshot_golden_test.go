@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"testing"
@@ -84,25 +85,28 @@ func goldenSnapshot(tb testing.TB) []byte {
 }
 
 // presenceOffsets walks a snapshot written by the golden fixture and
-// returns the offset of every presence byte, two per shard section. It
-// fails unless the walk ends exactly at the end of b.
-func presenceOffsets(tb testing.TB, b []byte) []int {
+// returns the offset of every presence byte, two per shard section, and
+// of every history-table entry's tick. It fails unless the walk ends
+// exactly at the end of b.
+func presenceOffsets(tb testing.TB, b []byte) (presence, ticks []int) {
 	tb.Helper()
 	var tree bytes.Buffer
 	if _, err := findAdmission(goldenEngine(tb).Shards()[1].Filter()).Classifier().(*cart.Tree).WriteTo(&tree); err != nil {
 		tb.Fatal(err)
 	}
 	count := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
-	var offs []int
 	off := 20 // magic, version, tick, shard count
 	for range binary.LittleEndian.Uint32(b[16:]) {
 		off += 8 + 16*count(off)
-		offs = append(offs, off)
+		presence = append(presence, off)
 		if b[off] == 1 {
+			for i := range count(off + 1) {
+				ticks = append(ticks, off+9+16*i+8)
+			}
 			off += 8 + 16*count(off+1)
 		}
 		off++
-		offs = append(offs, off)
+		presence = append(presence, off)
 		if b[off] == 1 {
 			off += tree.Len()
 		}
@@ -111,7 +115,28 @@ func presenceOffsets(tb testing.TB, b []byte) []int {
 	if off != len(b) {
 		tb.Fatalf("snapshot layout walk ends at byte %d of %d", off, len(b))
 	}
-	return offs
+	return presence, ticks
+}
+
+// corruptTicks returns copies of a golden snapshot whose first
+// history-table entry has a tick no server could have handed out: the
+// most negative one, and one a million past the header's tick.
+func corruptTicks(tb testing.TB, golden []byte) map[string][]byte {
+	tb.Helper()
+	_, ticks := presenceOffsets(tb, golden)
+	if len(ticks) == 0 {
+		tb.Fatal("golden snapshot has no table entries")
+	}
+	out := map[string][]byte{}
+	for name, tick := range map[string]int64{
+		"negative table tick":        math.MinInt64,
+		"table tick past the header": int64(binary.LittleEndian.Uint64(golden[8:])) + 1e6,
+	} {
+		b := slices.Clone(golden)
+		binary.LittleEndian.PutUint64(b[ticks[0]:], uint64(tick))
+		out[name] = b
+	}
+	return out
 }
 
 // residents lists a shard's resident keys in Range (cold-to-hot) order.
@@ -226,14 +251,17 @@ func TestReadSnapshotTruncationLeavesCold(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRejectsCorruption pins the two corruptions a
+// TestReadSnapshotRejectsCorruption pins the corruptions a
 // length-prefixed decode cannot notice by running out of bytes: a
-// presence byte other than 0 or 1, and bytes after the last shard
-// section. Each must be rejected with the target exactly cold.
+// presence byte other than 0 or 1, a history-table tick below zero or
+// past the header's, and bytes after the last shard section. Each must
+// be rejected with the target exactly cold.
 func TestReadSnapshotRejectsCorruption(t *testing.T) {
 	golden := goldenSnapshot(t)
-	cases := map[string][]byte{"trailing byte": append(slices.Clone(golden), 0)}
-	for _, off := range presenceOffsets(t, golden) {
+	cases := corruptTicks(t, golden)
+	cases["trailing byte"] = append(slices.Clone(golden), 0)
+	presence, _ := presenceOffsets(t, golden)
+	for _, off := range presence {
 		b := slices.Clone(golden)
 		b[off] = 2
 		cases[fmt.Sprintf("presence byte %d set to 2", off)] = b

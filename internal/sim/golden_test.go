@@ -208,7 +208,7 @@ func TestGoldenEquivalence(t *testing.T) {
 
 // TestGoldenEquivalenceVariants covers the configuration corners the
 // grid above misses: online learning, disabled history table, score
-// thresholds, size-aware latency, binned training, disabled retraining.
+// thresholds, size-aware latency, disabled retraining.
 func TestGoldenEquivalenceVariants(t *testing.T) {
 	r := runner(t)
 	capacity := capFor(t, 0.12)
@@ -220,7 +220,6 @@ func TestGoldenEquivalenceVariants(t *testing.T) {
 		{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 11, DisableHistoryTable: true},
 		{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 11, CostV: 1, ScoreThreshold: 0.7},
 		{Policy: "fifo", CacheBytes: capacity, Mode: ModeOriginal, Latency: sizeLat},
-		{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 11, BinnedTraining: true},
 		{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 11, RetrainHour: RetrainDisabled},
 		{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 11, RetrainHour: RetrainMidnight},
 	}

@@ -13,7 +13,6 @@ import (
 	"otacache/internal/engine"
 	"otacache/internal/features"
 	"otacache/internal/labeling"
-	"otacache/internal/ml/cart"
 	"otacache/internal/mlcore"
 	"otacache/internal/trace"
 )
@@ -100,12 +99,6 @@ type Config struct {
 	// point on the classifier's ROC curve (an alternative to the cost
 	// matrix). Only meaningful in ModeProposal.
 	ScoreThreshold float64
-	// BinnedTraining uses the histogram CART trainer (cart.TrainBinned)
-	// for the bootstrap and daily retraining, trading exact thresholds
-	// for bucket boundaries. It is no faster than the presorted exact
-	// trainer (9.7 against 9.2 ms on the Table 1 sample). Only
-	// meaningful in ModeProposal.
-	BinnedTraining bool
 }
 
 // Config.RetrainHour sentinels. An int field's zero value cannot
@@ -504,11 +497,6 @@ func (r *Runner) trainTree(cfg Config, d *mlcore.Dataset) (mlcore.Classifier, er
 	neg, pos := d.CountLabels()
 	if neg == 0 || pos == 0 {
 		return nil, fmt.Errorf("sim: degenerate training set (%d neg / %d pos)", neg, pos)
-	}
-	if cfg.BinnedTraining {
-		treeCfg := cart.Default(cfg.CostV)
-		treeCfg.MaxSplits = cfg.TreeMaxSplits
-		return cart.TrainBinned(d, treeCfg, 64)
 	}
 	return core.TrainTree(d, cfg.CostV)
 }

@@ -497,25 +497,3 @@ func TestSizeAwareLatency(t *testing.T) {
 		t.Fatalf("size-aware latency delta %.6f != closed form %.6f", gotExtra, wantExtra)
 	}
 }
-
-func TestBinnedTrainingMode(t *testing.T) {
-	r := runner(t)
-	capacity := capFor(t, 0.1)
-	exact, err := r.Run(Config{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binned, err := r.Run(Config{Policy: "lru", CacheBytes: capacity, Mode: ModeProposal, Seed: 9, BinnedTraining: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The faster trainer must land in the same quality ballpark.
-	if math.Abs(binned.FileHitRate()-exact.FileHitRate()) > 0.03 {
-		t.Fatalf("binned training hit rate %.4f diverges from exact %.4f",
-			binned.FileHitRate(), exact.FileHitRate())
-	}
-	if binned.Quality.Overall.Precision() < exact.Quality.Overall.Precision()-0.08 {
-		t.Fatalf("binned precision collapsed: %.4f vs %.4f",
-			binned.Quality.Overall.Precision(), exact.Quality.Overall.Precision())
-	}
-}
