@@ -45,7 +45,6 @@ func main() {
 		{"aggressive cost (v=5)", func(c *otacache.SimConfig) { c.CostV = 5 }},
 		{"no daily retraining", func(c *otacache.SimConfig) { c.RetrainHour = -1 }},
 		{"single M iteration", func(c *otacache.SimConfig) { c.MIterations = 1 }},
-		{"tiny tree (5 splits)", func(c *otacache.SimConfig) { c.TreeMaxSplits = 5 }},
 		{"all nine features", func(c *otacache.SimConfig) {
 			c.FeatureCols = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 		}},

@@ -32,11 +32,19 @@ func (featureStub) Score(x []float64) float64 { return x[0] }
 //
 //   - Engine.Lookup, Get and Offer (hit, instrumented hit, evicting miss);
 //   - flash.Store.ReadExtent down to readRecord (flash-attached hit);
+//   - flash.Store.Write and Invalidate, the collector's passes and the
+//     device's erases (evicting miss with a store attached);
 //   - the obs record path: Sampler.Hit, Histogram.Record, recorderShard,
 //     bucketIndex (instrumented hit, observed flash hit);
 //   - ShardedEngine.Lookup, Get, Offer and ShardFor, and cluster.Ring's
 //     Server under them (the sharded subtests);
 //   - the classifier decision behind a healthy breaker.
+//
+// AllocsPerRun divides the mallocs by the runs as integers, so a path
+// that allocates once in ten calls reads as 0. A shape with work that
+// runs only now and then, like a collection pass every few dozen
+// misses, is therefore measured in batches of 1 000 calls per run, and
+// any rate of 0.001 allocations per call or more fails.
 //
 // A new allocation anywhere on these paths fails here, plain and under
 // -race.
@@ -120,6 +128,46 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if p := eng.Policy(); p.Used()+size <= p.Cap() {
 			t.Fatalf("policy holds %d of %d bytes: misses did not evict", p.Used(), p.Cap())
+		}
+	})
+
+	t.Run("EngineLookupMissFlashGC", func(t *testing.T) {
+		// Evicting misses with a store attached: each eviction
+		// invalidates an extent, each admission programs one, and every
+		// 16 misses the collector erases a segment. Every fourth miss
+		// also re-reads the key admitted 150 misses earlier, so the LRU
+		// keeps some old extents live and collection relocates them.
+		// Batched, because the collector's share is a fraction of an
+		// allocation per miss.
+		const batch, runs = 1000, 20
+		eng := newShard()
+		if err := AttachFlash(eng, 64<<10, 1.25); err != nil {
+			t.Fatal(err)
+		}
+		next := uint64(1 << 32)
+		misses := func() {
+			for range batch {
+				next++
+				if out := eng.Lookup(next, size, eng.NextTick(), nil); out.Hit || !out.Written {
+					t.Fatalf("new key not admitted on a miss: %+v", out)
+				}
+				if next%4 == 0 {
+					eng.Lookup(next-150, size, eng.NextTick(), nil)
+				}
+			}
+		}
+		for range 10 {
+			misses()
+		}
+		fs := eng.Flash()
+		before := fs.Stats()
+		if n := testing.AllocsPerRun(runs, misses); n != 0 {
+			t.Errorf("%d admitting misses with a store attached allocate %.0f times, want 0", batch, n)
+		}
+		after := fs.Stats()
+		if after.Erases == before.Erases || after.Relocations == before.Relocations {
+			t.Fatalf("no collection during the measured runs: erases %d -> %d, relocations %d -> %d",
+				before.Erases, after.Erases, before.Relocations, after.Relocations)
 		}
 	})
 

@@ -47,7 +47,6 @@ func (e *Env) Ablations() (*AblationResult, error) {
 		{"no retraining", func(c *sim.Config) { c.RetrainHour = -1 }},
 		{"M 1 iteration", func(c *sim.Config) { c.MIterations = 1 }},
 		{"M 6 iterations", func(c *sim.Config) { c.MIterations = 6 }},
-		{"tree 5 splits", func(c *sim.Config) { c.TreeMaxSplits = 5 }},
 		{"all 9 features", func(c *sim.Config) {
 			c.FeatureCols = allFeatureCols()
 		}},

@@ -304,7 +304,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows) != 13 {
+	if len(a.Rows) != 12 {
 		t.Fatalf("%d ablation rows", len(a.Rows))
 	}
 	byName := map[string]AblationRow{}
@@ -385,7 +385,7 @@ func TestCSVEmitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(a.CSV(), "\n"); n != 14 {
+	if n := strings.Count(a.CSV(), "\n"); n != 13 {
 		t.Fatalf("ablation CSV has %d lines", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"otacache/internal/slab"
 )
 
 // scriptDev wraps the in-memory device with call-indexed failure
@@ -52,12 +54,13 @@ func extentLoc(t *testing.T, s *Store, key uint64) (seg int, physOff, physLen in
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.index[key]
-	if !ok {
+	i := s.index.Lookup(key)
+	if i == slab.Nil {
 		t.Fatalf("key %d has no live extent", key)
 	}
+	l := *s.index.Val(i)
 	o := s.segs[l.seg].objs[l.slot]
-	return l.seg, o.physOff, o.physLen
+	return int(l.seg), o.physOff, o.physLen
 }
 
 // corruptByte flips one payload byte of key's record directly in the

@@ -25,13 +25,14 @@
 // Below the store sits a Device — the raw program/read/erase seam.
 // Real NAND fails: reads come back uncorrectable, programs and erases
 // fail as blocks wear out. The store defends itself the way an SSD
-// FTL does: every extent is written as a checksummed record and
-// verified on read; a failed program or erase retires the block into
-// a finite spare pool, relocating its live extents; a scrub pass
-// (ScrubStep) walks sealed segments and drops extents whose checksums
-// no longer verify, so silent corruption is found before a client
-// asks for it. When retirements exhaust the spare pool the device is
-// end-of-life (Exhausted) and the serving layer flips unready.
+// FTL does: every extent is written as a record checksummed with
+// CRC-32C (Castagnoli) and verified on read; a failed program or erase
+// retires the block into a finite spare pool, relocating its live
+// extents; a scrub pass (ScrubStep) walks sealed segments and drops
+// extents whose checksums no longer verify, so silent corruption is
+// found before a client asks for it. When retirements exhaust the
+// spare pool the device is end-of-life (Exhausted) and the serving
+// layer flips unready.
 //
 // A Store is safe for concurrent use; the serving stack runs one store
 // per engine shard, so the single mutex shards with the engines.
@@ -44,6 +45,8 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+
+	"otacache/internal/slab"
 )
 
 // minSegments is the smallest segment count a store operates with: the
@@ -57,6 +60,11 @@ const minSegments = 4
 // area — they do not consume the logical segment budget, only the
 // device's physical image.
 const recHeaderSize = 16
+
+// castagnoli is the CRC-32C table every record is checksummed with; the
+// crc32 package computes it with the SSE4.2 (or ARMv8) CRC instruction
+// where the CPU has one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors for the write and read paths.
 var (
@@ -97,8 +105,12 @@ type Device interface {
 }
 
 // memDevice is the default in-RAM Device: one lazily grown byte slice
-// per segment. An erase frees the image, so a block's footprint follows
-// what its current lap programmed, not its high-water mark.
+// per segment. An erase truncates the image and keeps its capacity, so
+// erasing allocates nothing and the next lap appends into the same
+// bytes. A block's footprint is therefore its largest lap, not its
+// current one: next to an erase that freed the image, the device holds
+// up to the free pool times the bytes one lap programs (the segment
+// size plus a 16-byte record header per extent) more.
 type memDevice struct {
 	segs [][]byte
 }
@@ -140,7 +152,7 @@ func (d *memDevice) Erase(seg int) error {
 	if seg < 0 || seg >= len(d.segs) {
 		return fmt.Errorf("flash: erase out of range: segment %d", seg)
 	}
-	d.segs[seg] = nil
+	d.segs[seg] = d.segs[seg][:0]
 	return nil
 }
 
@@ -231,10 +243,10 @@ func (s Stats) WAF() float64 {
 }
 
 // loc addresses one live object: a segment and a slot in its append
-// order.
+// order. It is the payload of the store's index.
 type loc struct {
-	seg  int
-	slot int
+	seg  int32
+	slot int32
 }
 
 // obj is one appended extent inside a segment.
@@ -265,7 +277,8 @@ type segment struct {
 	retired bool
 }
 
-// relocObj is one extent queued for relocation off a retiring block.
+// relocObj is one extent staged for relocation: off a collection
+// victim (Store.keep) or off a retiring block (Store.relocq).
 type relocObj struct {
 	key     uint64
 	size    int64
@@ -286,13 +299,19 @@ type Store struct {
 	// attachment may race serving traffic.
 	obsv atomic.Pointer[Observer]
 
-	mu      sync.Mutex
-	segs    []*segment
-	free    []int // erased segment ids, LIFO
-	active  int   // log head segment id
-	index   map[uint64]loc
-	relocq  []relocObj // extents awaiting relocation off retired blocks
-	scrubAt int        // next segment the scrubber visits
+	mu     sync.Mutex
+	segs   []*segment
+	free   []int // erased segment ids, LIFO
+	active int   // log head segment id
+	// index maps each key with a live extent to its loc. It grows to the
+	// most extents ever live at once and then allocates no more.
+	index  slab.Arena[loc]
+	relocq []relocObj // extents awaiting relocation off retired blocks
+	// keep and keepData stage one collection pass's survivors and their
+	// payloads; each pass clears and reuses them.
+	keep     []relocObj
+	keepData []byte
+	scrubAt  int // next segment the scrubber visits
 
 	hostBytes      int64
 	gcBytes        int64
@@ -347,7 +366,6 @@ func New(cfg Config) (*Store, error) {
 		dev:     dev,
 		spare:   spare,
 		segs:    make([]*segment, n),
-		index:   make(map[uint64]loc),
 	}
 	for i := range s.segs {
 		s.segs[i] = &segment{}
@@ -410,9 +428,9 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if l, ok := s.index[key]; ok {
-		s.markDead(l)
-		delete(s.index, key)
+	if i := s.index.Lookup(key); i != slab.Nil {
+		s.markDead(*s.index.Val(i))
+		s.index.Del(i)
 	}
 	if size <= 0 || size > s.segSize {
 		s.oversize++
@@ -495,10 +513,12 @@ func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool)
 			size:    size,
 			physOff: head.phys,
 			physLen: int64(len(rec)),
-			crc:     crc32.ChecksumIEEE(rec),
+			crc:     crc32.Checksum(rec, castagnoli),
 			hasData: hasData,
 		})
-		s.index[key] = loc{seg: s.active, slot: len(head.objs) - 1}
+		// Every caller has dropped key from the index: write before it
+		// appends, and the collector and retirement as they stash.
+		s.index.Add(key, loc{seg: int32(s.active), slot: int32(len(head.objs) - 1)})
 		head.used += size
 		head.phys += int64(len(rec))
 		head.live += size
@@ -570,7 +590,8 @@ func (s *Store) collectLocked() {
 		return
 	}
 	seg := s.segs[victim]
-	var keep []relocObj
+	clear(s.keep)
+	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
 	for slot := range seg.objs {
 		o := &seg.objs[slot]
 		if o.dead {
@@ -580,25 +601,25 @@ func (s *Store) collectLocked() {
 		// relocating: a survivor that cannot be read, or whose checksum
 		// fails, is dropped here instead of being copied forward as
 		// corruption. readRecord charges the error counters.
-		st, err := s.stashObj(victim, o)
+		st, data, err := s.stashObj(victim, o, s.keepData)
 		if err != nil {
 			o.dead = true
 			seg.live -= o.size
-			delete(s.index, o.key)
+			s.forget(o.key)
 			continue
 		}
-		keep = append(keep, st)
+		s.keep, s.keepData = append(s.keep, st), data
 		// The survivor's index entry dangles once the block is erased;
 		// the re-append below rebuilds it. Mark it dead so a retirement
 		// racing in between cannot stash it a second time.
 		o.dead = true
 		seg.live -= o.size
-		delete(s.index, o.key)
+		s.forget(o.key)
 	}
 	// A failed erase retires the victim instead of freeing it; either
 	// way its survivors are stashed in keep and still need placing.
 	s.eraseSegment(victim)
-	for _, st := range keep {
+	for _, st := range s.keep {
 		// Relocation rides the same append path as host writes — that is
 		// the amplification — but lands in gcBytes, not hostBytes, and
 		// must not reenter the collector (the erased victim is free for
@@ -615,17 +636,21 @@ func (s *Store) collectLocked() {
 }
 
 // stashObj reads one live extent back from the device, verifies it,
-// and packages it for relocation. Caller holds mu.
-func (s *Store) stashObj(id int, o *obj) (relocObj, error) {
+// and packages it for relocation, appending its payload to buf (the
+// staged extent's data points into the returned buffer). Caller holds
+// mu.
+func (s *Store) stashObj(id int, o *obj, buf []byte) (relocObj, []byte, error) {
 	rec, err := s.readRecord(id, o)
 	if err != nil {
-		return relocObj{}, err
+		return relocObj{}, buf, err
 	}
 	st := relocObj{key: o.key, size: o.size, hasData: o.hasData}
 	if o.hasData {
-		st.data = append([]byte(nil), rec[recHeaderSize:]...)
+		n := len(buf)
+		buf = append(buf, rec[recHeaderSize:]...)
+		st.data = buf[n:]
 	}
-	return st, nil
+	return st, buf, nil
 }
 
 // readRecord fetches and verifies one extent's record from the
@@ -639,7 +664,7 @@ func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
 		s.readErrors++
 		return nil, fmt.Errorf("%w: %v", ErrUncorrectable, err)
 	}
-	if crc32.ChecksumIEEE(rec) != o.crc {
+	if crc32.Checksum(rec, castagnoli) != o.crc {
 		s.corruptExtents++
 		return nil, ErrCorrupt
 	}
@@ -668,13 +693,14 @@ func (s *Store) retireSegment(id int) {
 		if o.dead {
 			continue
 		}
-		if cur, ok := s.index[o.key]; !ok || cur != (loc{seg: id, slot: slot}) {
+		i := s.indexed(o.key, id, slot)
+		if i == slab.Nil {
 			continue
 		}
 		o.dead = true
 		seg.live -= o.size
-		delete(s.index, o.key)
-		st, err := s.stashObj(id, o)
+		s.index.Del(i)
+		st, _, err := s.stashObj(id, o, nil)
 		if err != nil {
 			// Unreadable or corrupt on the way out: the extent is lost.
 			s.dropped++
@@ -718,6 +744,23 @@ func (s *Store) eraseSegment(id int) {
 	s.free = append(s.free, id)
 }
 
+// indexed returns key's index slot if the index places key at slot of
+// segment id, and slab.Nil otherwise. Caller holds mu.
+func (s *Store) indexed(key uint64, id, slot int) int32 {
+	i := s.index.Lookup(key)
+	if i == slab.Nil || *s.index.Val(i) != (loc{seg: int32(id), slot: int32(slot)}) {
+		return slab.Nil
+	}
+	return i
+}
+
+// forget drops key from the index, if it is there. Caller holds mu.
+func (s *Store) forget(key uint64) {
+	if i := s.index.Lookup(key); i != slab.Nil {
+		s.index.Del(i)
+	}
+}
+
 // markDead invalidates one extent. Caller holds mu.
 func (s *Store) markDead(l loc) {
 	seg := s.segs[l.seg]
@@ -735,12 +778,12 @@ func (s *Store) markDead(l loc) {
 func (s *Store) Invalidate(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.index[key]
-	if !ok {
+	i := s.index.Lookup(key)
+	if i == slab.Nil {
 		return false
 	}
-	s.markDead(l)
-	delete(s.index, key)
+	s.markDead(*s.index.Val(i))
+	s.index.Del(i)
 	return true
 }
 
@@ -748,8 +791,7 @@ func (s *Store) Invalidate(key uint64) bool {
 func (s *Store) Contains(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
+	return s.index.Lookup(key) != slab.Nil
 }
 
 // ReadExtent returns key's payload bytes (a copy; nil for extents
@@ -772,16 +814,16 @@ func (s *Store) ReadExtent(key uint64) (data []byte, size int64, err error) {
 func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, found := s.index[key]
-	if !found {
+	i := s.index.Lookup(key)
+	if i == slab.Nil {
 		return nil, 0, ErrNotFound
 	}
-	seg := s.segs[l.seg]
-	o := &seg.objs[l.slot]
-	rec, err := s.readRecord(l.seg, o)
+	l := *s.index.Val(i)
+	o := &s.segs[l.seg].objs[l.slot]
+	rec, err := s.readRecord(int(l.seg), o)
 	if err != nil {
 		s.markDead(l)
-		delete(s.index, key)
+		s.index.Del(i)
 		return nil, 0, err
 	}
 	if o.hasData {
@@ -815,14 +857,15 @@ func (s *Store) scrubSegment(id int) (scanned, dropped int) {
 		if o.dead {
 			continue
 		}
-		if cur, ok := s.index[o.key]; !ok || cur != (loc{seg: id, slot: slot}) {
+		i := s.indexed(o.key, id, slot)
+		if i == slab.Nil {
 			continue
 		}
 		scanned++
 		if _, err := s.readRecord(id, o); err != nil {
 			o.dead = true
 			seg.live -= o.size
-			delete(s.index, o.key)
+			s.index.Del(i)
 			dropped++
 		}
 	}
@@ -857,7 +900,7 @@ func (s *Store) ScrubStep() (segment, scanned, dropped int) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.index.Len()
 }
 
 // Reset wipes all segments and the index without charging erase
@@ -869,7 +912,7 @@ func (s *Store) Len() int {
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index = make(map[uint64]loc)
+	s.index = slab.Arena[loc]{}
 	s.free = s.free[:0]
 	s.relocq = nil
 	active := -1

@@ -87,8 +87,6 @@ type Config struct {
 	// DisableHistoryTable runs the classifier without rectification
 	// (ablation of §4.4.2).
 	DisableHistoryTable bool
-	// TreeMaxSplits overrides the CART split budget (0 = 30).
-	TreeMaxSplits int
 	// OnlineLearning replaces the daily-retrained tree with an
 	// incrementally updated logistic model — the §4.4.3 alternative the
 	// paper rejects; exposed for the ablation study. Only meaningful in
@@ -149,9 +147,6 @@ func (c *Config) normalize() error {
 		c.RetrainHour = 0
 	case c.RetrainHour < RetrainDisabled || c.RetrainHour > 23:
 		return fmt.Errorf("sim: RetrainHour %d outside [0, 23] (RetrainMidnight for 00:00, RetrainDisabled to disable)", c.RetrainHour)
-	}
-	if c.TreeMaxSplits <= 0 {
-		c.TreeMaxSplits = 30
 	}
 	return nil
 }
