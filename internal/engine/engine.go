@@ -23,12 +23,15 @@
 // concurrent use (cache.Sharded; core.AdmitAll, core.OracleAdmission,
 // core.ClassifierAdmission, core.FrequencyAdmission). The bare
 // single-threaded policies (cache.NewLRU etc.) remain valid for
-// single-goroutine callers such as the simulator.
+// single-goroutine callers such as the simulator. An engine with a flash
+// store attached also runs each request under its own lock, so an
+// admission and its flash write are one step (see SetFlash).
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"otacache/internal/cache"
@@ -57,6 +60,13 @@ type Engine struct {
 
 	// c holds the engine-owned counters, indexed by the c* constants.
 	c [numEngineCounters]atomic.Int64
+	// mu serializes Lookup, Get and Offer while a store is attached, so
+	// no eviction can fall between an admission and its flash write.
+	// The lock order is mu → policy stripe → store. Engines without a
+	// store never take it (see DESIGN §9). It sits last: ahead of the
+	// counters it moved the fields every request touches, which cost
+	// engine-proposal a few per cent.
+	mu sync.Mutex
 }
 
 // Outcome describes one Lookup (or Offer) with enough detail for a
@@ -220,10 +230,21 @@ func (e *Engine) ResumeTick(t int64) { e.tick.Store(t) }
 // rejected the admit as oversize or out of space) is not a media fault
 // and hits normally; the policy is the residency authority there.
 func (e *Engine) Get(key uint64, size int64, tick int) bool {
+	fs := e.flash.Load()
+	if fs != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	return e.get(key, size, tick, fs)
+}
+
+// get is Get's body; fs is the attached store, and the caller holds mu
+// when it is not nil.
+func (e *Engine) get(key uint64, size int64, tick int, fs *flash.Store) bool {
 	e.c[cRequests].Add(1)
 	e.c[cTotalBytes].Add(size)
 	if e.policy.Get(key, tick) {
-		if fs := e.flash.Load(); fs != nil {
+		if fs != nil {
 			if _, _, err := fs.ReadExtent(key); err != nil && !errors.Is(err, flash.ErrNotFound) {
 				// The store already dropped the extent and charged its
 				// ReadErrors/CorruptExtents counter; evict the phantom so
@@ -247,6 +268,17 @@ func (e *Engine) Get(key uint64, size int64, tick int) bool {
 // into the policy on admit. feat is the request's feature vector (nil
 // for filters that do not use features).
 func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome {
+	fs := e.flash.Load()
+	if fs != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	return e.offer(key, size, tick, feat, fs)
+}
+
+// offer is Offer's body; fs is the attached store, and the caller holds
+// mu when it is not nil.
+func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, fs *flash.Store) Outcome {
 	d := e.filter.Decide(key, tick, feat)
 	if d.Rectified {
 		e.c[cRectified].Add(1)
@@ -266,20 +298,11 @@ func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome
 		e.c[cWriteBytes].Add(size)
 		// An accepted admission is a device write: land the extent in the
 		// attached flash store so its collector measures the real
-		// amplification of this admission stream.
-		if fs := e.flash.Load(); fs != nil {
+		// amplification of this admission stream. mu keeps every other
+		// admission, and so every eviction, out until the extent exists.
+		if fs != nil {
 			//lint:allow errsink the store charges Oversize/Dropped internally; the engine already counted the admission above
 			fs.Write(key, size, nil)
-			// The store can miss an eviction here: another client's
-			// admission may have evicted key between the Contains above
-			// and the Write, and that Invalidate found nothing to drop.
-			// Nothing would ever reclaim the extent, so look again now
-			// that it exists. Every eviction from here on finds it; the
-			// remaining error is a resident without an extent, which Get
-			// serves as a hit.
-			if !e.policy.Contains(key) {
-				fs.Invalidate(key)
-			}
 		}
 	}
 	return out
@@ -293,19 +316,33 @@ func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome
 func (e *Engine) Lookup(key uint64, size int64, tick int, feat []float64) Outcome {
 	if ins := e.inst.Load(); ins != nil && uint64(tick)&ins.mask == 0 {
 		start := ins.clock.Now()
-		var out Outcome
-		if e.Get(key, size, tick) {
-			out = Outcome{Hit: true}
-		} else {
-			out = e.Offer(key, size, tick, feat)
-		}
+		out := e.lookup(key, size, tick, feat)
 		ins.Lookup.Record(int64(ins.clock.Now().Sub(start)))
 		return out
 	}
-	if e.Get(key, size, tick) {
+	if e.flash.Load() != nil {
+		return e.lookup(key, size, tick, feat)
+	}
+	// Without a store, get and offer run with no frame between them and
+	// Lookup: going through lookup cost engine-proposal a few per cent.
+	if e.get(key, size, tick, nil) {
 		return Outcome{Hit: true}
 	}
-	return e.Offer(key, size, tick, feat)
+	return e.offer(key, size, tick, feat, nil)
+}
+
+// lookup is Lookup without the timing: with a store attached, the whole
+// request runs under one acquisition of mu.
+func (e *Engine) lookup(key uint64, size int64, tick int, feat []float64) Outcome {
+	fs := e.flash.Load()
+	if fs != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	if e.get(key, size, tick, fs) {
+		return Outcome{Hit: true}
+	}
+	return e.offer(key, size, tick, feat, fs)
 }
 
 // Snapshot returns the current counters: the engine-owned rows of

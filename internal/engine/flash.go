@@ -10,7 +10,10 @@ import (
 
 // SetFlash attaches a flash store under this engine's policy (nil
 // detaches). Admitted writes land in the store from then on; Snapshot
-// mirrors its wear counters into the Flash* metrics.
+// mirrors its wear counters into the Flash* metrics. Attach before
+// serving: from then on each request runs under the engine's lock, but
+// requests already in flight when the store is attached are not
+// serialized with it.
 func (e *Engine) SetFlash(s *flash.Store) { e.flash.Store(s) }
 
 // Flash returns the attached flash store, or nil.
@@ -25,9 +28,12 @@ func (e *Engine) Flash() *flash.Store { return e.flash.Load() }
 // (cache.Policy's SetEvictNotify), replacing any store attached
 // earlier, so its live counts are exact and a collection pass calls
 // nothing outside the store. The callback runs under the policy's
-// stripe lock: the one lock order is policy → flash, and the store
-// never calls the policy. The engine calls flash.Write only after the
-// policy's Admit has returned, holding no lock.
+// stripe lock, and the store never calls the policy. With a store
+// attached each shard serves one request at a time under its engine
+// lock, so the one lock order is engine → policy stripe → flash, and
+// the engine's flash.Write after an Admit cannot race another
+// admission's eviction. Attach before serving: requests already in
+// flight are not serialized with the store.
 func AttachFlash(srv Server, segmentSize int64, overprovision float64) error {
 	return AttachFlashOpts(srv, FlashOptions{SegmentSize: segmentSize, Overprovision: overprovision})
 }

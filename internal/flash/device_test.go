@@ -10,7 +10,7 @@ import (
 
 // scriptDev wraps the in-memory device with call-indexed failure
 // hooks — the package-local stand-in for faults.Device (which lives
-// above this package and cannot be imported from its tests).
+// above this package and can be imported only from its external tests).
 type scriptDev struct {
 	inner                            Device
 	reads, programs, erases          int

@@ -277,13 +277,22 @@ type segment struct {
 	retired bool
 }
 
-// relocObj is one extent staged for relocation: off a collection
-// victim (Store.keep) or off a retiring block (Store.relocq).
-type relocObj struct {
+// extent is one record on its way to the log head: a host write, or a
+// survivor staged for relocation off a collection victim (Store.keep)
+// or a retiring block (Store.relocq).
+type extent struct {
 	key     uint64
 	size    int64
 	data    []byte
 	hasData bool
+	// crc is the record's CRC-32C, or zero for appendObj to compute. A
+	// relocated record has the same bytes as the one it was read from, so
+	// it carries that verified checksum (a zero one recomputes to zero).
+	crc uint32
+	// ix is the index slot a collection survivor keeps while it is in
+	// flight; the append writes the new loc into it. slab.Nil means the
+	// key is not indexed and the append adds it.
+	ix int32
 }
 
 // Store is a log-structured flash store. Safe for concurrent use.
@@ -300,16 +309,16 @@ type Store struct {
 	obsv atomic.Pointer[Observer]
 
 	mu     sync.Mutex
-	segs   []*segment
+	segs   []segment
 	free   []int // erased segment ids, LIFO
 	active int   // log head segment id
 	// index maps each key with a live extent to its loc. It grows to the
 	// most extents ever live at once and then allocates no more.
 	index  slab.Arena[loc]
-	relocq []relocObj // extents awaiting relocation off retired blocks
+	relocq []extent // extents awaiting relocation off retired blocks
 	// keep and keepData stage one collection pass's survivors and their
 	// payloads; each pass clears and reuses them.
-	keep     []relocObj
+	keep     []extent
 	keepData []byte
 	scrubAt  int // next segment the scrubber visits
 
@@ -365,10 +374,7 @@ func New(cfg Config) (*Store, error) {
 		segSize: cfg.SegmentSize,
 		dev:     dev,
 		spare:   spare,
-		segs:    make([]*segment, n),
-	}
-	for i := range s.segs {
-		s.segs[i] = &segment{}
+		segs:    make([]segment, n),
 	}
 	// Segment 0 opens the log; the rest are free (NAND ships erased).
 	s.active = 0
@@ -436,7 +442,7 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 		s.oversize++
 		return ErrOversize
 	}
-	ok := s.appendObj(key, size, data, data != nil, true)
+	ok := s.appendObj(extent{key: key, size: size, data: data, hasData: data != nil, ix: slab.Nil}, true)
 	// A program-fail retirement along the way queued that block's live
 	// extents; move them before the caller observes the store.
 	s.drainReloc()
@@ -476,17 +482,17 @@ func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
 	return rec
 }
 
-// appendObj lands one extent at the log head, rolling the head to a
-// fresh segment when the object does not fit (or the head has been
-// retired under it). A failed program retires the head and retries on
-// a fresh one, bounded by the segment count. gc allows the roll to
-// run the collector; the collector's own relocations pass false and
-// draw on the reserve instead — collection must never reenter itself.
-// Caller holds mu.
-func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool) bool {
+// appendObj lands one extent at the log head and points the index at
+// it, rolling the head to a fresh segment when the object does not fit
+// (or the head has been retired under it). A failed program retires the
+// head and retries on a fresh one, bounded by the segment count. gc
+// allows the roll to run the collector; the collector's own relocations
+// pass false and draw on the reserve instead — collection must never
+// reenter itself. Caller holds mu.
+func (s *Store) appendObj(x extent, gc bool) bool {
 	for attempt := 0; attempt <= len(s.segs); attempt++ {
-		head := s.segs[s.active]
-		if head.retired || head.used+size > s.segSize {
+		head := &s.segs[s.active]
+		if head.retired || head.used+x.size > s.segSize {
 			next, ok := s.allocSegment(gc)
 			if !ok {
 				return false
@@ -496,11 +502,11 @@ func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool)
 			// those relocations may themselves roll the log head.
 			s.segs[s.active].sealed = true
 			s.active = next
-			head = s.segs[s.active]
+			head = &s.segs[s.active]
 		}
 		// Encoded per attempt: a collection or retirement above read and
 		// re-appended other records through the same buffer.
-		rec := s.encodeRecord(key, size, data)
+		rec := s.encodeRecord(x.key, x.size, x.data)
 		//lint:allow errsink retireSegment charges the retirement counters for this media failure
 		if err := s.dev.Program(s.active, head.phys, rec); err != nil {
 			// Bad block: retire it (relocating whatever was already on
@@ -508,20 +514,30 @@ func (s *Store) appendObj(key uint64, size int64, data []byte, hasData, gc bool)
 			s.retireSegment(s.active)
 			continue
 		}
+		crc := x.crc
+		if crc == 0 {
+			crc = crc32.Checksum(rec, castagnoli)
+		}
 		head.objs = append(head.objs, obj{
-			key:     key,
-			size:    size,
+			key:     x.key,
+			size:    x.size,
 			physOff: head.phys,
 			physLen: int64(len(rec)),
-			crc:     crc32.Checksum(rec, castagnoli),
-			hasData: hasData,
+			crc:     crc,
+			hasData: x.hasData,
 		})
-		// Every caller has dropped key from the index: write before it
-		// appends, and the collector and retirement as they stash.
-		s.index.Add(key, loc{seg: int32(s.active), slot: int32(len(head.objs) - 1)})
-		head.used += size
+		// A collection survivor moves in its own index slot. Every other
+		// caller has dropped the key: write before it appends, retirement
+		// as it stashes.
+		l := loc{seg: int32(s.active), slot: int32(len(head.objs) - 1)}
+		if x.ix == slab.Nil {
+			s.index.Add(x.key, l)
+		} else {
+			*s.index.Val(x.ix) = l
+		}
+		head.used += x.size
 		head.phys += int64(len(rec))
-		head.live += size
+		head.live += x.size
 		return true
 	}
 	return false
@@ -550,7 +566,7 @@ func (s *Store) allocSegment(gc bool) (int, bool) {
 	}
 	id := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	seg := s.segs[id]
+	seg := &s.segs[id]
 	seg.sealed = false
 	seg.objs = seg.objs[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
@@ -574,11 +590,14 @@ func (s *Store) collect() {
 // with the fewest live bytes, stash the survivors, erase the block, and
 // re-append the survivors to the log head — which may be the block just
 // erased, so collection makes forward progress with zero standing free
-// segments. Caller holds mu.
+// segments. A survivor keeps its index slot across the move: the
+// relocation is an update of where the index says the key lives. Caller
+// holds mu.
 func (s *Store) collectLocked() {
 	victim := -1
 	var victimLive int64
-	for id, seg := range s.segs {
+	for id := range s.segs {
+		seg := &s.segs[id]
 		if id == s.active || !seg.sealed || seg.retired {
 			continue
 		}
@@ -589,12 +608,20 @@ func (s *Store) collectLocked() {
 	if victim == -1 {
 		return
 	}
-	seg := s.segs[victim]
+	seg := &s.segs[victim]
 	clear(s.keep)
 	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
 	for slot := range seg.objs {
 		o := &seg.objs[slot]
 		if o.dead {
+			continue
+		}
+		// Every survivor is dead in the victim from here on, so a
+		// retirement of it (a failed erase) cannot stash it a second time.
+		o.dead = true
+		seg.live -= o.size
+		i := s.indexed(o.key, victim, slot)
+		if i == slab.Nil {
 			continue
 		}
 		// Read the record back through the device and verify it before
@@ -603,18 +630,13 @@ func (s *Store) collectLocked() {
 		// corruption. readRecord charges the error counters.
 		st, data, err := s.stashObj(victim, o, s.keepData)
 		if err != nil {
-			o.dead = true
-			seg.live -= o.size
-			s.forget(o.key)
+			s.index.Del(i)
 			continue
 		}
+		// The index slot names the erased victim until the re-append
+		// below writes the survivor's new loc into it.
+		st.ix = i
 		s.keep, s.keepData = append(s.keep, st), data
-		// The survivor's index entry dangles once the block is erased;
-		// the re-append below rebuilds it. Mark it dead so a retirement
-		// racing in between cannot stash it a second time.
-		o.dead = true
-		seg.live -= o.size
-		s.forget(o.key)
 	}
 	// A failed erase retires the victim instead of freeing it; either
 	// way its survivors are stashed in keep and still need placing.
@@ -624,27 +646,28 @@ func (s *Store) collectLocked() {
 		// the amplification — but lands in gcBytes, not hostBytes, and
 		// must not reenter the collector (the erased victim is free for
 		// it to roll onto).
-		if s.appendObj(st.key, st.size, st.data, st.hasData, false) {
+		if s.appendObj(st, false) {
 			s.gcBytes += st.size
 			s.relocations++
 		} else {
 			// No room anywhere: the object is lost from flash (the cache
 			// above re-fetches on demand). Sized stores never hit this.
+			s.index.Del(st.ix)
 			s.dropped++
 		}
 	}
 }
 
 // stashObj reads one live extent back from the device, verifies it,
-// and packages it for relocation, appending its payload to buf (the
-// staged extent's data points into the returned buffer). Caller holds
-// mu.
-func (s *Store) stashObj(id int, o *obj, buf []byte) (relocObj, []byte, error) {
+// and packages it for relocation, unindexed, appending its payload to
+// buf (the staged extent's data points into the returned buffer).
+// Caller holds mu.
+func (s *Store) stashObj(id int, o *obj, buf []byte) (extent, []byte, error) {
 	rec, err := s.readRecord(id, o)
 	if err != nil {
-		return relocObj{}, buf, err
+		return extent{}, buf, err
 	}
-	st := relocObj{key: o.key, size: o.size, hasData: o.hasData}
+	st := extent{key: o.key, size: o.size, hasData: o.hasData, crc: o.crc, ix: slab.Nil}
 	if o.hasData {
 		n := len(buf)
 		buf = append(buf, rec[recHeaderSize:]...)
@@ -675,7 +698,7 @@ func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
 // rejoins the free pool, its live extents are queued for relocation,
 // and the spare pool shrinks by one. Caller holds mu.
 func (s *Store) retireSegment(id int) {
-	seg := s.segs[id]
+	seg := &s.segs[id]
 	if seg.retired {
 		return
 	}
@@ -711,26 +734,28 @@ func (s *Store) retireSegment(id int) {
 }
 
 // drainReloc places extents queued by block retirements. Placement can
-// itself hit a bad block and queue more; the loop runs until the queue
-// is empty. Caller holds mu.
+// itself hit a bad block and queue more, so the length is read again
+// each round; the drained queue keeps its array and drops its payloads.
+// Caller holds mu.
 func (s *Store) drainReloc() {
-	for len(s.relocq) > 0 {
-		st := s.relocq[0]
-		s.relocq = s.relocq[1:]
-		if s.appendObj(st.key, st.size, st.data, st.hasData, true) {
+	for i := 0; i < len(s.relocq); i++ {
+		st := s.relocq[i]
+		if s.appendObj(st, true) {
 			s.gcBytes += st.size
 			s.relocations++
 		} else {
 			s.dropped++
 		}
 	}
+	clear(s.relocq)
+	s.relocq = s.relocq[:0]
 }
 
 // eraseSegment wipes one block and returns it to the free pool,
 // charging the erase counters. A failed erase retires the block
 // instead. Caller holds mu.
 func (s *Store) eraseSegment(id int) {
-	seg := s.segs[id]
+	seg := &s.segs[id]
 	//lint:allow errsink retireSegment charges the retirement counters for this media failure
 	if err := s.dev.Erase(id); err != nil {
 		s.retireSegment(id)
@@ -754,16 +779,9 @@ func (s *Store) indexed(key uint64, id, slot int) int32 {
 	return i
 }
 
-// forget drops key from the index, if it is there. Caller holds mu.
-func (s *Store) forget(key uint64) {
-	if i := s.index.Lookup(key); i != slab.Nil {
-		s.index.Del(i)
-	}
-}
-
 // markDead invalidates one extent. Caller holds mu.
 func (s *Store) markDead(l loc) {
-	seg := s.segs[l.seg]
+	seg := &s.segs[l.seg]
 	o := &seg.objs[l.slot]
 	if !o.dead {
 		o.dead = true
@@ -848,7 +866,7 @@ func (s *Store) scrubSegment(id int) (scanned, dropped int) {
 	if id < 0 || id >= len(s.segs) {
 		return 0, 0
 	}
-	seg := s.segs[id]
+	seg := &s.segs[id]
 	if seg.retired {
 		return 0, 0
 	}
@@ -885,7 +903,7 @@ func (s *Store) ScrubStep() (segment, scanned, dropped int) {
 	defer s.mu.Unlock()
 	for i := 0; i < len(s.segs); i++ {
 		id := (s.scrubAt + i) % len(s.segs)
-		seg := s.segs[id]
+		seg := &s.segs[id]
 		if id == s.active || !seg.sealed || seg.retired {
 			continue
 		}
@@ -916,7 +934,8 @@ func (s *Store) Reset() {
 	s.free = s.free[:0]
 	s.relocq = nil
 	active := -1
-	for i, seg := range s.segs {
+	for i := range s.segs {
+		seg := &s.segs[i]
 		seg.objs = seg.objs[:0]
 		seg.used, seg.live, seg.phys = 0, 0, 0
 		if seg.retired {
@@ -966,7 +985,8 @@ func (s *Store) Stats() Stats {
 	if st.SpareHeadroom < 0 {
 		st.SpareHeadroom = 0
 	}
-	for i, seg := range s.segs {
+	for i := range s.segs {
+		seg := &s.segs[i]
 		st.LiveBytes += seg.live
 		if i == 0 || seg.erases < st.MinSegmentErases {
 			st.MinSegmentErases = seg.erases
@@ -984,8 +1004,8 @@ func (s *Store) ErasesPerSegment() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]int64, len(s.segs))
-	for i, seg := range s.segs {
-		out[i] = seg.erases
+	for i := range s.segs {
+		out[i] = s.segs[i].erases
 	}
 	return out
 }
