@@ -43,6 +43,10 @@
 // state, flash outcome, and stage timings. -pprof-addr exposes
 // net/http/pprof on its own listener, off by default.
 //
+// The flags that decide what is served bind onto a stack.Config, and
+// stack.Build assembles it (breakers, flash, drill, scrubber); the
+// daemon adds the HTTP server, the retrainer and the snapshot restore.
+//
 // SIGINT/SIGTERM drain in-flight requests (bounded by -drain-timeout)
 // and exit 0.
 package main
@@ -53,288 +57,163 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"otacache/internal/core"
 	"otacache/internal/engine"
-	"otacache/internal/faults"
 	"otacache/internal/features"
-	"otacache/internal/flash"
 	"otacache/internal/ml/cart"
 	"otacache/internal/server"
 	"otacache/internal/sim"
-	"otacache/internal/tier"
+	"otacache/internal/stack"
 	"otacache/internal/trace"
 )
 
+// options is otacached's command line: the assembly in cfg (see
+// internal/stack), and beside it the bootstrap trace, the listener,
+// retraining, snapshots and observability.
+type options struct {
+	cfg stack.Config
+
+	addr, tracePath, snapPath, pprofAddr string
+	photos, retrainAt, maxConns          int
+	sampleEvery, traceCap, traceEvery    int
+	noRetrain                            bool
+	reqTO, drainTO, snapEvery            time.Duration
+}
+
+// bindFlags registers every flag on fs, seeding the assembly from
+// stack.Defaults.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{cfg: stack.Defaults()}
+	c := &o.cfg
+	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
+	fs.StringVar(&c.Policy, "policy", c.Policy, "replacement policy (lru|fifo|s3lru|arc|lirs|belady)")
+	fs.StringVar(&c.Mode, "mode", c.Mode, "admission mode (original|proposal|ideal|doorkeeper)")
+	fs.IntVar(&o.photos, "photos", 60000, "synthesize a bootstrap trace with this many photos (ignored with -trace)")
+	fs.StringVar(&o.tracePath, "trace", "", "load the bootstrap trace from this file instead of synthesizing")
+	fs.Uint64Var(&c.Seed, "seed", c.Seed, "seed")
+	fs.Int64Var(&c.Bytes, "bytes", c.Bytes, "cache capacity in bytes")
+	fs.Float64Var(&c.Frac, "frac", c.Frac, "cache capacity as a fraction of the trace footprint (used when -bytes is 0)")
+	fs.IntVar(&c.Shards, "shards", c.Shards, "policy shard count (0 = 2x GOMAXPROCS)")
+	fs.IntVar(&c.EngineShards, "engine-shards", c.EngineShards, "independent engine shards behind a consistent-hash ring, each with its own policy, filter, history table, and breaker (1 = single engine)")
+	fs.Float64Var(&c.V, "v", c.V, "cost-matrix v (0 = Table 4 rule)")
+	fs.IntVar(&c.Samples, "samples", c.Samples, "training samples per minute (bootstrap and live retraining)")
+	fs.BoolVar(&c.NoHistoryTable, "no-history-table", c.NoHistoryTable, "disable the rectification table")
+	fs.BoolVar(&o.noRetrain, "no-retrain", false, "disable daily retraining from live traffic")
+	fs.IntVar(&o.retrainAt, "retrain-hour", sim.RetrainHourDefault, "daily retraining hour, 0-23 (0 = midnight)")
+	fs.StringVar(&c.Model, "model", c.Model, "replace the bootstrap classifier with a tree saved by trainer -save")
+	fs.IntVar(&o.maxConns, "max-conns", 0, "concurrent connection cap (0 = unlimited)")
+	fs.DurationVar(&o.reqTO, "timeout", 5*time.Second, "per-request timeout")
+	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
+
+	fs.StringVar(&o.snapPath, "snapshot", "", "crash-safe state file: restored at startup, written periodically and after drain")
+	fs.DurationVar(&o.snapEvery, "snapshot-interval", 5*time.Minute, "periodic snapshot cadence (with -snapshot)")
+
+	fs.Int64Var(&c.FlashSegmentSize, "flash-segment-size", c.FlashSegmentSize, "model the cache device as a log-structured flash store with this erase-block size in bytes; /stats grows a Flash block with measured WAF and lifetime (0 = off)")
+	fs.Float64Var(&c.FlashOverprovision, "flash-overprovision", c.FlashOverprovision, "flash device capacity as a multiple of each shard's policy capacity, > 1 (with -flash-segment-size)")
+	fs.IntVar(&c.FlashSpareBlocks, "flash-spare-blocks", c.FlashSpareBlocks, "bad-block retirement budget per shard store; 0 derives it from the overprovision slack (with -flash-segment-size)")
+	fs.DurationVar(&c.FlashScrubInterval, "flash-scrub-interval", c.FlashScrubInterval, "background scrub cadence: every interval one sealed segment per shard is checksum-verified and corrupt extents are dropped (0 = off; with -flash-segment-size)")
+
+	fs.Uint64Var(&c.FlashFaultReadEvery, "flash-fault-read-every", c.FlashFaultReadEvery, "fault drill: make every Nth device read uncorrectable (0 = off; with -flash-segment-size)")
+	fs.Uint64Var(&c.FlashFaultFlipEvery, "flash-fault-flip-every", c.FlashFaultFlipEvery, "fault drill: silently flip one bit of every Nth programmed record (0 = off; with -flash-segment-size)")
+	fs.Uint64Var(&c.FlashFaultProgramEvery, "flash-fault-program-every", c.FlashFaultProgramEvery, "fault drill: fail every Nth device program, retiring its block (0 = off; with -flash-segment-size)")
+	fs.Uint64Var(&c.FlashFaultEraseEvery, "flash-fault-erase-every", c.FlashFaultEraseEvery, "fault drill: fail every Nth device erase, retiring its block (0 = off; with -flash-segment-size)")
+
+	fs.IntVar(&o.sampleEvery, "sample-every", 0, "latency sampling period for the /metrics histograms: 1 in N object requests, engine lookups, and flash reads are timed (0 = 64; 1 = every request; the lookup stage rounds N up to a power of two)")
+	fs.IntVar(&o.traceCap, "trace-cap", 0, "decision-trace ring capacity served by /admin/trace (0 = 1024; negative disables tracing)")
+	fs.IntVar(&o.traceEvery, "trace-every", 0, "trace 1 in N object requests into the decision ring (0 = 16)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off, never exposed on the serving port)")
+
+	fs.StringVar(&c.BreakerFallback, "breaker-fallback", c.BreakerFallback, "degraded admission when the classifier fails (admit-all|doorkeeper|off)")
+	fs.DurationVar(&c.BreakerLatency, "breaker-latency", c.BreakerLatency, "classifier latency budget; slower decisions count as breaker failures (0 = none)")
+	fs.IntVar(&c.BreakerThreshold, "breaker-threshold", c.BreakerThreshold, "consecutive classifier failures that open the breaker")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", c.BreakerCooldown, "open-state wait before half-open probes")
+	return o
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8344", "listen address")
-		policy    = flag.String("policy", "lru", "replacement policy (lru|fifo|s3lru|arc|lirs|belady)")
-		mode      = flag.String("mode", "original", "admission mode (original|proposal|ideal|doorkeeper)")
-		photos    = flag.Int("photos", 60000, "synthesize a bootstrap trace with this many photos (ignored with -trace)")
-		tracePath = flag.String("trace", "", "load the bootstrap trace from this file instead of synthesizing")
-		seed      = flag.Uint64("seed", 42, "seed")
-		bytesCap  = flag.Int64("bytes", 0, "cache capacity in bytes")
-		frac      = flag.Float64("frac", 0.15, "cache capacity as a fraction of the trace footprint (used when -bytes is 0)")
-		shards    = flag.Int("shards", 0, "policy shard count (0 = 2x GOMAXPROCS)")
-		engShards = flag.Int("engine-shards", 1, "independent engine shards behind a consistent-hash ring, each with its own policy, filter, history table, and breaker (1 = single engine)")
-		costV     = flag.Float64("v", 0, "cost-matrix v (0 = Table 4 rule)")
-		samples   = flag.Int("samples", 100, "training samples per minute (bootstrap and live retraining)")
-		noTable   = flag.Bool("no-history-table", false, "disable the rectification table")
-		noRetrain = flag.Bool("no-retrain", false, "disable daily retraining from live traffic")
-		retrainAt = flag.Int("retrain-hour", sim.RetrainHourDefault, "daily retraining hour, 0-23 (0 = midnight)")
-		modelPath = flag.String("model", "", "replace the bootstrap classifier with a tree saved by trainer -save")
-		maxConns  = flag.Int("max-conns", 0, "concurrent connection cap (0 = unlimited)")
-		reqTO     = flag.Duration("timeout", 5*time.Second, "per-request timeout")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
-
-		snapPath  = flag.String("snapshot", "", "crash-safe state file: restored at startup, written periodically and after drain")
-		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot cadence (with -snapshot)")
-
-		flashSeg   = flag.Int64("flash-segment-size", 0, "model the cache device as a log-structured flash store with this erase-block size in bytes; /stats grows a Flash block with measured WAF and lifetime (0 = off)")
-		flashOP    = flag.Float64("flash-overprovision", 1.15, "flash device capacity as a multiple of each shard's policy capacity, > 1 (with -flash-segment-size)")
-		flashSpare = flag.Int("flash-spare-blocks", 0, "bad-block retirement budget per shard store; 0 derives it from the overprovision slack (with -flash-segment-size)")
-		flashScrub = flag.Duration("flash-scrub-interval", 0, "background scrub cadence: every interval one sealed segment per shard is checksum-verified and corrupt extents are dropped (0 = off; with -flash-segment-size)")
-
-		drillReadEvery    = flag.Uint64("flash-fault-read-every", 0, "fault drill: make every Nth device read uncorrectable (0 = off; with -flash-segment-size)")
-		drillFlipEvery    = flag.Uint64("flash-fault-flip-every", 0, "fault drill: silently flip one bit of every Nth programmed record (0 = off; with -flash-segment-size)")
-		drillProgramEvery = flag.Uint64("flash-fault-program-every", 0, "fault drill: fail every Nth device program, retiring its block (0 = off; with -flash-segment-size)")
-		drillEraseEvery   = flag.Uint64("flash-fault-erase-every", 0, "fault drill: fail every Nth device erase, retiring its block (0 = off; with -flash-segment-size)")
-
-		sampleEvery = flag.Int("sample-every", 0, "latency sampling period for the /metrics histograms: 1 in N object requests, engine lookups, and flash reads are timed (0 = 64; 1 = every request; the lookup stage rounds N up to a power of two)")
-		traceCap    = flag.Int("trace-cap", 0, "decision-trace ring capacity served by /admin/trace (0 = 1024; negative disables tracing)")
-		traceEvery  = flag.Int("trace-every", 0, "trace 1 in N object requests into the decision ring (0 = 16)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off, never exposed on the serving port)")
-
-		brFallback  = flag.String("breaker-fallback", "admit-all", "degraded admission when the classifier fails (admit-all|doorkeeper|off)")
-		brLatency   = flag.Duration("breaker-latency", 0, "classifier latency budget; slower decisions count as breaker failures (0 = none)")
-		brThreshold = flag.Int("breaker-threshold", 3, "consecutive classifier failures that open the breaker")
-		brCooldown  = flag.Duration("breaker-cooldown", time.Second, "open-state wait before half-open probes")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 	log.SetPrefix("otacached: ")
 	log.SetFlags(log.LstdFlags)
+	cfg := &o.cfg
 
-	// Validate the flash surface before the (slow) bootstrap: a typo'd
-	// geometry should fail in milliseconds with a clear message, not
-	// after the trace loads.
-	if *flashSeg < 0 {
-		fail(fmt.Errorf("-flash-segment-size must be positive, got %d (0 disables the flash layer)", *flashSeg))
+	// Every assembly flag is checked before the (slow) bootstrap: a
+	// typo fails in milliseconds with a message naming the flag.
+	if err := cfg.Validate(); err != nil {
+		fail(err)
 	}
-	if *flashSeg > 0 && (!(*flashOP > 1.0) || math.IsInf(*flashOP, 1)) {
-		fail(fmt.Errorf("-flash-overprovision must exceed 1.0 and be finite, got %g: the slack beyond the policy's capacity is the collector's working room and the bad-block spare pool", *flashOP))
-	}
-	if *flashSpare < 0 {
-		fail(fmt.Errorf("-flash-spare-blocks must not be negative, got %d (0 derives the budget from the overprovision slack)", *flashSpare))
-	}
-	if *flashSeg == 0 {
-		for name, set := range map[string]bool{
-			"-flash-spare-blocks":        *flashSpare != 0,
-			"-flash-scrub-interval":      *flashScrub != 0,
-			"-flash-fault-read-every":    *drillReadEvery != 0,
-			"-flash-fault-flip-every":    *drillFlipEvery != 0,
-			"-flash-fault-program-every": *drillProgramEvery != 0,
-			"-flash-fault-erase-every":   *drillEraseEvery != 0,
-		} {
-			if set {
-				fail(fmt.Errorf("%s requires -flash-segment-size > 0 (the flash layer is off)", name))
-			}
-		}
-	}
-
-	var kind tier.FilterKind
-	switch *mode {
-	case "original":
-		kind = tier.AdmitAll
-	case "proposal":
-		kind = tier.Classifier
-	case "ideal":
-		kind = tier.Oracle
-	case "doorkeeper":
-		kind = tier.Doorkeeper
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
-	}
-	retrainHour, err := resolveRetrainHour(*noRetrain, *retrainAt)
+	retrainHour, err := resolveRetrainHour(o.noRetrain, o.retrainAt)
 	if err != nil {
 		fail(err)
 	}
 
 	var tr *trace.Trace
-	if *tracePath != "" {
-		tr, err = trace.Load(*tracePath)
+	if o.tracePath != "" {
+		tr, err = trace.Load(o.tracePath)
 	} else {
-		tr, err = trace.Generate(trace.DefaultConfig(*seed, *photos))
+		tr, err = trace.Generate(trace.DefaultConfig(cfg.Seed, o.photos))
 	}
 	if err != nil {
 		fail(err)
 	}
-	capacity := *bytesCap
-	if capacity <= 0 {
-		capacity = int64(*frac * float64(tr.TotalBytes()))
+	st, err := stack.Build(*cfg, tr)
+	if err != nil {
+		fail(err)
 	}
-	nshards := *shards
-	if nshards <= 0 {
-		nshards = 2 * runtime.GOMAXPROCS(0)
-	}
-	if *engShards < 1 {
-		fail(fmt.Errorf("-engine-shards must be >= 1, got %d", *engShards))
-	}
-
+	eng, adms := st.Server, engine.Admissions(st.Server)
 	log.Printf("bootstrap: %d requests over %d photos; capacity %d MB (%.1f%% of footprint)",
-		len(tr.Requests), len(tr.Photos), capacity>>20, 100*float64(capacity)/float64(tr.TotalBytes()))
-	next := trace.BuildNextAccess(tr)
-	layer, err := tier.BuildLayer(tr, next, tier.Config{
-		CostV:               *costV,
-		SamplesPerMinute:    *samples,
-		Seed:                *seed,
-		DisableHistoryTable: *noTable,
-	}, tier.LayerConfig{
-		Policy:       *policy,
-		CacheBytes:   capacity,
-		Filter:       kind,
-		Shards:       nshards,
-		EngineShards: *engShards,
-	})
-	if err != nil {
-		fail(err)
+		len(tr.Requests), len(tr.Photos), st.Capacity>>20, 100*float64(st.Capacity)/float64(tr.TotalBytes()))
+	if st.Criteria.CacheBytes > 0 {
+		log.Printf("criteria: %s", st.Criteria)
 	}
-	if kind == tier.Classifier || kind == tier.Oracle {
-		log.Printf("criteria: %s", layer.Criteria)
-	}
-
-	// In proposal mode a circuit breaker stands between each engine
-	// shard and its classifier: a failing model degrades that shard's
-	// admission, never requests — and never the other shards.
-	eng := layer.Server
-	if kind == tier.Classifier && *brFallback != "off" {
-		shardEngines := eng.Shards()
-		wrapped := make([]*engine.Engine, len(shardEngines))
-		for i, sh := range shardEngines {
-			var fallback core.Filter
-			switch *brFallback {
-			case "admit-all":
-				// NewBreaker's default.
-			case "doorkeeper":
-				// The fallback doorkeeper is sized to the shard's slice
-				// of the capacity, like the shard's own filter would be.
-				width := int(capacity / int64(len(shardEngines)) / tr.MeanPhotoSize())
-				if width < 1024 {
-					width = 1024
-				}
-				fallback, err = core.NewFrequencyAdmission(width, 1)
-				if err != nil {
-					fail(err)
-				}
-			default:
-				fail(fmt.Errorf("unknown -breaker-fallback %q", *brFallback))
-			}
-			breaker, err := engine.NewBreaker(sh.Filter(), engine.BreakerConfig{
-				Fallback:         fallback,
-				LatencyBudget:    *brLatency,
-				FailureThreshold: *brThreshold,
-				Cooldown:         *brCooldown,
-			})
-			if err != nil {
-				fail(err)
-			}
-			wrapped[i], err = engine.New(sh.Policy(), breaker)
-			if err != nil {
-				fail(err)
-			}
-		}
-		if len(wrapped) == 1 {
-			eng = wrapped[0]
-		} else {
-			eng, err = engine.NewShardedEngine(wrapped, *seed)
-			if err != nil {
-				fail(err)
-			}
-		}
+	if len(adms) > 0 && cfg.BreakerFallback != "off" {
 		log.Printf("breaker: fallback=%s threshold=%d cooldown=%s latency-budget=%s (per shard x%d)",
-			*brFallback, *brThreshold, *brCooldown, *brLatency, len(wrapped))
+			cfg.BreakerFallback, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.BreakerLatency, len(adms))
 	}
-
-	// The flash device model attaches after the final engine assembly —
-	// the breaker re-wrap above builds fresh engines around the shard
-	// policies — and before any snapshot restore below, so the restore's
-	// residency rebuild finds the stores already wired in.
-	var scrubber *engine.Scrubber
-	if *flashSeg > 0 {
-		opts := engine.FlashOptions{
-			SegmentSize:   *flashSeg,
-			Overprovision: *flashOP,
-			SpareBlocks:   *flashSpare,
-		}
-		drill := *drillReadEvery != 0 || *drillFlipEvery != 0 || *drillProgramEvery != 0 || *drillEraseEvery != 0
-		if drill {
-			// The fault drill wraps each shard's device with call-indexed
-			// injectors: deterministic media faults for rehearsing the
-			// degrade-to-miss, retirement, and scrub machinery on a live
-			// daemon. Never meaningful in production — the flags exist so
-			// an operator can watch /stats FlashHealth move before trusting
-			// it during a real incident.
-			mk := func(n uint64) *faults.Injector {
-				if n == 0 {
-					return nil
-				}
-				return faults.NewInjector(faults.EveryNth(n, faults.Fault{Kind: faults.Error}), nil)
-			}
-			opts.Device = func(shard, segments int) flash.Device {
-				return faults.WrapDevice(flash.NewMemDevice(segments),
-					mk(*drillReadEvery), mk(*drillProgramEvery), mk(*drillEraseEvery), mk(*drillFlipEvery))
-			}
-			log.Printf("flash drill: injecting media faults (read-every=%d flip-every=%d program-every=%d erase-every=%d)",
-				*drillReadEvery, *drillFlipEvery, *drillProgramEvery, *drillEraseEvery)
-		}
-		if err := engine.AttachFlashOpts(eng, opts); err != nil {
-			fail(err)
-		}
+	if cfg.Drill() {
+		log.Printf("flash drill: injecting media faults (read-every=%d flip-every=%d program-every=%d erase-every=%d)",
+			cfg.FlashFaultReadEvery, cfg.FlashFaultFlipEvery, cfg.FlashFaultProgramEvery, cfg.FlashFaultEraseEvery)
+	}
+	if fs := eng.Shards()[0].Flash(); fs != nil {
 		log.Printf("flash: log-structured store per shard, segment=%d KB overprovision=%.2f spare-blocks=%d (x%d)",
-			*flashSeg>>10, *flashOP, eng.Shards()[0].Flash().Stats().SpareBlocks, len(eng.Shards()))
-		if *flashScrub > 0 {
-			scrubber, err = engine.NewScrubber(eng, *flashScrub, nil)
-			if err != nil {
-				fail(err)
-			}
-			scrubber.Start()
-			log.Printf("flash scrub: one segment per shard every %s", *flashScrub)
-		}
+			cfg.FlashSegmentSize>>10, cfg.FlashOverprovision, fs.Stats().SpareBlocks, len(eng.Shards()))
 	}
-
-	// adms are the per-shard classifier admissions behind any breaker
-	// wrapping above; the model and retraining paths install into all.
-	adms := server.Admissions(eng)
+	if st.Scrubber != nil {
+		log.Printf("flash scrub: one segment per shard every %s", cfg.FlashScrubInterval)
+	}
+	if cfg.Model != "" {
+		tree := adms[0].Classifier().(*cart.Tree)
+		log.Printf("model: installed %s (%d splits) into %d shard(s)", cfg.Model, tree.NumSplits(), len(adms))
+	}
 
 	srv := server.New(eng, server.Config{
-		MaxConns:         *maxConns,
-		RequestTimeout:   *reqTO,
+		MaxConns:         o.maxConns,
+		RequestTimeout:   o.reqTO,
 		NumFeatures:      len(features.PaperSelected()),
-		SampleEvery:      *sampleEvery,
-		TraceCap:         *traceCap,
-		TraceSampleEvery: *traceEvery,
+		SampleEvery:      o.sampleEvery,
+		TraceCap:         o.traceCap,
+		TraceSampleEvery: o.traceEvery,
 	})
 
 	// The profiler gets its own listener and mux: never the serving
 	// port, so an operator can firewall it separately and a scrape of
 	// /metrics can't wander into a heap dump.
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		pm := http.NewServeMux()
 		pm.HandleFunc("/debug/pprof/", pprof.Index)
 		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pln, err := net.Listen("tcp", *pprofAddr)
+		pln, err := net.Listen("tcp", o.pprofAddr)
 		if err != nil {
 			fail(fmt.Errorf("-pprof-addr: %w", err))
 		}
@@ -346,55 +225,41 @@ func main() {
 		}()
 	}
 
-	if *modelPath != "" {
-		if len(adms) == 0 {
-			fail(fmt.Errorf("-model requires -mode proposal"))
-		}
-		tree, err := cart.Load(*modelPath)
-		if err != nil {
-			fail(err)
-		}
-		for _, adm := range adms {
-			adm.SetClassifier(tree)
-		}
-		log.Printf("model: installed %s (%d splits) into %d shard(s)", *modelPath, tree.NumSplits(), len(adms))
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	if len(adms) > 0 && retrainHour >= 0 {
-		v := *costV
+		v := cfg.V
 		if v <= 0 {
-			v = core.CostV(capacity)
+			v = core.CostV(st.Capacity)
 		}
 		rt := server.NewRetrainer(adms, server.RetrainerConfig{
-			M:                layer.Criteria.M,
+			M:                st.Criteria.M,
 			CostV:            v,
-			SamplesPerMinute: *samples,
+			SamplesPerMinute: cfg.Samples,
 		})
 		srv.AttachRetrainer(rt)
 		go rt.RunDaily(ctx, retrainHour, log.Printf)
-		log.Printf("retraining: daily at %02d:00 from live traffic (%d samples/min)", retrainHour, *samples)
+		log.Printf("retraining: daily at %02d:00 from live traffic (%d samples/min)", retrainHour, cfg.Samples)
 	}
 
 	// Crash-safe state: the daemon is listening but not ready while the
 	// previous run's snapshot is restored, so orchestrators (and otaload)
 	// can gate on /readyz instead of racing the warm-up.
 	var snap *server.Snapshotter
-	if *snapPath != "" {
-		snap = server.NewSnapshotter(eng, *snapPath)
+	if o.snapPath != "" {
+		snap = server.NewSnapshotter(eng, o.snapPath)
 		srv.AttachSnapshotter(snap)
 		srv.SetNotReady("restoring snapshot")
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fail(err)
 	}
 	first := eng.Shards()[0]
 	log.Printf("serving policy=%s filter=%s on %s (engine-shards=%d, shards=%d, max-conns=%d, timeout=%s)",
-		first.Policy().Name(), first.Filter().Name(), ln.Addr(), len(eng.Shards()), nshards, *maxConns, *reqTO)
+		first.Policy().Name(), first.Filter().Name(), ln.Addr(), len(eng.Shards()), st.Shards, o.maxConns, o.reqTO)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -403,19 +268,19 @@ func main() {
 		// RestoreSnapshot rather than LoadSnapshot: the restore latency
 		// lands in the snapshot-restore histogram, so a slow warm start
 		// is visible on /metrics after the fact.
-		res, err := srv.RestoreSnapshot(*snapPath)
+		res, err := srv.RestoreSnapshot(o.snapPath)
 		switch {
 		case err == nil:
 			log.Printf("snapshot: restored %d residents (%d MB), %d table entries, tree=%v, resuming at tick %d",
 				res.Residents, res.ResidentBytes>>20, res.TableEntries, res.HasTree, res.Tick)
 		case errors.Is(err, os.ErrNotExist):
-			log.Printf("snapshot: no state at %s, cold start", *snapPath)
+			log.Printf("snapshot: no state at %s, cold start", o.snapPath)
 		default:
 			log.Printf("snapshot: restore failed, serving cold: %v", err)
 		}
 		srv.SetReady()
-		go snap.Run(ctx, *snapEvery, log.Printf)
-		log.Printf("snapshot: writing to %s every %s", *snapPath, *snapEvery)
+		go snap.Run(ctx, o.snapEvery, log.Printf)
+		log.Printf("snapshot: writing to %s every %s", o.snapPath, o.snapEvery)
 	}
 
 	select {
@@ -425,18 +290,18 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop()
-		log.Printf("signal received, draining (budget %s)", *drainTO)
-		sctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		log.Printf("signal received, draining (budget %s)", o.drainTO)
+		sctx, cancel := context.WithTimeout(context.Background(), o.drainTO)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("drain incomplete: %v", err)
 			os.Exit(1)
 		}
 		<-done
-		if scrubber != nil {
+		if st.Scrubber != nil {
 			// Stop the patrol before the final snapshot so no scrub drop
 			// races the residency walk.
-			scrubber.Stop()
+			st.Scrubber.Stop()
 		}
 		if snap != nil {
 			// One final write now that the counters have settled: the next
@@ -445,7 +310,7 @@ func main() {
 				log.Printf("final snapshot: %v", err)
 			} else {
 				log.Printf("final snapshot: %d residents, %d table entries -> %s",
-					res.Residents, res.TableEntries, *snapPath)
+					res.Residents, res.TableEntries, o.snapPath)
 			}
 		}
 		m := eng.Snapshot()

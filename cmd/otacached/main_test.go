@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"otacache/internal/cache"
 	"otacache/internal/engine"
 	"otacache/internal/server"
+	"otacache/internal/stack"
 )
 
 // daemonProc is one running otacached child plus its captured log.
@@ -218,10 +221,12 @@ func TestDaemonSIGTERMDrainAndSnapshotRestart(t *testing.T) {
 	}
 }
 
-// TestDaemonFlashFlagValidation pins the startup validation of the
-// flash surface: a bad geometry or a drill knob without the flash layer
-// must fail fast with a message naming the flag, before the bootstrap
-// trace is even loaded.
+// TestDaemonFlashFlagValidation pins the startup validation of every
+// assembly flag, in every mode: a bad flash geometry, a drill knob
+// without the flash layer, an unknown breaker fallback or policy, or a
+// -model outside proposal mode must fail fast with a message naming
+// the flag, before the bootstrap trace is even loaded. A daemon that
+// starts anyway is killed at the deadline and fails its row.
 func TestDaemonFlashFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the real daemon")
@@ -239,16 +244,73 @@ func TestDaemonFlashFlagValidation(t *testing.T) {
 		{[]string{"-flash-segment-size", "4096", "-flash-spare-blocks", "-1"}, "-flash-spare-blocks must not be negative"},
 		{[]string{"-flash-scrub-interval", "1s"}, "requires -flash-segment-size"},
 		{[]string{"-flash-fault-flip-every", "10"}, "requires -flash-segment-size"},
+		{[]string{"-mode", "original", "-breaker-fallback", "bogus"}, "unknown -breaker-fallback"},
+		{[]string{"-mode", "proposal", "-breaker-fallback", "bogus"}, "unknown -breaker-fallback"},
+		{[]string{"-mode", "bogus"}, "unknown mode"},
+		{[]string{"-policy", "bogus"}, "unknown -policy"},
+		{[]string{"-engine-shards", "0"}, "-engine-shards must be >= 1"},
+		{[]string{"-mode", "original", "-model", "absent.tree"}, "-model requires -mode proposal"},
+		{[]string{"-frac", "0"}, "-frac must be positive"},
+		{[]string{"-bytes", "-1"}, "-bytes must not be negative"},
+		{[]string{"-shards", "-1"}, "-shards must not be negative"},
+		{[]string{"-v", "-1"}, "-v must be finite and not negative"},
+		{[]string{"-samples", "0"}, "-samples must be positive"},
+		{[]string{"-breaker-latency", "-1s"}, "-breaker-latency must not be negative"},
+		{[]string{"-breaker-threshold", "-1"}, "-breaker-threshold must not be negative"},
+		{[]string{"-breaker-cooldown", "-1s"}, "-breaker-cooldown must not be negative"},
+		{[]string{"-flash-segment-size", "4096", "-flash-scrub-interval", "-1s"}, "-flash-scrub-interval must not be negative"},
 	}
 	for _, tc := range cases {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
-		if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		args := append([]string{"-addr", "127.0.0.1:0", "-photos", "2000"}, tc.args...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		started := err == nil || ctx.Err() != nil
+		cancel()
+		if started {
 			t.Errorf("otacached %v started despite invalid flags", tc.args)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("otacached %v: error does not name the problem (want %q):\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestFlagDefaults pins otacached's command line: every flag keeps its
+// name and default, and those defaults, spelled out as arguments onto
+// a zero Config, parse to stack.Defaults — so a flag whose default or
+// target field drifts from Defaults fails here.
+func TestFlagDefaults(t *testing.T) {
+	want := map[string]string{
+		"addr": ":8344", "policy": "lru", "mode": "original", "photos": "60000", "trace": "",
+		"seed": "42", "bytes": "0", "frac": "0.15", "shards": "0", "engine-shards": "1",
+		"v": "0", "samples": "100", "no-history-table": "false", "no-retrain": "false",
+		"retrain-hour": "5", "model": "", "max-conns": "0", "timeout": "5s", "drain-timeout": "30s",
+		"snapshot": "", "snapshot-interval": "5m0s",
+		"flash-segment-size": "0", "flash-overprovision": "1.15", "flash-spare-blocks": "0",
+		"flash-scrub-interval": "0s", "flash-fault-read-every": "0", "flash-fault-flip-every": "0",
+		"flash-fault-program-every": "0", "flash-fault-erase-every": "0",
+		"sample-every": "0", "trace-cap": "0", "trace-every": "0", "pprof-addr": "",
+		"breaker-fallback": "admit-all", "breaker-latency": "0s", "breaker-threshold": "3", "breaker-cooldown": "1s",
+	}
+	fs := flag.NewFlagSet("otacached", flag.ContinueOnError)
+	o := bindFlags(fs)
+	got := make(map[string]string)
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag defaults\n got %v\nwant %v", got, want)
+	}
+
+	o.cfg = stack.Config{}
+	var args []string
+	for name, v := range want {
+		args = append(args, "-"+name+"="+v)
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(o.cfg, stack.Defaults()) {
+		t.Errorf("default flags assemble\n%+v\nwant stack.Defaults()\n%+v", o.cfg, stack.Defaults())
 	}
 }
 

@@ -137,21 +137,6 @@ func NewCacheServer(eng EngineServer, cfg CacheServerConfig) *CacheServer {
 	return server.New(eng, cfg)
 }
 
-// BuildShardedServer assembles a shard-routed daemon from a trace in
-// one step: it builds a serving layer with lc.EngineShards independent
-// engine shards (criteria and bootstrap model solved once, capacity
-// split evenly) and wraps the result in the HTTP server.
-func BuildShardedServer(t *Trace, next []int, cfg TierConfig, lc TierLayer, serverCfg CacheServerConfig) (*CacheServer, *ServingLayer, error) {
-	if lc.EngineShards < 1 {
-		lc.EngineShards = 1
-	}
-	layer, err := tier.BuildLayer(t, next, cfg, lc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return server.New(layer.Server, serverCfg), layer, nil
-}
-
 // NewCacheClient builds a client for a daemon at base (e.g.
 // "http://127.0.0.1:8344") sized for the given worker concurrency.
 func NewCacheClient(base string, workers int) *CacheClient {

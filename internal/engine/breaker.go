@@ -320,3 +320,34 @@ func (b *Breaker) syncHealthy() {
 }
 
 var _ core.Filter = (*Breaker)(nil)
+
+// Admission unwraps degradation layers to the classifier admission
+// behind f, so hot-swap and retraining keep working when a breaker
+// fronts the classifier; nil when there is none. Any wrapper exposing
+// Primary() participates.
+func Admission(f core.Filter) *core.ClassifierAdmission {
+	for f != nil {
+		switch v := f.(type) {
+		case *core.ClassifierAdmission:
+			return v
+		case interface{ Primary() core.Filter }:
+			f = v.Primary()
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
+// Admissions returns the classifier admissions behind srv's shard
+// filters, in shard order, dropping shards that run without one: the
+// set the -model install and the retrainer point at.
+func Admissions(srv Server) []*core.ClassifierAdmission {
+	var out []*core.ClassifierAdmission
+	for _, sh := range srv.Shards() {
+		if adm := Admission(sh.Filter()); adm != nil {
+			out = append(out, adm)
+		}
+	}
+	return out
+}

@@ -4,30 +4,34 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"otacache/internal/engine"
 	"otacache/internal/features"
-	"otacache/internal/tier"
+	"otacache/internal/stack"
 	"otacache/internal/trace"
 )
 
-// buildE2ELayer assembles one classifier-filtered serving layer from the
-// trace, exactly as otacached does. Each call builds an independent
-// layer: the two sides of the equivalence test must not share a history
+// buildE2E assembles the daemon's proposal-mode stack through
+// stack.Build, at 10% of the trace footprint over four policy stripes,
+// after applying edits to the config. Each call builds an independent
+// stack: the two sides of an equivalence test must not share a history
 // table or classifier.
-func buildE2ELayer(t *testing.T, tr *trace.Trace, next []int) *tier.Layer {
+func buildE2E(t testing.TB, tr *trace.Trace, edits ...func(*stack.Config)) engine.Server {
 	t.Helper()
-	layer, err := tier.BuildLayer(tr, next, tier.Config{
-		SamplesPerMinute: 100,
-		Seed:             7,
-	}, tier.LayerConfig{
-		Policy:     "lru",
-		CacheBytes: int64(float64(tr.TotalBytes()) * 0.10),
-		Filter:     tier.Classifier,
-		Shards:     4,
-	})
+	cfg := stack.Defaults()
+	cfg.Mode, cfg.Seed, cfg.Frac, cfg.Shards = "proposal", 7, 0.10, 4
+	for _, edit := range edits {
+		edit(&cfg)
+	}
+	st, err := stack.Build(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return layer
+	return st.Server
+}
+
+// withEngineShards is the buildE2E edit for n engine shards.
+func withEngineShards(n int) func(*stack.Config) {
+	return func(c *stack.Config) { c.EngineShards = n }
 }
 
 // TestE2EServerMatchesInProcess pins the acceptance criterion: replaying
@@ -45,23 +49,10 @@ func TestE2EServerMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	cols := features.PaperSelected()
-
 	// In-process reference: sequential Lookup over the whole trace.
-	ref := buildE2ELayer(t, tr, next)
-	ex := features.NewExtractor(tr)
-	var full [features.NumFeatures]float64
-	proj := make([]float64, len(cols))
-	for i := range tr.Requests {
-		req := &tr.Requests[i]
-		ex.NextInto(i, full[:])
-		for j, col := range cols {
-			proj[j] = full[col]
-		}
-		ref.Engine.Lookup(uint64(req.Photo), tr.Photos[req.Photo].Size, ref.Engine.NextTick(), proj)
-	}
-	want := ref.Engine.Snapshot()
+	ref := buildE2E(t, tr)
+	newTraceWalker(tr).replayRange(0, len(tr.Requests), ref)
+	want := ref.Snapshot()
 	if want.Requests != int64(len(tr.Requests)) || want.Hits == 0 || want.Bypassed == 0 {
 		t.Fatalf("degenerate reference run: %+v", want)
 	}
@@ -69,8 +60,7 @@ func TestE2EServerMatchesInProcess(t *testing.T) {
 	// Wire path: an identical layer served over loopback HTTP, replayed
 	// by the otaload client machinery with one worker so the request
 	// order (and hence the tick sequence) matches the trace.
-	layer := buildE2ELayer(t, tr, next)
-	srv := New(layer.Engine, Config{NumFeatures: len(cols)})
+	srv := New(buildE2E(t, tr), Config{NumFeatures: len(features.PaperSelected())})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 

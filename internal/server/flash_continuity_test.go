@@ -7,17 +7,13 @@ import (
 
 	"otacache/internal/engine"
 	"otacache/internal/ssd"
+	"otacache/internal/stack"
 	"otacache/internal/trace"
 )
 
-// attachTestFlash gives a layer the standard test device geometry: 2MiB
-// erase blocks (photos run up to ~1.3MB), 15% overprovision.
-func attachTestFlash(t *testing.T, srv engine.Server) {
-	t.Helper()
-	if err := engine.AttachFlash(srv, 2<<20, 1.15); err != nil {
-		t.Fatal(err)
-	}
-}
+// withTestFlash is the buildE2E edit for the standard test device:
+// 2MiB erase blocks (photos run up to ~1.3MB), 15% overprovision.
+func withTestFlash(c *stack.Config) { c.FlashSegmentSize, c.FlashOverprovision = 2<<20, 1.15 }
 
 // windowLifetimeDays estimates device lifetime from one replay window's
 // wear delta, the way /stats does: the TLC profile at the device
@@ -52,15 +48,13 @@ func TestFlashWAFContinuityAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
 	half := len(tr.Requests) / 2
 
 	// Uninterrupted reference run.
-	uninterrupted := buildE2ELayer(t, tr, next)
-	attachTestFlash(t, uninterrupted.Server)
+	uninterrupted := buildE2E(t, tr, withTestFlash)
 	w := newTraceWalker(tr)
 	w.replayRange(0, half, uninterrupted)
-	mid := uninterrupted.Engine.Snapshot()
+	mid := uninterrupted.Snapshot()
 	if mid.FlashHostBytes == 0 || mid.FlashErases == 0 {
 		t.Fatalf("first half produced no device wear: %+v", mid)
 	}
@@ -69,26 +63,25 @@ func TestFlashWAFContinuityAcrossRestart(t *testing.T) {
 	// layer whose (empty) flash devices are attached before the load —
 	// exactly the daemon's assembly order.
 	path := filepath.Join(t.TempDir(), "otacached.snap")
-	if _, err := SaveSnapshot(path, uninterrupted.Engine); err != nil {
+	if _, err := SaveSnapshot(path, uninterrupted); err != nil {
 		t.Fatal(err)
 	}
-	restored := buildE2ELayer(t, tr, next)
-	attachTestFlash(t, restored.Server)
-	if _, err := LoadSnapshot(path, restored.Engine); err != nil {
+	restored := buildE2E(t, tr, withTestFlash)
+	if _, err := LoadSnapshot(path, restored); err != nil {
 		t.Fatal(err)
 	}
 
 	// The rebuild re-materialized residency without wear: counters are
 	// fresh (no erase burst, no phantom host writes), extents match the
 	// restored policy exactly.
-	r0 := restored.Engine.Snapshot()
+	r0 := restored.Snapshot()
 	if r0.FlashErases != 0 {
 		t.Fatalf("restore burst %d erases; the rebuild must land on clean blocks", r0.FlashErases)
 	}
 	if r0.FlashHostBytes != 0 || r0.FlashGCBytes != 0 {
 		t.Fatalf("restore charged wear counters: %+v", r0)
 	}
-	for i, sh := range restored.Engine.Shards() {
+	for i, sh := range restored.Shards() {
 		if got, want := sh.Flash().Len(), sh.Policy().Len(); got != want {
 			t.Fatalf("shard %d: flash holds %d extents, policy %d residents", i, got, want)
 		}
@@ -103,11 +96,11 @@ func TestFlashWAFContinuityAcrossRestart(t *testing.T) {
 	// deltas.
 	warm := half + 2*(len(tr.Requests)-half)/5
 	w.replayRange(half, warm, uninterrupted, restored)
-	u0 := uninterrupted.Engine.Snapshot()
-	r1 := restored.Engine.Snapshot()
+	u0 := uninterrupted.Snapshot()
+	r1 := restored.Snapshot()
 	w.replayRange(warm, len(tr.Requests), uninterrupted, restored)
-	du := uninterrupted.Engine.Snapshot().Sub(u0)
-	dr := restored.Engine.Snapshot().Sub(r1)
+	du := uninterrupted.Snapshot().Sub(u0)
+	dr := restored.Snapshot().Sub(r1)
 
 	if du.FlashErases == 0 || dr.FlashErases == 0 {
 		t.Fatalf("degenerate tail: uninterrupted %d erases, restored %d", du.FlashErases, dr.FlashErases)
@@ -116,8 +109,8 @@ func TestFlashWAFContinuityAcrossRestart(t *testing.T) {
 		t.Errorf("restored tail WAF %.4f vs uninterrupted %.4f (gap %.2f%%, want within 2%%)",
 			dr.FlashWAF(), du.FlashWAF(), gap*100)
 	}
-	lu := windowLifetimeDays(t, uninterrupted.Server, du)
-	lr := windowLifetimeDays(t, restored.Server, dr)
+	lu := windowLifetimeDays(t, uninterrupted, du)
+	lr := windowLifetimeDays(t, restored, dr)
 	if gap := relGap(lr, lu); gap > 0.02 {
 		t.Errorf("restored lifetime estimate %.1f days vs uninterrupted %.1f (gap %.2f%%, want within 2%%)",
 			lr, lu, gap*100)

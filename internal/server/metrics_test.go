@@ -16,7 +16,20 @@ import (
 	"otacache/internal/engine"
 	"otacache/internal/faults"
 	"otacache/internal/obs"
+	"otacache/internal/stack"
+	"otacache/internal/trace"
 )
+
+// tinyTrace is a bootstrap trace for stacks sized by Bytes, which
+// use it for nothing else.
+func tinyTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Generate(trace.DefaultConfig(1, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 func TestSnakeCase(t *testing.T) {
 	cases := map[string]string{
@@ -41,9 +54,10 @@ func TestSnakeCase(t *testing.T) {
 	}
 }
 
-// shardedObsEngine builds a 2-shard engine, each shard a classifier
-// admission behind a breaker, with flash attached — the widest serving
-// composition, so the exposition test covers every metric family.
+// shardedObsEngine builds a 2-shard engine, each shard a threshold-tree
+// classifier admission behind a breaker, with flash attached — the
+// widest serving composition, so the exposition test covers every
+// metric family, from a classifier the golden can pin.
 func shardedObsEngine(t testing.TB) *engine.ShardedEngine {
 	t.Helper()
 	shards := make([]*engine.Engine, 2)
@@ -390,7 +404,7 @@ func TestTraceDisabled(t *testing.T) {
 // draining the ring — and relies on the CI race matrix (-race at
 // GOMAXPROCS 2 and 8) to catch unsynchronized access.
 func TestObservabilityConcurrent(t *testing.T) {
-	se := shardedObsEngine(t)
+	se := buildE2E(t, tinyTrace(t), withEngineShards(2), func(c *stack.Config) { c.FlashSegmentSize = 64 << 10 })
 	srv := New(se, Config{SampleEvery: 1, TraceSampleEvery: 2, TraceCap: 32})
 	ts, c := startTestServer(t, srv)
 

@@ -205,7 +205,7 @@ func New(eng engine.Server, cfg Config) *Server {
 	}
 	for i, sh := range s.shards {
 		s.breakers[i], _ = sh.Filter().(*engine.Breaker)
-		s.admissions[i] = findAdmission(sh.Filter())
+		s.admissions[i] = engine.Admission(sh.Filter())
 		if s.admissions[i] != nil {
 			s.classified = true
 		}
@@ -228,23 +228,6 @@ func New(eng engine.Server, cfg Config) *Server {
 		ReadHeaderTimeout: cfg.RequestTimeout,
 	}
 	return s
-}
-
-// findAdmission unwraps degradation layers to the admission system, so
-// hot-swap and retraining keep working when a breaker fronts the
-// classifier. Any wrapper exposing Primary() participates.
-func findAdmission(f core.Filter) *core.ClassifierAdmission {
-	for f != nil {
-		switch v := f.(type) {
-		case *core.ClassifierAdmission:
-			return v
-		case interface{ Primary() core.Filter }:
-			f = v.Primary()
-		default:
-			return nil
-		}
-	}
-	return nil
 }
 
 // recoverPanics is the outermost handler layer: a panicking handler
@@ -316,19 +299,8 @@ func (s *Server) notReadyReason() string {
 // Engine returns the served engine (single or sharded).
 func (s *Server) Engine() engine.Server { return s.eng }
 
-// Admissions returns the per-shard admission systems behind eng's
-// filters (unwrapping circuit breakers), in shard order, dropping
-// shards that run without one. The daemon uses it to point the
-// retrainer and the -model install at every shard.
-func Admissions(eng engine.Server) []*core.ClassifierAdmission {
-	var out []*core.ClassifierAdmission
-	for _, sh := range eng.Shards() {
-		if adm := findAdmission(sh.Filter()); adm != nil {
-			out = append(out, adm)
-		}
-	}
-	return out
-}
+// Admissions is engine.Admissions, kept here for the benchmark harness.
+func Admissions(eng engine.Server) []*core.ClassifierAdmission { return engine.Admissions(eng) }
 
 // AttachRetrainer wires a live retrainer into the serving path: every
 // object request is observed for sampling and labeling, and the

@@ -10,29 +10,8 @@ import (
 	"otacache/internal/engine"
 	"otacache/internal/features"
 	"otacache/internal/mlcore"
-	"otacache/internal/tier"
 	"otacache/internal/trace"
 )
-
-// buildShardedE2ELayer is buildE2ELayer with N independent engine
-// shards: criteria and bootstrap model solved once, capacity split.
-func buildShardedE2ELayer(t *testing.T, tr *trace.Trace, next []int, nshards int) *tier.Layer {
-	t.Helper()
-	layer, err := tier.BuildLayer(tr, next, tier.Config{
-		SamplesPerMinute: 100,
-		Seed:             7,
-	}, tier.LayerConfig{
-		Policy:       "lru",
-		CacheBytes:   int64(float64(tr.TotalBytes()) * 0.10),
-		Filter:       tier.Classifier,
-		Shards:       4,
-		EngineShards: nshards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return layer
-}
 
 // newShardedTestEngine assembles n admit-all engine shards behind a
 // ring, each with its own thread-safe policy.
@@ -68,21 +47,14 @@ func TestE2EShardedServerMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	cols := features.PaperSelected()
-
-	ref := buildShardedE2ELayer(t, tr, next, 4)
-	if ref.Engine != nil {
-		t.Fatal("sharded layer must not expose a single Engine")
-	}
+	ref := buildE2E(t, tr, withEngineShards(4))
 	newTraceWalker(tr).replayRange(0, len(tr.Requests), ref)
-	want := ref.Server.Snapshot()
+	want := ref.Snapshot()
 	if want.Requests != int64(len(tr.Requests)) || want.Hits == 0 || want.Bypassed == 0 {
 		t.Fatalf("degenerate reference run: %+v", want)
 	}
 
-	layer := buildShardedE2ELayer(t, tr, next, 4)
-	srv := New(layer.Server, Config{NumFeatures: len(cols)})
+	srv := New(buildE2E(t, tr, withEngineShards(4)), Config{NumFeatures: len(features.PaperSelected())})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -108,19 +80,16 @@ func TestShardedGoldenOneShardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
 
-	single := buildE2ELayer(t, tr, next)
-	wrapped := buildE2ELayer(t, tr, next)
-	se, err := engine.NewShardedEngine([]*engine.Engine{wrapped.Engine}, 7)
+	single := buildE2E(t, tr)
+	wrapped, err := engine.NewShardedEngine(buildE2E(t, tr).Shards(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped.Server = se
 
 	w := newTraceWalker(tr)
 	w.replayRange(0, len(tr.Requests), single, wrapped)
-	sm, wm := single.Server.Snapshot(), wrapped.Server.Snapshot()
+	sm, wm := single.Snapshot(), wrapped.Snapshot()
 	if sm != wm {
 		t.Fatalf("one-shard ShardedEngine diverged from single Engine:\n single: %+v\nsharded: %+v", sm, wm)
 	}
@@ -297,18 +266,17 @@ func TestSnapshotReshardKillAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
 	half := len(tr.Requests) / 2
 
 	// The node that will crash ran 4 engine shards...
-	crashing := buildShardedE2ELayer(t, tr, next, 4)
+	crashing := buildE2E(t, tr, withEngineShards(4))
 	// ...its replacement and the uninterrupted control run 2.
-	uninterrupted := buildShardedE2ELayer(t, tr, next, 2)
+	uninterrupted := buildE2E(t, tr, withEngineShards(2))
 	w := newTraceWalker(tr)
 	w.replayRange(0, half, crashing, uninterrupted)
 
 	var buf bytes.Buffer
-	wres, err := WriteSnapshot(&buf, crashing.Server)
+	wres, err := WriteSnapshot(&buf, crashing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,24 +284,24 @@ func TestSnapshotReshardKillAndRestart(t *testing.T) {
 		t.Fatalf("degenerate 4-shard snapshot: %+v", wres)
 	}
 
-	restored := buildShardedE2ELayer(t, tr, next, 2)
-	rres, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), restored.Server)
+	restored := buildE2E(t, tr, withEngineShards(2))
+	rres, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), restored)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rres.Shards != 4 || !rres.HasTree {
 		t.Fatalf("reshard restore: %+v", rres)
 	}
-	if restored.Server.Tick() != crashing.Server.Tick() {
-		t.Fatalf("restored tick %d, want %d", restored.Server.Tick(), crashing.Server.Tick())
+	if restored.Tick() != crashing.Tick() {
+		t.Fatalf("restored tick %d, want %d", restored.Tick(), crashing.Tick())
 	}
 	// Every restored resident must live on exactly the shard the new
 	// ring routes it to, or post-restore lookups would miss warm state.
-	shards := restored.Server.Shards()
+	shards := restored.Shards()
 	checked := 0
 	for i := range tr.Photos {
 		key := uint64(i)
-		home := restored.Server.ShardFor(key)
+		home := restored.ShardFor(key)
 		for si, sh := range shards {
 			if si != home && sh.Policy().Contains(key) {
 				t.Fatalf("key %d restored onto shard %d, ring owner is %d", key, si, home)
@@ -347,12 +315,12 @@ func TestSnapshotReshardKillAndRestart(t *testing.T) {
 		t.Fatal("no residents survived the reshard restore")
 	}
 
-	cold := buildShardedE2ELayer(t, tr, next, 2)
-	u0, r0, c0 := uninterrupted.Server.Snapshot(), restored.Server.Snapshot(), cold.Server.Snapshot()
+	cold := buildE2E(t, tr, withEngineShards(2))
+	u0, r0, c0 := uninterrupted.Snapshot(), restored.Snapshot(), cold.Snapshot()
 	w.replayRange(half, len(tr.Requests), uninterrupted, restored, cold)
-	du := uninterrupted.Server.Snapshot().Sub(u0)
-	dr := restored.Server.Snapshot().Sub(r0)
-	dc := cold.Server.Snapshot().Sub(c0)
+	du := uninterrupted.Snapshot().Sub(u0)
+	dr := restored.Snapshot().Sub(r0)
+	dc := cold.Snapshot().Sub(c0)
 
 	if du.Hits == 0 || du.Writes == 0 {
 		t.Fatalf("degenerate uninterrupted tail: %+v", du)

@@ -142,7 +142,7 @@ func WriteSnapshot(w io.Writer, srv engine.Server) (SnapshotResult, error) {
 				st.bytes += size
 				return true
 			})
-			if adm := findAdmission(shards[i].Filter()); adm != nil {
+			if adm := engine.Admission(shards[i].Filter()); adm != nil {
 				if adm.Table() != nil {
 					st.hasTable = true
 					st.entries = adm.Table().Entries()
@@ -332,7 +332,7 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 	admissions := make([]*core.ClassifierAdmission, len(shards))
 	hasDest := make([]bool, len(shards))
 	for i, sh := range shards {
-		admissions[i] = findAdmission(sh.Filter())
+		admissions[i] = engine.Admission(sh.Filter())
 		hasDest[i] = admissions[i] != nil && admissions[i].Table() != nil
 	}
 

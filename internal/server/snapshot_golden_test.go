@@ -91,7 +91,7 @@ func goldenSnapshot(tb testing.TB) []byte {
 func presenceOffsets(tb testing.TB, b []byte) (presence, ticks []int) {
 	tb.Helper()
 	var tree bytes.Buffer
-	if _, err := findAdmission(goldenEngine(tb).Shards()[1].Filter()).Classifier().(*cart.Tree).WriteTo(&tree); err != nil {
+	if _, err := engine.Admission(goldenEngine(tb).Shards()[1].Filter()).Classifier().(*cart.Tree).WriteTo(&tree); err != nil {
 		tb.Fatal(err)
 	}
 	count := func(off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
@@ -175,14 +175,14 @@ func TestSnapshotGolden(t *testing.T) {
 			"a layout change must bump snapVersion and add its golden", buf.Len(), len(golden), goldenPath())
 	}
 
-	srcAdm := findAdmission(src.Shards()[1].Filter())
+	srcAdm := engine.Admission(src.Shards()[1].Filter())
 	entries := srcAdm.Table().Entries()
 	if len(entries) == 0 || src.Shards()[0].Policy().Len() == 0 || src.Shards()[1].Policy().Len() == 0 {
 		t.Fatal("degenerate fixture: a shard or the history table is empty")
 	}
 
 	dst := goldenEngine(t)
-	dstAdm := findAdmission(dst.Shards()[1].Filter())
+	dstAdm := engine.Admission(dst.Shards()[1].Filter())
 	bootstrap := dstAdm.Classifier()
 	if _, err := ReadSnapshot(bytes.NewReader(golden), dst); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func requireCold(tb testing.TB, target *engine.ShardedEngine, what string) {
 			tb.Fatalf("%s left %d residents on shard %d", what, n, i)
 		}
 	}
-	if n := findAdmission(target.Shards()[1].Filter()).Table().Len(); n != 0 {
+	if n := engine.Admission(target.Shards()[1].Filter()).Table().Len(); n != 0 {
 		tb.Fatalf("%s left %d table entries", what, n)
 	}
 	if target.Tick() != 0 {

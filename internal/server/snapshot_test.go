@@ -7,13 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"otacache/internal/engine"
 	"otacache/internal/features"
-	"otacache/internal/tier"
+	"otacache/internal/stack"
 	"otacache/internal/trace"
 )
 
-// replayRange drives trace requests [lo, hi) through each engine, all
-// sharing one projected feature stream. The extractor must walk the
+// traceWalker drives trace requests through engines, all sharing one
+// projected feature stream. The extractor must walk the
 // trace from index 0, so callers pass the same walker across calls.
 type traceWalker struct {
 	tr   *trace.Trace
@@ -26,17 +27,17 @@ func newTraceWalker(tr *trace.Trace) *traceWalker {
 	return &traceWalker{tr: tr, ex: features.NewExtractor(tr), cols: features.PaperSelected()}
 }
 
-func (w *traceWalker) replayRange(lo, hi int, layers ...*tier.Layer) {
+// replayRange drives requests [lo, hi) through each engine in turn.
+func (w *traceWalker) replayRange(lo, hi int, srvs ...engine.Server) {
 	for i := lo; i < hi; i++ {
 		req := &w.tr.Requests[i]
 		w.ex.NextInto(i, w.full[:])
-		for _, layer := range layers {
+		for _, srv := range srvs {
 			proj := make([]float64, len(w.cols))
 			for j, col := range w.cols {
 				proj[j] = w.full[col]
 			}
-			layer.Server.Lookup(uint64(req.Photo), w.tr.Photos[req.Photo].Size,
-				layer.Server.NextTick(), proj)
+			srv.Lookup(uint64(req.Photo), w.tr.Photos[req.Photo].Size, srv.NextTick(), proj)
 		}
 	}
 }
@@ -50,34 +51,33 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	src := buildE2ELayer(t, tr, next)
+	src := buildE2E(t, tr)
 	newTraceWalker(tr).replayRange(0, len(tr.Requests), src)
 
 	var buf bytes.Buffer
-	wres, err := WriteSnapshot(&buf, src.Engine)
+	wres, err := WriteSnapshot(&buf, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wres.Residents == 0 || wres.TableEntries == 0 || !wres.HasTree {
 		t.Fatalf("degenerate snapshot: %+v", wres)
 	}
-	if wres.Tick != src.Engine.Tick() {
-		t.Fatalf("snapshot tick %d, engine tick %d", wres.Tick, src.Engine.Tick())
+	if wres.Tick != src.Tick() {
+		t.Fatalf("snapshot tick %d, engine tick %d", wres.Tick, src.Tick())
 	}
 
-	dst := buildE2ELayer(t, tr, next)
-	rres, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), dst.Engine)
+	dst := buildE2E(t, tr)
+	rres, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rres.Residents != wres.Residents || rres.TableEntries != wres.TableEntries || !rres.HasTree {
 		t.Fatalf("restore %+v does not match write %+v", rres, wres)
 	}
-	if dst.Engine.Tick() != src.Engine.Tick() {
-		t.Fatalf("restored tick %d, want %d", dst.Engine.Tick(), src.Engine.Tick())
+	if dst.Tick() != src.Tick() {
+		t.Fatalf("restored tick %d, want %d", dst.Tick(), src.Tick())
 	}
-	sp, dp := src.Engine.Policy(), dst.Engine.Policy()
+	sp, dp := src.Shards()[0].Policy(), dst.Shards()[0].Policy()
 	if dp.Len() != sp.Len() || dp.Used() != sp.Used() {
 		t.Fatalf("restored residency len=%d used=%d, want len=%d used=%d",
 			dp.Len(), dp.Used(), sp.Len(), sp.Used())
@@ -91,8 +91,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored tree must decide identically to the source tree.
-	sadm := findAdmission(src.Engine.Filter())
-	dadm := findAdmission(dst.Engine.Filter())
+	sadm := engine.Admission(src.Shards()[0].Filter())
+	dadm := engine.Admission(dst.Shards()[0].Filter())
 	walker := newTraceWalker(tr)
 	for i := 0; i < 200; i++ {
 		walker.ex.NextInto(i, walker.full[:])
@@ -121,32 +121,31 @@ func TestSnapshotKillAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
 	half := len(tr.Requests) / 2
 
 	// Uninterrupted reference run.
-	uninterrupted := buildE2ELayer(t, tr, next)
+	uninterrupted := buildE2E(t, tr)
 	w := newTraceWalker(tr)
 	w.replayRange(0, half, uninterrupted)
 
 	// "Crash": snapshot the half-way state through the atomic file path,
 	// then restore into a freshly built identical layer.
 	path := filepath.Join(t.TempDir(), "otacached.snap")
-	if _, err := SaveSnapshot(path, uninterrupted.Engine); err != nil {
+	if _, err := SaveSnapshot(path, uninterrupted); err != nil {
 		t.Fatal(err)
 	}
-	restored := buildE2ELayer(t, tr, next)
-	if _, err := LoadSnapshot(path, restored.Engine); err != nil {
+	restored := buildE2E(t, tr)
+	if _, err := LoadSnapshot(path, restored); err != nil {
 		t.Fatal(err)
 	}
 	// A cold restart for contrast: same build, no snapshot.
-	cold := buildE2ELayer(t, tr, next)
+	cold := buildE2E(t, tr)
 
-	u0, r0, c0 := uninterrupted.Engine.Snapshot(), restored.Engine.Snapshot(), cold.Engine.Snapshot()
+	u0, r0, c0 := uninterrupted.Snapshot(), restored.Snapshot(), cold.Snapshot()
 	w.replayRange(half, len(tr.Requests), uninterrupted, restored, cold)
-	du := uninterrupted.Engine.Snapshot().Sub(u0)
-	dr := restored.Engine.Snapshot().Sub(r0)
-	dc := cold.Engine.Snapshot().Sub(c0)
+	du := uninterrupted.Snapshot().Sub(u0)
+	dr := restored.Snapshot().Sub(r0)
+	dc := cold.Snapshot().Sub(c0)
 
 	if du.Hits == 0 || du.Writes == 0 {
 		t.Fatalf("degenerate uninterrupted tail: %+v", du)
@@ -173,13 +172,12 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	layer := buildE2ELayer(t, tr, next)
+	layer := buildE2E(t, tr)
 	newTraceWalker(tr).replayRange(0, 600, layer)
 
 	path := filepath.Join(t.TempDir(), "state.snap")
 	for i := 0; i < 2; i++ {
-		res, err := SaveSnapshot(path, layer.Engine)
+		res, err := SaveSnapshot(path, layer)
 		if err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
@@ -190,8 +188,8 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 			t.Fatalf("save %d left temp file behind", i)
 		}
 	}
-	fresh := buildE2ELayer(t, tr, next)
-	if _, err := LoadSnapshot(path, fresh.Engine); err != nil {
+	fresh := buildE2E(t, tr)
+	if _, err := LoadSnapshot(path, fresh); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,31 +202,30 @@ func TestLoadSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	layer := buildE2ELayer(t, tr, next)
+	layer := buildE2E(t, tr)
 
-	if _, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), layer.Engine); !os.IsNotExist(err) {
+	if _, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), layer); !os.IsNotExist(err) {
 		t.Fatalf("missing file: got %v, want os.ErrNotExist", err)
 	}
 
-	if _, err := ReadSnapshot(strings.NewReader("not a snapshot"), layer.Engine); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := ReadSnapshot(strings.NewReader("not a snapshot"), layer); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic: got %v", err)
 	}
 
 	// Future version: valid magic, unknown layout.
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, layer.Engine); err != nil {
+	if _, err := WriteSnapshot(&buf, layer); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
 	b[4] = 99 // little-endian version field
-	if _, err := ReadSnapshot(bytes.NewReader(b), layer.Engine); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := ReadSnapshot(bytes.NewReader(b), layer); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: got %v", err)
 	}
 
 	// Truncation mid-residents.
 	b[4] = byte(snapVersion)
-	if _, err := ReadSnapshot(bytes.NewReader(b[:len(b)/2]), layer.Engine); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(b[:len(b)/2]), layer); err == nil {
 		t.Fatal("truncated snapshot restored without error")
 	}
 }
@@ -240,16 +237,10 @@ func TestSnapshotRequiresRanger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	layer, err := tier.BuildLayer(tr, next, tier.Config{SamplesPerMinute: 100, Seed: 7}, tier.LayerConfig{
-		Policy:     "belady",
-		CacheBytes: int64(float64(tr.TotalBytes()) * 0.10),
-		Filter:     tier.AdmitAll,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteSnapshot(&bytes.Buffer{}, layer.Engine); err == nil {
+	// One stripe keeps the bare policy; a striped front would range over
+	// no residents instead of failing.
+	layer := buildE2E(t, tr, func(c *stack.Config) { c.Policy, c.Mode, c.Shards = "belady", "original", 1 })
+	if _, err := WriteSnapshot(&bytes.Buffer{}, layer); err == nil {
 		t.Fatal("belady policy snapshotted without error")
 	}
 }
@@ -262,29 +253,28 @@ func TestHistoryTableSurvivesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := trace.BuildNextAccess(tr)
-	src := buildE2ELayer(t, tr, next)
+	src := buildE2E(t, tr)
 	newTraceWalker(tr).replayRange(0, len(tr.Requests), src)
 
-	adm := findAdmission(src.Engine.Filter())
+	adm := engine.Admission(src.Shards()[0].Filter())
 	entries := adm.Table().Entries()
 	if len(entries) == 0 {
 		t.Skip("no live history entries at end of trace")
 	}
 
 	var buf bytes.Buffer
-	if _, err := WriteSnapshot(&buf, src.Engine); err != nil {
+	if _, err := WriteSnapshot(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := buildE2ELayer(t, tr, next)
-	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), dst.Engine); err != nil {
+	dst := buildE2E(t, tr)
+	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
 
 	// The restored table holds the same live records in the same FIFO
 	// order, and rectifies a recently bypassed key exactly as the source
 	// table would.
-	dadm := findAdmission(dst.Engine.Filter())
+	dadm := engine.Admission(dst.Shards()[0].Filter())
 	restored := dadm.Table().Entries()
 	if len(restored) != len(entries) {
 		t.Fatalf("restored %d table entries, want %d", len(restored), len(entries))

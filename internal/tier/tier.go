@@ -78,6 +78,15 @@ type LayerConfig struct {
 	// different keys land on the same engine shard concurrently. 0 or 1
 	// builds the classic single Engine.
 	EngineShards int
+	// Breaker, when set on a Classifier layer, puts an engine.Breaker
+	// configured from it around each engine shard's classifier
+	// admission, so a failing model degrades that shard's admission and
+	// never its requests. Other filter kinds build no breaker.
+	Breaker *engine.BreakerConfig
+	// DoorkeeperFallback gives each shard's breaker its own doorkeeper
+	// fallback, built like a Doorkeeper layer's filter at the shard's
+	// capacity, in place of Breaker.Fallback.
+	DoorkeeperFallback bool
 }
 
 // Latency models the three-hop read path in microseconds.
@@ -343,17 +352,20 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 		if err != nil {
 			return nil, err
 		}
+		// doorkeeper is the frequency baseline sized to this shard.
+		doorkeeper := func() (core.Filter, error) {
+			width := int(capacity / tr.MeanPhotoSize())
+			if width < 1024 {
+				width = 1024
+			}
+			return core.NewFrequencyAdmission(width, 1)
+		}
 		var filter core.Filter
 		switch lc.Filter {
 		case AdmitAll:
 			// nothing to prepare
 		case Doorkeeper:
-			width := int(capacity / tr.MeanPhotoSize())
-			if width < 1024 {
-				width = 1024
-			}
-			filter, err = core.NewFrequencyAdmission(width, 1)
-			if err != nil {
+			if filter, err = doorkeeper(); err != nil {
 				return nil, err
 			}
 		case Oracle:
@@ -363,11 +375,20 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 			if !cfg.DisableHistoryTable {
 				table = core.NewHistoryTable(tableCap)
 			}
-			adm, err := core.NewClassifierAdmission(clf, table, crit)
-			if err != nil {
+			if filter, err = core.NewClassifierAdmission(clf, table, crit); err != nil {
 				return nil, err
 			}
-			filter = adm
+			if lc.Breaker != nil {
+				bc := *lc.Breaker
+				if lc.DoorkeeperFallback {
+					if bc.Fallback, err = doorkeeper(); err != nil {
+						return nil, err
+					}
+				}
+				if filter, err = engine.NewBreaker(filter, bc); err != nil {
+					return nil, err
+				}
+			}
 		}
 		return engine.New(p, filter)
 	}
