@@ -21,6 +21,22 @@ type Ranger interface {
 	Range(fn func(key uint64, size int64) bool)
 }
 
+// AsRanger returns p's resident walk when it covers the whole resident
+// set. A wrapper that implements Range over inner policies (Sharded,
+// faults.Policy) reports through a CanRange method whether every inner
+// policy can range; one that cannot would walk only part of the set, so
+// AsRanger refuses it instead of letting a snapshot come out short.
+func AsRanger(p Policy) (Ranger, bool) {
+	r, ok := p.(Ranger)
+	if !ok {
+		return nil, false
+	}
+	if w, ok := p.(interface{ CanRange() bool }); ok && !w.CanRange() {
+		return nil, false
+	}
+	return r, true
+}
+
 // rangeList walks l, threaded through ln, from the eviction end to the
 // MRU end.
 func (a *arena) rangeList(l *dlist, ln []slab.Link, fn func(key uint64, size int64) bool) bool {
@@ -80,7 +96,8 @@ func (c *LIRS) Range(fn func(key uint64, size int64) bool) {
 // lock at a time. The cross-shard visit order carries no warmth
 // information — a restore routes each key back to its home shard by
 // hash, so only the per-shard order matters, and that is preserved.
-// Shards whose policy does not implement Ranger are skipped.
+// Shards whose policy does not implement Ranger are skipped; CanRange
+// reports whether there are any, and AsRanger checks it.
 func (s *Sharded) Range(fn func(key uint64, size int64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -103,4 +120,16 @@ func (s *Sharded) Range(fn func(key uint64, size int64) bool) {
 			return
 		}
 	}
+}
+
+// CanRange reports whether every shard's policy can enumerate its
+// residents, so Range walks the whole resident set. The shard policies
+// are fixed at construction, so no lock is taken.
+func (s *Sharded) CanRange() bool {
+	for i := range s.shards {
+		if _, ok := AsRanger(s.shards[i].p); !ok {
+			return false
+		}
+	}
+	return true
 }

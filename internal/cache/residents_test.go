@@ -117,3 +117,34 @@ func equalU64(a, b []uint64) bool {
 	}
 	return true
 }
+
+// TestAsRangerRefusesPartialWalk pins that a striped front ranges only
+// when every stripe can: Sharded implements Range whatever it holds,
+// and a belady stripe would be skipped, so the walk would come out
+// empty without an error.
+func TestAsRangerRefusesPartialWalk(t *testing.T) {
+	next := make([]int, 64)
+	for _, tc := range []struct {
+		policy  string
+		stripes int
+		want    bool
+	}{{"belady", 1, false}, {"belady", 4, false}, {"lru", 1, true}, {"lru", 4, true}} {
+		bare, err := New(tc.policy, 1<<20, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := AsRanger(bare); ok != tc.want {
+			t.Errorf("bare %s: AsRanger ok=%v, want %v", tc.policy, ok, tc.want)
+		}
+		sh, err := NewSharded(1<<20, tc.stripes, func(c int64) Policy {
+			p, _ := New(tc.policy, c, next)
+			return p
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := AsRanger(sh); ok != tc.want {
+			t.Errorf("%s over %d stripes: AsRanger ok=%v, want %v", tc.policy, tc.stripes, ok, tc.want)
+		}
+	}
+}

@@ -133,7 +133,7 @@ func RebuildFlash(srv Server) {
 		if fs == nil {
 			continue
 		}
-		r, ok := sh.Policy().(cache.Ranger)
+		r, ok := cache.AsRanger(sh.Policy())
 		if !ok {
 			continue
 		}

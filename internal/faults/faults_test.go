@@ -193,3 +193,23 @@ func TestInjectorConcurrentDeterministicMultiset(t *testing.T) {
 		t.Fatalf("injected %d errors across workers, want exactly %d", total, calls/10)
 	}
 }
+
+// TestPolicyWrapperCanRange pins that the faulty policy wrapper reports
+// its inner policy's resident walk honestly: it implements Range for
+// every inner policy, so cache.AsRanger must ask it whether the inner
+// one can range, or a snapshot through a wrapped Belady would be empty.
+func TestPolicyWrapperCanRange(t *testing.T) {
+	next := make([]int, 16)
+	for _, tc := range []struct {
+		inner string
+		want  bool
+	}{{"lru", true}, {"belady", false}} {
+		inner, err := cache.New(tc.inner, 1<<20, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cache.AsRanger(&Policy{Inner: inner}); ok != tc.want {
+			t.Errorf("faulty %s: AsRanger ok=%v, want %v", tc.inner, ok, tc.want)
+		}
+	}
+}

@@ -110,6 +110,13 @@ func (p *Policy) Range(fn func(key uint64, size int64) bool) {
 	}
 }
 
+// CanRange reports whether the inner policy can enumerate its whole
+// resident set (see cache.AsRanger).
+func (p *Policy) CanRange() bool {
+	_, ok := cache.AsRanger(p.Inner)
+	return ok
+}
+
 // Remove implements cache.Remover when the inner policy does (no
 // injection: phantom-resident eviction after a media failure must work
 // even mid-outage, or the engine would re-serve a corrupt resident).

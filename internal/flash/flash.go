@@ -5,22 +5,31 @@
 //
 // The layout is the one production SSD caches use (Flashield, RIPQ):
 // the store's capacity is divided into fixed-size segments mapped onto
-// erase blocks. Writes append to the head segment of a log; an object
-// index maps key -> (segment, offset, length). An object dies when it
-// is overwritten or invalidated. The serving engine invalidates from
-// the replacement policy's eviction callback (cache.Policy's
+// erase blocks. Records append to one of three open head segments; an
+// object index maps key -> (segment, offset, length). An object dies
+// when it is overwritten or invalidated. The serving engine invalidates
+// from the replacement policy's eviction callback (cache.Policy's
 // SetEvictNotify), so every segment's live-byte count is exact at all
 // times and the store never calls the policy. Dead space is reclaimed
 // by a greedy garbage collector: when the free-segment pool runs low it
 // picks the sealed segment with the fewest live bytes, relocates the
-// survivors to the log head, and erases the block. Those relocations
-// are exactly where GC-induced write amplification comes from, so the
+// survivors to a head, and erases the block. Those relocations are
+// exactly where GC-induced write amplification comes from, so the
 // store measures it instead of guessing:
 //
 //	WAF = (host bytes + relocated bytes) / host bytes
 //
 // plus erase counts per block, which ssd.Endurance turns into a live
 // lifetime estimate (Endurance.WithMeasuredWAF).
+//
+// Which head a record goes to is its placement class, the LFS
+// hot/cold separation (Rosenblum and Ousterhout 1992) keyed by how many
+// collections the record has survived (as MiDAS, FAST '24, groups by
+// GC age): host writes fill one head, first-time survivors a second,
+// and repeat survivors a third. An object that outlived one pass is
+// likely to outlive the next, so keeping survivors out of the host
+// head's segments stops one-time objects from dying around them and
+// dragging them through pass after pass.
 //
 // Below the store sits a Device — the raw program/read/erase seam.
 // Real NAND fails: reads come back uncorrectable, programs and erases
@@ -49,10 +58,36 @@ import (
 	"otacache/internal/slab"
 )
 
-// minSegments is the smallest segment count a store operates with: the
-// active head plus at least three more so the collector has sealed
-// segments to choose between.
+// minSegments is the smallest segment count a store operates with. At
+// four, the three heads leave as few as one sealed segment to collect:
+// an append that finds no free segment then falls back to any open head
+// with room (appendObj), and a stalled head is collected in its place
+// (collectLocked).
 const minSegments = 4
+
+// Placement classes: the append head a record goes to. A segment takes
+// the class of the head it was opened as.
+const (
+	// classHost holds host writes.
+	classHost = iota
+	// classSurvivor holds first-time survivors, relocated off a
+	// host-class segment.
+	classSurvivor
+	// classRepeat holds survivors of a survivor- or repeat-class segment,
+	// and the residents a snapshot rebuild restores: they outlived the
+	// previous process, however many passes that took.
+	classRepeat
+	numClasses
+)
+
+// survivorClass is the class a record moved off a segment of class c
+// lands in.
+func survivorClass(c uint8) uint8 {
+	if c == classHost {
+		return classSurvivor
+	}
+	return classRepeat
+}
 
 // recHeaderSize is the per-extent record header programmed to the
 // device ahead of the payload: key (8 bytes LE) + logical size (8
@@ -185,7 +220,7 @@ type Stats struct {
 	// SegmentSize and Segments describe the fixed layout.
 	SegmentSize int64
 	Segments    int
-	// FreeSegments counts erased segments ready to become the log head.
+	// FreeSegments counts erased segments ready to open as a head.
 	FreeSegments int
 	// HostBytes counts bytes the caller wrote (admissions); relocations
 	// are excluded — they are the amplification, not the cause.
@@ -270,14 +305,19 @@ type segment struct {
 	used   int64 // logical write head (includes dead extents until erase)
 	phys   int64 // physical write head in the device image
 	live   int64 // bytes of extents not marked dead, see Stats.LiveBytes
-	sealed bool
 	erases int64
+	// sealed marks a segment that is neither an open head nor free: a
+	// collection victim candidate.
+	sealed bool
+	// class is the placement class of the head the segment was last
+	// opened as.
+	class uint8
 	// retired marks a bad block: a program or erase failed on it, its
 	// survivors were relocated, and it never rejoins the free pool.
 	retired bool
 }
 
-// extent is one record on its way to the log head: a host write, or a
+// extent is one record on its way to a head: a host write, or a
 // survivor staged for relocation off a collection victim (Store.keep)
 // or a retiring block (Store.relocq).
 type extent struct {
@@ -285,6 +325,8 @@ type extent struct {
 	size    int64
 	data    []byte
 	hasData bool
+	// class is the head the extent goes to.
+	class uint8
 	// crc is the record's CRC-32C, or zero for appendObj to compute. A
 	// relocated record has the same bytes as the one it was read from, so
 	// it carries that verified checksum (a zero one recomputes to zero).
@@ -308,10 +350,10 @@ type Store struct {
 	// attachment may race serving traffic.
 	obsv atomic.Pointer[Observer]
 
-	mu     sync.Mutex
-	segs   []segment
-	free   []int // erased segment ids, LIFO
-	active int   // log head segment id
+	mu    sync.Mutex
+	segs  []segment
+	free  []int           // erased segment ids, LIFO
+	heads [numClasses]int // open head segment id per class, -1 when closed
 	// index maps each key with a live extent to its loc. It grows to the
 	// most extents ever live at once and then allocates no more.
 	index  slab.Arena[loc]
@@ -376,11 +418,9 @@ func New(cfg Config) (*Store, error) {
 		spare:   spare,
 		segs:    make([]segment, n),
 	}
-	// Segment 0 opens the log; the rest are free (NAND ships erased).
-	s.active = 0
-	for i := n - 1; i >= 1; i-- {
-		s.free = append(s.free, i)
-	}
+	// Segment 0 opens the host head; the rest are free (NAND ships
+	// erased).
+	s.reopen(classHost)
 	return s, nil
 }
 
@@ -423,11 +463,15 @@ func (s *Store) Write(key uint64, size int64, data []byte) error {
 // Restore appends one object without charging the host-write counters:
 // the rebuild path after a snapshot restore re-materializes residency
 // the device already paid for in its previous life, so counting it
-// would distort the measured WAF with a phantom write burst.
+// would distort the measured WAF with a phantom write burst. A resident
+// at a restart is a survivor, so it goes to the repeat survivors' head,
+// not the host head.
 func (s *Store) Restore(key uint64, size int64) error {
 	return s.write(key, size, nil, false)
 }
 
+// write places one object: a host write in the host class, charged to
+// hostBytes, or a restored resident in the repeat class, uncharged.
 func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	if data != nil && int64(len(data)) != size {
 		return fmt.Errorf("flash: data length %d does not match size %d", len(data), size)
@@ -442,7 +486,11 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 		s.oversize++
 		return ErrOversize
 	}
-	ok := s.appendObj(extent{key: key, size: size, data: data, hasData: data != nil, ix: slab.Nil}, true)
+	x := extent{key: key, size: size, data: data, hasData: data != nil, class: classHost, ix: slab.Nil}
+	if !host {
+		x.class = classRepeat
+	}
+	ok := s.appendObj(x, true)
 	// A program-fail retirement along the way queued that block's live
 	// extents; move them before the caller observes the store.
 	s.drainReloc()
@@ -482,36 +530,48 @@ func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
 	return rec
 }
 
-// appendObj lands one extent at the log head and points the index at
-// it, rolling the head to a fresh segment when the object does not fit
-// (or the head has been retired under it). A failed program retires the
-// head and retries on a fresh one, bounded by the segment count. gc
-// allows the roll to run the collector; the collector's own relocations
-// pass false and draw on the reserve instead — collection must never
-// reenter itself. Caller holds mu.
+// appendObj lands one extent at its class's head and points the index
+// at it, opening a fresh segment as that head when the object does not
+// fit (or the head is closed, or retired under it). When no segment can
+// be freed, the extent goes to any open head with room instead, so a
+// store with few segments does not drop it; so does a relocation that
+// would take the last free segment. A failed program retires the
+// segment and retries, bounded by the segment count. gc allows the roll
+// to run the collector; the collector's own relocations pass false and
+// draw on the reserve instead — collection must never reenter itself.
+// Caller holds mu.
 func (s *Store) appendObj(x extent, gc bool) bool {
 	for attempt := 0; attempt <= len(s.segs); attempt++ {
-		head := &s.segs[s.active]
-		if head.retired || head.used+x.size > s.segSize {
-			next, ok := s.allocSegment(gc)
-			if !ok {
+		id := s.heads[x.class]
+		if id < 0 || s.segs[id].retired || s.segs[id].used+x.size > s.segSize {
+			// A relocation does not take the last free segment while an
+			// open head still has room: the write that ran the collector
+			// needs that segment, and without it the collector would run
+			// again, moving survivors in circles in a tight store.
+			if r := s.roomyHead(x.size); !gc && len(s.free) <= 1 && r >= 0 {
+				id = r
+			} else if next, ok := s.allocSegment(gc); ok {
+				// Seal the head by its current id, not the one read above:
+				// collection inside allocSegment may have closed it, or
+				// rolled a survivor head while relocating.
+				if cur := s.heads[x.class]; cur >= 0 {
+					s.segs[cur].sealed = true
+				}
+				s.heads[x.class], s.segs[next].class = next, x.class
+				id = next
+			} else if id = s.roomyHead(x.size); id < 0 {
 				return false
 			}
-			// Seal the head by its current id, not the head pointer captured
-			// above: collection inside allocSegment relocates survivors, and
-			// those relocations may themselves roll the log head.
-			s.segs[s.active].sealed = true
-			s.active = next
-			head = &s.segs[s.active]
 		}
+		head := &s.segs[id]
 		// Encoded per attempt: a collection or retirement above read and
 		// re-appended other records through the same buffer.
 		rec := s.encodeRecord(x.key, x.size, x.data)
 		//lint:allow errsink retireSegment charges the retirement counters for this media failure
-		if err := s.dev.Program(s.active, head.phys, rec); err != nil {
+		if err := s.dev.Program(id, head.phys, rec); err != nil {
 			// Bad block: retire it (relocating whatever was already on
 			// it) and try again on a fresh head.
-			s.retireSegment(s.active)
+			s.retireSegment(id)
 			continue
 		}
 		crc := x.crc
@@ -529,7 +589,7 @@ func (s *Store) appendObj(x extent, gc bool) bool {
 		// A collection survivor moves in its own index slot. Every other
 		// caller has dropped the key: write before it appends, retirement
 		// as it stashes.
-		l := loc{seg: int32(s.active), slot: int32(len(head.objs) - 1)}
+		l := loc{seg: int32(id), slot: int32(len(head.objs) - 1)}
 		if x.ix == slab.Nil {
 			s.index.Add(x.key, l)
 		} else {
@@ -541,6 +601,22 @@ func (s *Store) appendObj(x extent, gc bool) bool {
 		return true
 	}
 	return false
+}
+
+// roomyHead returns an open, unretired head with room for size more
+// bytes, or -1: the fallback when no segment can be freed, and where a
+// relocation spills rather than take the last free segment. The host
+// head is tried first: during the collection a host write runs, its
+// leftover tail is about to be sealed unused. (Survivor heads first
+// moved more: the decision digest's flash arm read 0.687 device bytes
+// per requested byte against 0.661.) Caller holds mu.
+func (s *Store) roomyHead(size int64) int {
+	for _, id := range s.heads {
+		if id >= 0 && !s.segs[id].retired && s.segs[id].used+size <= s.segSize {
+			return id
+		}
+	}
+	return -1
 }
 
 // allocSegment returns a free segment id, running the collector when
@@ -587,28 +663,51 @@ func (s *Store) collect() {
 }
 
 // collectLocked is the collection pass itself: pick the sealed segment
-// with the fewest live bytes, stash the survivors, erase the block, and
-// re-append the survivors to the log head — which may be the block just
-// erased, so collection makes forward progress with zero standing free
-// segments. A survivor keeps its index slot across the move: the
-// relocation is an update of where the index says the key lives. Caller
-// holds mu.
+// with the fewest live bytes (or a stalled head, see below), stash the
+// survivors, erase the block, and re-append the survivors to the head
+// of the class the victim implies (survivorClass) — which may open on
+// the block just erased, so collection makes forward progress with zero
+// standing free segments. A survivor keeps its index slot across the
+// move: the relocation is an update of where the index says the key
+// lives. Caller holds mu.
 func (s *Store) collectLocked() {
 	victim := -1
 	var victimLive int64
 	for id := range s.segs {
 		seg := &s.segs[id]
-		if id == s.active || !seg.sealed || seg.retired {
+		if !seg.sealed || seg.retired {
 			continue
 		}
 		if victim == -1 || seg.live < victimLive {
 			victim, victimLive = id, seg.live
 		}
 	}
+	// Open heads are still filling, so the greedy choice skips them. But
+	// a head that stops receiving records (a survivor class no victim
+	// feeds, or a host head whose records died before it filled) would
+	// hold its dead bytes out of reach for as long as it stays open, and
+	// a small store would then collect segments with nothing dead in
+	// them. So a head with more dead bytes than the greedy victim is
+	// closed and collected instead.
+	closed := -1
+	for c, id := range s.heads {
+		if id < 0 || s.segs[id].retired {
+			continue
+		}
+		h := &s.segs[id]
+		if dead := h.used - h.live; dead > 0 && (victim == -1 || dead > s.segs[victim].used-victimLive) {
+			victim, victimLive, closed = id, h.live, c
+		}
+	}
+	if closed >= 0 {
+		s.segs[victim].sealed = true
+		s.heads[closed] = -1
+	}
 	if victim == -1 {
 		return
 	}
 	seg := &s.segs[victim]
+	class := survivorClass(seg.class)
 	clear(s.keep)
 	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
 	for slot := range seg.objs {
@@ -635,7 +734,7 @@ func (s *Store) collectLocked() {
 		}
 		// The index slot names the erased victim until the re-append
 		// below writes the survivor's new loc into it.
-		st.ix = i
+		st.ix, st.class = i, class
 		s.keep, s.keepData = append(s.keep, st), data
 	}
 	// A failed erase retires the victim instead of freeing it; either
@@ -643,9 +742,9 @@ func (s *Store) collectLocked() {
 	s.eraseSegment(victim)
 	for _, st := range s.keep {
 		// Relocation rides the same append path as host writes — that is
-		// the amplification — but lands in gcBytes, not hostBytes, and
-		// must not reenter the collector (the erased victim is free for
-		// it to roll onto).
+		// the amplification — but lands in a survivor head and in
+		// gcBytes, not hostBytes, and must not reenter the collector (the
+		// erased victim is free for it to roll onto).
 		if s.appendObj(st, false) {
 			s.gcBytes += st.size
 			s.relocations++
@@ -705,6 +804,7 @@ func (s *Store) retireSegment(id int) {
 	seg.retired = true
 	seg.sealed = true
 	s.retired++
+	class := survivorClass(seg.class)
 	for i, f := range s.free {
 		if f == id {
 			s.free = append(s.free[:i], s.free[i+1:]...)
@@ -729,6 +829,7 @@ func (s *Store) retireSegment(id int) {
 			s.dropped++
 			continue
 		}
+		st.class = class
 		s.relocq = append(s.relocq, st)
 	}
 }
@@ -893,8 +994,8 @@ func (s *Store) scrubSegment(id int) (scanned, dropped int) {
 
 // ScrubStep advances the background scrub by one segment: it walks the
 // segment ring from where the last step left off, scrubs the first
-// sealed, non-retired, non-active segment it finds, and returns that
-// segment's id with the scan counts. It returns segment -1 when no
+// sealed, non-retired segment it finds (never an open head), and
+// returns that segment's id with the scan counts. It returns segment -1 when no
 // segment is currently scrubbable (nothing sealed yet). One ScrubStep
 // per scrub interval keeps the pass gentle; len(segs) steps cover the
 // whole device.
@@ -904,7 +1005,7 @@ func (s *Store) ScrubStep() (segment, scanned, dropped int) {
 	for i := 0; i < len(s.segs); i++ {
 		id := (s.scrubAt + i) % len(s.segs)
 		seg := &s.segs[id]
-		if id == s.active || !seg.sealed || seg.retired {
+		if !seg.sealed || seg.retired {
 			continue
 		}
 		s.scrubAt = (id + 1) % len(s.segs)
@@ -926,38 +1027,43 @@ func (s *Store) Len() int {
 // (payloads are not persisted), so the subsequent Restore rebuild
 // starts from clean blocks. Cumulative wear counters are preserved,
 // and so are retired blocks — bad NAND stays bad across a process
-// restart.
+// restart. Every head is closed and the repeat survivors' head
+// reopened, since the Restore rebuild that follows lands there.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.index = slab.Arena[loc]{}
-	s.free = s.free[:0]
 	s.relocq = nil
-	active := -1
 	for i := range s.segs {
 		seg := &s.segs[i]
 		seg.objs = seg.objs[:0]
 		seg.used, seg.live, seg.phys = 0, 0, 0
-		if seg.retired {
-			continue
-		}
-		seg.sealed = false
-		if active == -1 {
-			active = i
+		if !seg.retired {
+			seg.sealed = false
 		}
 	}
+	s.reopen(classRepeat)
+}
+
+// reopen closes every head, returns every unretired segment to the free
+// pool, and opens class's head on the lowest-numbered one. With every
+// block retired nothing opens and every write fails, which is the truth
+// about that device. Caller holds mu or owns the store.
+func (s *Store) reopen(class uint8) {
+	for c := range s.heads {
+		s.heads[c] = -1
+	}
+	s.free = s.free[:0]
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		if i != active && !s.segs[i].retired {
+		if !s.segs[i].retired {
 			s.free = append(s.free, i)
 		}
 	}
-	if active == -1 {
-		// Every block is retired; leave the head pointing at a retired
-		// segment — appendObj rolls off it and every write fails, which
-		// is the truth about this device.
-		active = 0
+	if n := len(s.free); n > 0 {
+		id := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.heads[class], s.segs[id].class = id, class
 	}
-	s.active = active
 }
 
 // Stats returns the current wear counters.

@@ -532,7 +532,7 @@ type FlashStats struct {
 	// capacity (summed across shards on the aggregate block).
 	SegmentSize   int64
 	CapacityBytes int64
-	// FreeSegments counts erased blocks ready to take the log head.
+	// FreeSegments counts erased blocks ready to open as a head.
 	FreeSegments int
 	// HostBytes, GCBytes, and Erases are the wear counters behind the
 	// WAF: host-written bytes, GC-relocated bytes, block erasures.

@@ -121,7 +121,7 @@ func WriteSnapshot(w io.Writer, srv engine.Server) (SnapshotResult, error) {
 	shards := srv.Shards()
 	rangers := make([]cache.Ranger, len(shards))
 	for i, sh := range shards {
-		ranger, ok := sh.Policy().(cache.Ranger)
+		ranger, ok := cache.AsRanger(sh.Policy())
 		if !ok {
 			return res, fmt.Errorf("snapshot: shard %d policy %s cannot enumerate residents", i, sh.Policy().Name())
 		}

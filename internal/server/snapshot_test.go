@@ -231,17 +231,19 @@ func TestLoadSnapshotErrors(t *testing.T) {
 }
 
 // TestSnapshotRequiresRanger pins the explicit error for policies that
-// cannot enumerate residents.
+// cannot enumerate residents, at one policy stripe and at four: a
+// striped front ranges over its stripes, so it must refuse when they
+// cannot range instead of writing a snapshot with no residents.
 func TestSnapshotRequiresRanger(t *testing.T) {
 	tr, err := trace.Generate(trace.DefaultConfig(3, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One stripe keeps the bare policy; a striped front would range over
-	// no residents instead of failing.
-	layer := buildE2E(t, tr, func(c *stack.Config) { c.Policy, c.Mode, c.Shards = "belady", "original", 1 })
-	if _, err := WriteSnapshot(&bytes.Buffer{}, layer); err == nil {
-		t.Fatal("belady policy snapshotted without error")
+	for _, stripes := range []int{1, 4} {
+		layer := buildE2E(t, tr, func(c *stack.Config) { c.Policy, c.Mode, c.Shards = "belady", "original", stripes })
+		if _, err := WriteSnapshot(&bytes.Buffer{}, layer); err == nil {
+			t.Fatalf("belady policy at %d stripes snapshotted without error", stripes)
+		}
 	}
 }
 

@@ -41,9 +41,13 @@ func bit(b bool, shift uint) uint64 {
 }
 
 // replayDigest drives the whole trace through srv from one client, in
-// order, with the paper's features, and returns the digest line: every
-// Outcome (tick, key, Hit, Admit, Rectified, Degraded, Written), then
-// the final Metrics, then each shard's residents in policy order.
+// order, with the paper's features, and returns the digest line. The
+// FNV folds the decisions: every Outcome (tick, key, Hit, Admit,
+// Rectified, Degraded, Written), then the engine-owned counters, then
+// each shard's residents in policy order. The device's wear (host and
+// relocated bytes, erases) follows in columns of its own, so a change
+// to where the store places records moves those columns and
+// ssd_write_bytes_per_req_byte, never the FNV or byte_hit_rate.
 func replayDigest(t *testing.T, name string, srv engine.Server, tr *trace.Trace) (string, engine.Metrics) {
 	t.Helper()
 	d := digest{h: fnv.New64a()}
@@ -64,10 +68,16 @@ func replayDigest(t *testing.T, name string, srv engine.Server, tr *trace.Trace)
 	}
 	m := srv.Snapshot()
 	for _, c := range engine.Counters {
+		if strings.HasPrefix(c.Name, "Flash") {
+			continue // device counters: wear goes in the columns after the FNV, faults must be zero
+		}
 		d.add(uint64(*c.Field(&m)))
 	}
+	if m.FlashReadErrors != 0 || m.FlashCorruptExtents != 0 || m.FlashRetiredBlocks != 0 {
+		t.Fatalf("%s: media faults on a healthy device: %+v", name, m)
+	}
 	for _, sh := range srv.Shards() {
-		r, ok := sh.Policy().(cache.Ranger)
+		r, ok := cache.AsRanger(sh.Policy())
 		if !ok {
 			t.Fatalf("%s: policy %s cannot list its residents", name, sh.Policy().Name())
 		}
@@ -82,15 +92,17 @@ func replayDigest(t *testing.T, name string, srv engine.Server, tr *trace.Trace)
 	if m.FlashHostBytes > 0 {
 		ssd = float64(m.FlashHostBytes+m.FlashGCBytes) / float64(m.TotalBytes)
 	}
-	return fmt.Sprintf("%s %016x %s %s", name, d.h.Sum64(),
-		strconv.FormatFloat(m.ByteHitRate(), 'g', -1, 64), strconv.FormatFloat(ssd, 'g', -1, 64)), m
+	return fmt.Sprintf("%s %016x %s %s %d %d %d", name, d.h.Sum64(),
+		strconv.FormatFloat(m.ByteHitRate(), 'g', -1, 64), strconv.FormatFloat(ssd, 'g', -1, 64),
+		m.FlashHostBytes, m.FlashGCBytes, m.FlashErases), m
 }
 
 // TestDecisionDigest pins what the shipped assembly decides. Each arm
 // is built by Build and replayed over the quick-scale trace; its digest,
-// byte_hit_rate and ssd_write_bytes_per_req_byte must match
-// testdata/decisions.golden exactly. Regenerate with -update only for a
-// deliberate change in decisions, and say why.
+// byte_hit_rate, ssd_write_bytes_per_req_byte and device columns must
+// match testdata/decisions.golden exactly. Regenerate with -update only
+// for a deliberate change in decisions or in the device's placement,
+// and say why; a placement change moves the device columns alone.
 func TestDecisionDigest(t *testing.T) {
 	tr, err := trace.Generate(trace.DefaultConfig(42, 40000))
 	if err != nil {
@@ -111,7 +123,7 @@ func TestDecisionDigest(t *testing.T) {
 		cfg  Config
 	}{{"proposal", proposal}, {"proposal-4shards", sharded}, {"original-flash", flash}}
 
-	lines := []string{"# arm fnv64a byte_hit_rate ssd_write_bytes_per_req_byte"}
+	lines := []string{"# arm fnv64a byte_hit_rate ssd_write_bytes_per_req_byte flash_host_bytes flash_gc_bytes flash_erases"}
 	for _, arm := range arms {
 		st, err := Build(arm.cfg, tr)
 		if err != nil {

@@ -64,10 +64,12 @@ type LayerConfig struct {
 	CacheBytes int64
 	// Filter is the layer's admission behaviour.
 	Filter FilterKind
-	// Shards, when > 1, wraps the policy in a lock-per-shard concurrent
-	// front (cache.Sharded), making the layer's Engine safe for
-	// concurrent Lookup — the configuration a network cache server
-	// deploys. 0 or 1 keeps the bare single-threaded policy.
+	// Shards, when >= 1, splits the policy into that many stripes behind
+	// a lock-per-stripe front (cache.Sharded), making the layer's Engine
+	// safe for concurrent Lookup — the configuration a network cache
+	// server deploys, even at one stripe. 0 keeps the bare
+	// single-threaded policy, for a caller that drives the layer from
+	// one goroutine.
 	Shards int
 	// EngineShards, when > 1, builds that many fully independent
 	// engines — each owning 1/N of the capacity with its own policy,
@@ -347,8 +349,8 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 	// capacity and table budget. Shared inputs (criteria, bootstrap
 	// tree, next-access index) come from the closure; per-shard state
 	// (policy, filter, history table) is constructed fresh each call.
-	buildShard := func(capacity int64, cacheShards int, tableCap int, locked bool) (*engine.Engine, error) {
-		p, err := buildPolicy(lc.Policy, capacity, cacheShards, next, locked)
+	buildShard := func(capacity int64, cacheShards int, tableCap int) (*engine.Engine, error) {
+		p, err := buildPolicy(lc.Policy, capacity, cacheShards, next)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +396,7 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 	}
 
 	if nshards == 1 {
-		eng, err := buildShard(lc.CacheBytes, lc.Shards, core.TableCapacity(crit), false)
+		eng, err := buildShard(lc.CacheBytes, lc.Shards, core.TableCapacity(crit))
 		if err != nil {
 			return nil, err
 		}
@@ -420,7 +422,7 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 	shards := make([]*engine.Engine, nshards)
 	for i := range shards {
 		var err error
-		shards[i], err = buildShard(per, inner, tableCap, true)
+		shards[i], err = buildShard(per, inner, tableCap)
 		if err != nil {
 			return nil, err
 		}
@@ -434,12 +436,11 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 }
 
 // buildPolicy constructs one replacement policy, wrapping it in the
-// lock-per-shard concurrent front when cacheShards asks for one.
-// locked forces the wrap even at one cache shard — engine shards serve
-// concurrent requests, so their policies need the lock no matter how
-// the shard budget divided.
-func buildPolicy(policy string, capacity int64, cacheShards int, next []int, locked bool) (cache.Policy, error) {
-	if cacheShards <= 1 && !locked {
+// lock-per-shard concurrent front when cacheShards asks for at least
+// one stripe. Engine shards always get one: their stripe budget is
+// rounded up to 1.
+func buildPolicy(policy string, capacity int64, cacheShards int, next []int) (cache.Policy, error) {
+	if cacheShards < 1 {
 		return cache.New(policy, capacity, next)
 	}
 	var shardErr error
