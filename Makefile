@@ -10,7 +10,7 @@ OTALINT := bin/otalint
 # mirrored as a ::error workflow command annotating the PR diff.
 OTALINT_FLAGS ?=
 
-.PHONY: check build vet test race fmt bench benchcheck fuzz lint vulncheck
+.PHONY: check build vet test race fmt benchcheck fuzz lint vulncheck
 
 # The full gate: formatting, build, vet, the repo's own analyzer suite,
 # and the test suite under the race detector. CI and pre-commit both
@@ -51,15 +51,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Serving-path and flash-device benchmarks, captured as JSON for
-# cross-commit diffing. The flash lines carry measured WAF and erase
-# rate as custom units (see cmd/benchjson's extra map).
-bench:
-	{ $(GO) test -run '^$$' -bench BenchmarkLookup -benchmem ./internal/engine; \
-	  $(GO) test -run '^$$' -bench BenchmarkFlash -benchmem ./internal/flash; } \
-		| $(GO) run ./cmd/benchjson > BENCH_serve.json
-	@cat BENCH_serve.json
 
 # The observability overhead gate: rerun just the instrumented serving
 # benchmark and its uninstrumented baseline (-count=3; cmd/benchgate

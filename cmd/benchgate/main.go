@@ -43,7 +43,7 @@ type report struct {
 
 func main() {
 	var (
-		file     = flag.String("file", "BENCH_serve.json", "benchjson document to gate on")
+		file     = flag.String("file", "bin/BENCH_gate.json", "benchjson document to gate on")
 		baseName = flag.String("base", "BenchmarkLookupAdmitAll", "uninstrumented baseline benchmark")
 		instName = flag.String("instrumented", "BenchmarkLookupInstrumented", "instrumented benchmark")
 		maxPct   = flag.Float64("max-overhead-pct", 5, "largest acceptable ns/op overhead of instrumented over base, in percent")

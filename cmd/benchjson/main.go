@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` text output on stdin into
-// a stable JSON document on stdout, so benchmark numbers can be checked
-// in (BENCH_serve.json) and diffed across commits without scraping.
+// a stable JSON document on stdout, so benchmark numbers can be gated
+// (cmd/benchgate) and diffed across commits without scraping.
 //
 // Usage:
 //
 //	{ go test -run '^$' -bench BenchmarkLookup -benchmem ./internal/engine; \
 //	  go test -run '^$' -bench BenchmarkFlash -benchmem ./internal/flash; } | \
-//	    go run ./cmd/benchjson > BENCH_serve.json
+//	    go run ./cmd/benchjson > bin/BENCH.json
 package main
 
 import (
@@ -36,7 +36,7 @@ type Result struct {
 
 // Report is the whole document: the run's environment header plus every
 // benchmark line, in input order. With several packages streamed in one
-// run (make bench concatenates engine and flash), each package's header
+// run (the usage above concatenates engine and flash), each package's header
 // retags the results that follow it, so Pkg lives on the Result.
 type Report struct {
 	Goos       string   `json:"goos,omitempty"`

@@ -15,13 +15,13 @@
 //	otacached -mode original -photos 30000          # traditional cache
 //	otacached -mode proposal -snapshot state.snap   # crash-safe restarts
 //	otacached -mode proposal -engine-shards 8       # ring of 8 engines
-//	otacached -mode proposal -flash-segment-size 4194304  # device WAF in /stats
+//	otacached -mode proposal -flash-segment-size 4194304  # device WAF on /metrics
 //
 // With -engine-shards N > 1, the daemon serves N fully independent
 // engines behind a consistent-hash ring: each shard owns 1/N of the
 // capacity with its own policy, admission filter, history table, and
 // circuit breaker, so classifier degradation and lock contention stay
-// isolated per shard. /stats reports a per-shard breakdown, the admin
+// isolated per shard. /metrics reports a per-shard breakdown, the admin
 // endpoints (classifier swap, retrain) apply to every shard, and
 // snapshots reshard on restore if N changes between runs.
 //
@@ -116,7 +116,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.snapPath, "snapshot", "", "crash-safe state file: restored at startup, written periodically and after drain")
 	fs.DurationVar(&o.snapEvery, "snapshot-interval", 5*time.Minute, "periodic snapshot cadence (with -snapshot)")
 
-	fs.Int64Var(&c.FlashSegmentSize, "flash-segment-size", c.FlashSegmentSize, "model the cache device as a log-structured flash store with this erase-block size in bytes; /stats grows a Flash block with measured WAF and lifetime (0 = off)")
+	fs.Int64Var(&c.FlashSegmentSize, "flash-segment-size", c.FlashSegmentSize, "model the cache device as a log-structured flash store with this erase-block size in bytes; /metrics grows the ota_flash_* families with measured WAF and lifetime (0 = off)")
 	fs.Float64Var(&c.FlashOverprovision, "flash-overprovision", c.FlashOverprovision, "flash device capacity as a multiple of each shard's policy capacity, > 1 (with -flash-segment-size)")
 	fs.IntVar(&c.FlashSpareBlocks, "flash-spare-blocks", c.FlashSpareBlocks, "bad-block retirement budget per shard store; 0 derives it from the overprovision slack (with -flash-segment-size)")
 	fs.DurationVar(&c.FlashScrubInterval, "flash-scrub-interval", c.FlashScrubInterval, "background scrub cadence: every interval one sealed segment per shard is checksum-verified and corrupt extents are dropped (0 = off; with -flash-segment-size)")

@@ -203,8 +203,8 @@ func TestDaemonSIGTERMDrainAndSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Residents == 0 {
-		t.Errorf("restarted daemon serving with empty cache: %+v", st)
+	if st.Value("ota_residents", -1) == 0 {
+		t.Errorf("restarted daemon serving with empty cache: %+v", st.Cumulative)
 	}
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -371,8 +371,8 @@ func TestDaemonCorruptSnapshotColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Residents != 0 {
-		t.Fatalf("failed restore left %d residents; cold start must be exactly cold", st.Residents)
+	if n := st.Value("ota_residents", -1); n != 0 {
+		t.Fatalf("failed restore left %v residents; cold start must be exactly cold", n)
 	}
 	// The cold daemon serves: a miss then a hit, no 5xx.
 	if res, err := c.Lookup(1, 256, nil); err != nil || res.Hit {
@@ -386,7 +386,7 @@ func TestDaemonCorruptSnapshotColdStart(t *testing.T) {
 // TestDaemonFlashDrillAndScrub boots the daemon with the flash layer,
 // the background scrubber, and the fault drill enabled: live traffic
 // under injected bit flips must keep serving without a 5xx while the
-// /stats FlashHealth block shows the drill landing (corrupt extents
+// /metrics flash families show the drill landing (corrupt extents
 // found and dropped) and the scrub patrol making progress.
 func TestDaemonFlashDrillAndScrub(t *testing.T) {
 	if testing.Short() {
@@ -428,18 +428,21 @@ func TestDaemonFlashDrillAndScrub(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Flash == nil {
-			t.Fatal("/stats has no Flash block with -flash-segment-size set")
+		if _, ok := st.Sample("ota_flash_waf", -1); !ok {
+			t.Fatal("/metrics has no flash families with -flash-segment-size set")
 		}
-		h := st.Flash.Health
-		if h.CorruptExtents > 0 && h.ScrubbedSegments > 0 {
-			if h.Exhausted || !st.Ready {
-				t.Fatalf("drill flips must not consume spares or readiness: %+v ready=%v", h, st.Ready)
+		corrupt := st.Cumulative.FlashCorruptExtents
+		scrubbed := st.Value("ota_flash_scrubbed_segments_total", -1)
+		if corrupt > 0 && scrubbed > 0 {
+			if st.Value("ota_flash_exhausted", -1) != 0 || st.Value("ota_ready", -1) != 1 {
+				t.Fatalf("drill flips must not consume spares or readiness: exhausted=%v ready=%v",
+					st.Value("ota_flash_exhausted", -1), st.Value("ota_ready", -1))
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drill never surfaced in FlashHealth: %+v\nlog:\n%s", h, d.Log())
+			t.Fatalf("drill never surfaced on /metrics: %d corrupt extents, %v scrubbed segments\nlog:\n%s",
+				corrupt, scrubbed, d.Log())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

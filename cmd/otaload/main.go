@@ -1,9 +1,9 @@
 // Command otaload replays a trace against a running otacached at a
 // target QPS from N worker goroutines and reports achieved throughput,
 // request-latency percentiles, and the server-side hit/write rates over
-// the run (scraped from /stats) — the over-the-wire form of one otasim
-// run, so the classifier-vs-original write-avoidance result can be
-// measured across a real socket.
+// the run (the difference of two /metrics scrapes) — the over-the-wire
+// form of one otasim run, so the classifier-vs-original
+// write-avoidance result can be measured across a real socket.
 //
 // Usage:
 //
@@ -23,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -37,23 +39,37 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "otaload:", err)
+		os.Exit(1)
+	}
+}
+
+// run is otaload with its command line and report stream as arguments;
+// progress and daemon identity go to the log on stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("otaload", flag.ContinueOnError)
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8344", "daemon base URL")
-		photos    = flag.Int("photos", 60000, "synthesize the replay trace with this many photos (ignored with -trace)")
-		tracePath = flag.String("trace", "", "load the replay trace from this file")
-		seed      = flag.Uint64("seed", 42, "seed")
-		workers   = flag.Int("workers", 8, "concurrent request goroutines")
-		qps       = flag.Float64("qps", 0, "target aggregate request rate (0 = unpaced)")
-		maxN      = flag.Int("n", 0, "stop after this many requests (0 = whole trace)")
-		featFlag  = flag.String("features", "auto", "send feature vectors: auto|on|off (auto asks /stats for the filter)")
-		progress  = flag.Int("progress", 0, "log a line every N dispatched requests (0 = off)")
-		waitReady = flag.Duration("wait-ready", 30*time.Second, "poll /readyz this long before replaying (0 = don't wait)")
-		maxErrPct = flag.Float64("max-error-rate", 1, "exit nonzero when the failed-request percentage exceeds this")
-		retries   = flag.Int("retries", 3, "attempts per request (transient transport errors and 5xx lookups)")
+		addr      = fs.String("addr", "http://127.0.0.1:8344", "daemon base URL")
+		photos    = fs.Int("photos", 60000, "synthesize the replay trace with this many photos (ignored with -trace)")
+		tracePath = fs.String("trace", "", "load the replay trace from this file")
+		seed      = fs.Uint64("seed", 42, "seed")
+		workers   = fs.Int("workers", 8, "concurrent request goroutines")
+		qps       = fs.Float64("qps", 0, "target aggregate request rate (0 = unpaced)")
+		maxN      = fs.Int("n", 0, "stop after this many requests (0 = whole trace)")
+		featFlag  = fs.String("features", "auto", "send feature vectors: auto|on|off (auto reads the filter from /metrics)")
+		progress  = fs.Int("progress", 0, "log a line every N dispatched requests (0 = off)")
+		waitReady = fs.Duration("wait-ready", 30*time.Second, "poll /readyz this long before replaying (0 = don't wait)")
+		maxErrPct = fs.Float64("max-error-rate", 1, "exit nonzero when the failed-request percentage exceeds this")
+		retries   = fs.Int("retries", 3, "attempts per request (transient transport errors and 5xx lookups)")
 	)
-	flag.Parse()
-	log.SetPrefix("otaload: ")
-	log.SetFlags(log.LstdFlags)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger := log.New(os.Stderr, "otaload: ", log.LstdFlags)
 
 	var tr *trace.Trace
 	var err error
@@ -63,7 +79,7 @@ func main() {
 		tr, err = trace.Generate(trace.DefaultConfig(*seed, *photos))
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	c := server.NewClient(*addr, *workers)
@@ -76,14 +92,15 @@ func main() {
 		err := c.WaitReady(ctx, 0)
 		cancel()
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
 	st, err := c.Stats()
 	if err != nil {
-		fail(fmt.Errorf("cannot reach daemon at %s: %w", *addr, err))
+		return fmt.Errorf("cannot reach daemon at %s: %w", *addr, err)
 	}
+	info, _ := st.Sample("ota_info", -1)
 	var sendFeatures bool
 	switch *featFlag {
 	case "on":
@@ -91,15 +108,17 @@ func main() {
 	case "off":
 		sendFeatures = false
 	case "auto":
-		sendFeatures = st.Filter == "classifier"
+		sendFeatures = info.Label("filter") == "classifier"
 	default:
-		fail(fmt.Errorf("unknown -features %q (auto|on|off)", *featFlag))
+		return fmt.Errorf("unknown -features %q (auto|on|off)", *featFlag)
 	}
-	log.Printf("daemon: policy=%s filter=%s engine-shards=%d uptime=%.0fs; replaying %d requests (workers=%d qps=%g features=%v)",
-		st.Policy, st.Filter, st.EngineShards, st.UptimeSec, len(tr.Requests), *workers, *qps, sendFeatures)
+	logger.Printf("daemon: policy=%s filter=%s engine-shards=%v uptime=%.0fs; replaying %d requests (workers=%d qps=%g features=%v)",
+		info.Label("policy"), info.Label("filter"), st.Value("ota_engine_shards", -1), st.Value("ota_uptime_seconds", -1),
+		len(tr.Requests), *workers, *qps, sendFeatures)
 	if len(st.Shards) > 1 {
-		for _, sh := range st.Shards {
-			log.Printf("daemon: shard %d: residents=%d bytes=%d", sh.Shard, sh.Residents, sh.ResidentBytes)
+		for i := range st.Shards {
+			logger.Printf("daemon: shard %d: residents=%v bytes=%v",
+				i, st.Value("ota_shard_residents", i), st.Value("ota_shard_resident_bytes", i))
 		}
 	}
 
@@ -109,48 +128,50 @@ func main() {
 		MaxRequests: *maxN,
 		Features:    sendFeatures,
 		Progress:    *progress,
-		Logf:        log.Printf,
+		Logf:        logger.Printf,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(rep)
+	fmt.Fprint(stdout, rep)
 
-	// When the daemon models its device (-flash-segment-size), fold the
-	// device-level outcome into the report: the measured write
-	// amplification and the lifetime the run's write rate implies. This
-	// is the paper's endpoint — fewer writes only matter if they reach
-	// the flash as longer life.
-	if after, err := c.Stats(); err == nil && after.Flash != nil {
-		f := after.Flash
-		fmt.Printf("flash: host %d MB, GC %d MB, WAF %.4f, %d erases",
-			f.HostBytes>>20, f.GCBytes>>20, f.WAF, f.Erases)
-		if f.LifetimeDays > 0 {
-			fmt.Printf(", est. lifetime %.1f days at this rate", f.LifetimeDays)
+	if after, err := c.Stats(); err == nil {
+		// When the daemon models its device (-flash-segment-size), fold
+		// the device-level outcome into the report: the measured write
+		// amplification and the lifetime the run's write rate implies.
+		// This is the paper's endpoint — fewer writes only matter if they
+		// reach the flash as longer life.
+		if waf, ok := after.Sample("ota_flash_waf", -1); ok {
+			m := after.Cumulative
+			fmt.Fprintf(stdout, "flash: host %d MB, GC %d MB, WAF %.4f, %d erases",
+				m.FlashHostBytes>>20, m.FlashGCBytes>>20, waf.Value, m.FlashErases)
+			if days := after.Value("ota_flash_lifetime_days", -1); days > 0 {
+				fmt.Fprintf(stdout, ", est. lifetime %.1f days at this rate", days)
+			}
+			fmt.Fprintln(stdout)
 		}
-		fmt.Println()
-	}
 
-	// Server-side latency, from the daemon's own /metrics histograms:
-	// where the client-side percentiles above include the socket and the
-	// client stack, these isolate the handler and engine stages as the
-	// daemon measured them (1-in-N sampled, ~25% bucket resolution).
-	if samples, err := c.Metrics(); err == nil {
+		// Server-side latency, from the daemon's own histograms: where
+		// the client-side percentiles above include the socket and the
+		// client stack, these isolate the handler and engine stages as
+		// the daemon measured them (1-in-N sampled, ~25% bucket
+		// resolution).
 		for _, h := range []struct{ name, label string }{
 			{"ota_http_request_duration_seconds", "http"},
 			{"ota_lookup_duration_seconds", "engine lookup"},
 			{"ota_classifier_duration_seconds", "classifier"},
 		} {
-			if line := quantileLine(samples, h.name, h.label); line != "" {
-				fmt.Println(line)
+			if line := quantileLine(after.Samples, h.name, h.label); line != "" {
+				fmt.Fprintln(stdout, line)
 			}
 		}
 	}
 
 	if pct := 100 * rep.ErrorRate(); pct > *maxErrPct {
-		fail(fmt.Errorf("error rate %.2f%% exceeds -max-error-rate %.2f%% (first error: %s)",
-			pct, *maxErrPct, rep.FirstError))
+		return fmt.Errorf("error rate %.2f%% exceeds -max-error-rate %.2f%% (first error: %s)",
+			pct, *maxErrPct, rep.FirstError)
 	}
+	return nil
 }
 
 // quantileLine renders one scraped histogram's p50/p99/p999 from its
@@ -185,9 +206,4 @@ func quantileLine(samples []obs.Sample, family, label string) string {
 // secDuration formats a seconds value as a duration string.
 func secDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Nanosecond)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "otaload:", err)
-	os.Exit(1)
 }

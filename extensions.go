@@ -108,15 +108,12 @@ func DefaultTierLatency() TierLatency { return tier.DefaultLatency() }
 // cmd/otacached and cmd/otaload for the packaged binaries).
 type (
 	// CacheServer exposes an Engine over HTTP: object lookup/offer,
-	// /stats with interval deltas, and admin endpoints for classifier
-	// hot-swap and on-demand retraining.
+	// /metrics, and admin endpoints for classifier hot-swap and
+	// on-demand retraining.
 	CacheServer = server.Server
 	// CacheServerConfig bounds the server (connection cap, per-request
 	// timeout, expected feature arity).
 	CacheServerConfig = server.Config
-	// CacheServerStats is one /stats scrape: cumulative and
-	// since-last-scrape interval metrics.
-	CacheServerStats = server.Stats
 	// CacheClient speaks the daemon's wire protocol, including trace
 	// replay at a target QPS.
 	CacheClient = server.Client

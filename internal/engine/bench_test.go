@@ -149,7 +149,7 @@ func BenchmarkLookupInstrumented(b *testing.B) {
 // and the collector runs in steady state. The device is filled before
 // the timer starts, so no iteration is measured on an empty log;
 // gc-passes/op (a pass erases one victim; the in-memory device never
-// fails an erase) lands beside ns/op in BENCH_serve.json.
+// fails an erase) is reported beside ns/op.
 func BenchmarkLookupFlashAttached(b *testing.B) {
 	eng := benchEngine(b, nil)
 	if err := AttachFlash(eng, 4<<20, 1.15); err != nil {

@@ -147,9 +147,9 @@ func ratio(a, b int64) float64 {
 }
 
 // Sub returns the interval delta m - prev, field by field. Taking two
-// Snapshots around a window and subtracting them yields that window's
-// traffic, so a server's /stats endpoint and a load generator can
-// report rates over an interval instead of since-boot cumulatives.
+// Snapshots (or two /metrics scrapes) around a window and subtracting
+// them yields that window's traffic, so a scraper and a load generator
+// can report rates over an interval instead of since-boot cumulatives.
 func (m Metrics) Sub(prev Metrics) Metrics {
 	for _, c := range Counters {
 		*c.Field(&m) -= *c.Field(&prev)

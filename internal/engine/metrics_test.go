@@ -6,8 +6,8 @@ import (
 	"otacache/internal/cache"
 )
 
-// TestMetricsSub pins the interval-delta arithmetic /stats and the load
-// generator rely on: driving an engine in two windows and subtracting
+// TestMetricsSub pins the interval-delta arithmetic a scraper and the
+// load generator rely on: driving an engine in two windows and subtracting
 // the surrounding snapshots must yield exactly the second window's
 // counters.
 func TestMetricsSub(t *testing.T) {
@@ -26,7 +26,8 @@ func TestMetricsSub(t *testing.T) {
 	}
 
 	// Sub against the zero value is the identity, and subtracting a
-	// snapshot from itself is zero — the two ends /stats exercises.
+	// snapshot from itself is zero: the first window after boot and an
+	// idle one.
 	if b.Sub(Metrics{}) != b {
 		t.Fatal("Sub(zero) must be the identity")
 	}

@@ -24,8 +24,7 @@ const (
 // BenchmarkFlashGC measures the write path with the collector engaged
 // under concurrent writers — the race matrix runs it with -race at
 // several GOMAXPROCS. It reports the measured WAF alongside the
-// throughput so `make bench` lands device-level amplification in
-// BENCH_serve.json.
+// throughput, so the benchmark line carries device-level amplification.
 func BenchmarkFlashGC(b *testing.B) {
 	s := benchStore(b)
 	var ctr atomic.Uint64

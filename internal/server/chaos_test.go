@@ -46,7 +46,7 @@ func newChaosSharded(t *testing.T, n int, perShard int64) *engine.ShardedEngine 
 //     extent and the request reports a miss;
 //   - hit-rate degradation is bounded: each injected fault costs at
 //     most one miss;
-//   - after a full scrub sweep, the /stats FlashHealth counters equal
+//   - after a full scrub sweep, the /metrics flash counters equal
 //     the injected-fault multiset exactly. Fault kinds are split across
 //     shards (shard 0 read errors; shard 1 flips + program failures) so
 //     no fault can mask another: a read error on a flipped record would
@@ -107,8 +107,8 @@ func TestE2EChaosMediaFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Flash == nil {
-		t.Fatal("/stats has no Flash block with stores attached")
+	if _, ok := base.Sample("ota_flash_waf", -1); !ok {
+		t.Fatal("/metrics has no flash families with stores attached")
 	}
 
 	// Pass 2: re-read every key. Healthy extents hit; injected read
@@ -137,8 +137,8 @@ func TestE2EChaosMediaFaults(t *testing.T) {
 	// extents were already dropped in pass 1 — a flip discovered while
 	// relocating off a retired block — hit without an extent: absence is
 	// not a media fault.)
-	passRE := mid.Flash.Health.ReadErrors - base.Flash.Health.ReadErrors
-	passCE := mid.Flash.Health.CorruptExtents - base.Flash.Health.CorruptExtents
+	pass := mid.Cumulative.Sub(base.Cumulative)
+	passRE, passCE := pass.FlashReadErrors, pass.FlashCorruptExtents
 	if int64(degraded) != passRE+passCE {
 		t.Fatalf("pass-2 misses %d != faults discovered in pass 2 (%d read errors + %d corrupt)",
 			degraded, passRE, passCE)
@@ -151,11 +151,12 @@ func TestE2EChaosMediaFaults(t *testing.T) {
 	// remaining latent flip is verified and dropped. (Scrub reads on
 	// shard 0 keep drawing the read injector — the counters must still
 	// match the injected totals afterward.)
-	totalSegments := int64(0)
+	totalSegments, spareBlocks := int64(0), int64(0)
 	for _, sh := range se.Shards() {
 		fs := sh.Flash()
 		n := fs.Stats().Segments
 		totalSegments += int64(n)
+		spareBlocks += fs.Stats().SpareBlocks
 		for id := 0; id < n; id++ {
 			fs.ScrubSegment(id)
 		}
@@ -165,43 +166,43 @@ func TestE2EChaosMediaFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fin.Flash.Health
+	h := fin.Cumulative
 	wantReads := int64(devs[0].InjectedReads() + devs[1].InjectedReads())
 	wantFlips := int64(devs[0].InjectedFlips() + devs[1].InjectedFlips())
 	wantRetired := int64(devs[0].InjectedPrograms() + devs[1].InjectedPrograms() +
 		devs[0].InjectedErases() + devs[1].InjectedErases())
-	if h.ReadErrors != wantReads {
-		t.Errorf("FlashHealth.ReadErrors = %d, want the %d injected uncorrectable reads", h.ReadErrors, wantReads)
+	if h.FlashReadErrors != wantReads {
+		t.Errorf("FlashReadErrors = %d, want the %d injected uncorrectable reads", h.FlashReadErrors, wantReads)
 	}
-	if h.CorruptExtents != wantFlips {
-		t.Errorf("FlashHealth.CorruptExtents = %d, want the %d injected bit flips", h.CorruptExtents, wantFlips)
+	if h.FlashCorruptExtents != wantFlips {
+		t.Errorf("FlashCorruptExtents = %d, want the %d injected bit flips", h.FlashCorruptExtents, wantFlips)
 	}
-	if h.RetiredBlocks != wantRetired {
-		t.Errorf("FlashHealth.RetiredBlocks = %d, want the %d injected program/erase failures", h.RetiredBlocks, wantRetired)
+	if h.FlashRetiredBlocks != wantRetired {
+		t.Errorf("FlashRetiredBlocks = %d, want the %d injected program/erase failures", h.FlashRetiredBlocks, wantRetired)
 	}
 	if wantRetired == 0 || wantFlips == 0 || wantReads == 0 {
 		t.Fatalf("drill fired no faults of some kind: reads %d flips %d retired %d", wantReads, wantFlips, wantRetired)
 	}
 	// Per-shard fault isolation proves the aggregation sums the right
 	// shards rather than double-counting one.
-	if s0 := fin.Shards[0].Flash.Health; s0.CorruptExtents != 0 || s0.RetiredBlocks != 0 {
+	if s0 := fin.Shards[0]; s0.FlashCorruptExtents != 0 || s0.FlashRetiredBlocks != 0 {
 		t.Errorf("shard 0 ran a read-error-only device but reports %+v", s0)
 	}
-	if s1 := fin.Shards[1].Flash.Health; s1.ReadErrors != 0 {
+	if s1 := fin.Shards[1]; s1.FlashReadErrors != 0 {
 		t.Errorf("shard 1 ran without read faults but reports %+v", s1)
 	}
-	if h.SpareHeadroom != h.SpareBlocks-h.RetiredBlocks {
-		t.Errorf("spare headroom %d != budget %d - retired %d", h.SpareHeadroom, h.SpareBlocks, h.RetiredBlocks)
+	if headroom := int64(fin.Value("ota_flash_spare_headroom", -1)); headroom != spareBlocks-h.FlashRetiredBlocks {
+		t.Errorf("spare headroom %d != budget %d - retired %d", headroom, spareBlocks, h.FlashRetiredBlocks)
 	}
 	// One sweep scrubs every non-retired segment exactly once.
-	if h.ScrubbedSegments != totalSegments-h.RetiredBlocks {
-		t.Errorf("ScrubbedSegments = %d, want %d segments - %d retired", h.ScrubbedSegments, totalSegments, h.RetiredBlocks)
+	if scrubbed := int64(fin.Value("ota_flash_scrubbed_segments_total", -1)); scrubbed != totalSegments-h.FlashRetiredBlocks {
+		t.Errorf("scrubbed segments = %d, want %d segments - %d retired", scrubbed, totalSegments, h.FlashRetiredBlocks)
 	}
-	if h.Exhausted {
+	if fin.Value("ota_flash_exhausted", -1) != 0 {
 		t.Error("spare pool reported exhausted with headroom left")
 	}
-	if !fin.Ready {
-		t.Error("/stats Ready false with spares left")
+	if fin.Value("ota_ready", -1) != 1 {
+		t.Error("/metrics ota_ready is 0 with spares left")
 	}
 	if err := c.Ready(); err != nil {
 		t.Errorf("/readyz not 200 with spares left: %v", err)
@@ -279,11 +280,11 @@ func TestReadyzFlashEOL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ready {
-		t.Error("/stats Ready true while /readyz serves 503")
+	if st.Value("ota_ready", -1) != 0 {
+		t.Error("/metrics ota_ready is 1 while /readyz serves 503")
 	}
-	if st.Flash == nil || !st.Flash.Health.Exhausted {
-		t.Error("/stats FlashHealth does not report exhaustion")
+	if st.Value("ota_flash_exhausted", -1) != 1 {
+		t.Error("/metrics ota_flash_exhausted does not report exhaustion")
 	}
 	// The node is EOL, not dead: object traffic keeps serving (misses
 	// simply stop landing on flash) with no 5xx.

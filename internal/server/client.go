@@ -276,23 +276,6 @@ func (c *Client) Offer(key uint64, size int64, feat []float64) (LookupResult, er
 	return c.doObject(http.MethodPut, key, size, feat)
 }
 
-// Stats scrapes /stats.
-func (c *Client) Stats() (*Stats, error) {
-	resp, err := c.hc.Get(c.base + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: %s", resp.Status)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Health probes /healthz (liveness: the process is up).
 func (c *Client) Health() error {
 	return c.probe("/healthz")

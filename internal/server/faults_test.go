@@ -70,7 +70,7 @@ func newFaultyServer(t *testing.T, sched faults.Schedule, bare bool) (*Server, *
 // criterion: with the classifier randomly erroring and panicking under
 // concurrent load, not one object request may surface as a 5xx — every
 // request gets a real admission decision, the degraded ones are counted
-// in /stats, and some decisions demonstrably came from the fallback.
+// on /metrics, and some decisions demonstrably came from the fallback.
 // Run under -race via make check.
 func TestObjectPathNever5xxUnderClassifierFaults(t *testing.T) {
 	_, hs := newFaultyServer(t, errPanicMix{faults.Seeded(3, 0.3, faults.Fault{Kind: faults.Error})}, false)
@@ -129,11 +129,12 @@ func TestObjectPathNever5xxUnderClassifierFaults(t *testing.T) {
 		t.Errorf("stats count %d degraded decisions, clients observed %d",
 			st.Cumulative.Degraded, degraded.Load())
 	}
-	if st.Breaker == nil || st.Breaker.Failures == 0 || st.Breaker.Opens == 0 {
-		t.Errorf("breaker stats missing or idle: %+v", st.Breaker)
+	if st.Value("ota_breaker_failures_total", 0) == 0 || st.Value("ota_breaker_opens_total", 0) == 0 {
+		t.Errorf("breaker families missing or idle: failures %v opens %v",
+			st.Value("ota_breaker_failures_total", 0), st.Value("ota_breaker_opens_total", 0))
 	}
-	if st.PanicsRecovered != 0 {
-		t.Errorf("%d panics reached the HTTP middleware; the breaker must absorb them", st.PanicsRecovered)
+	if n := st.Value("ota_panics_recovered_total", -1); n != 0 {
+		t.Errorf("%v panics reached the HTTP middleware; the breaker must absorb them", n)
 	}
 }
 

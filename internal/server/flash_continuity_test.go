@@ -16,7 +16,7 @@ import (
 func withTestFlash(c *stack.Config) { c.FlashSegmentSize, c.FlashOverprovision = 2<<20, 1.15 }
 
 // windowLifetimeDays estimates device lifetime from one replay window's
-// wear delta, the way /stats does: the TLC profile at the device
+// wear delta, the way /metrics does: the TLC profile at the device
 // capacity with the window's measured WAF swapped in, at the window's
 // host-write rate (normalized to a nominal day of one window).
 func windowLifetimeDays(t *testing.T, srv engine.Server, d engine.Metrics) float64 {

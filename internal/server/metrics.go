@@ -9,16 +9,17 @@ import (
 	"time"
 
 	"otacache/internal/engine"
+	"otacache/internal/flash"
 	"otacache/internal/obs"
+	"otacache/internal/ssd"
 )
 
-// The /metrics page: the whole /stats surface re-expressed in the
-// Prometheus text format, plus the latency distributions /stats cannot
-// carry. Every row of engine.Counters appears exactly once as an
-// aggregate ota_<field>_total family and once per shard under
-// ota_shard_<field>_total{shard="i"}; the engine's table test pins the
-// table to the Metrics struct, so a counter added to Metrics cannot
-// miss the page.
+// The /metrics page is the daemon's one stats surface, in the
+// Prometheus text format. Every row of engine.Counters appears exactly
+// once as an aggregate ota_<field>_total family and once per shard
+// under ota_shard_<field>_total{shard="i"}; the engine's table test pins
+// the table to the Metrics struct, so a counter added to Metrics cannot
+// miss the page. Client.Stats reads the page back (Scrape).
 
 // snakeCase converts a Go exported field name to the metric-name
 // convention: word boundaries before an upper-case rune that follows a
@@ -63,6 +64,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
+// snapshotShards reads every shard's counters once and returns them
+// with their field-wise sum, so the aggregate a scrape publishes is
+// exactly the sum of the per-shard values beside it (two separate
+// reads under live traffic would disagree).
+func (s *Server) snapshotShards() (total engine.Metrics, perShard []engine.Metrics) {
+	perShard = make([]engine.Metrics, len(s.shards))
+	for i, sh := range s.shards {
+		perShard[i] = sh.Snapshot()
+		total = total.Add(perShard[i])
+	}
+	return total, perShard
+}
+
 // writeMetricsPage renders the whole exposition.
 func (s *Server) writeMetricsPage(tw *obs.TextWriter) {
 	cur, perShard := s.snapshotShards()
@@ -81,17 +95,35 @@ func (s *Server) writeMetricsPage(tw *obs.TextWriter) {
 	}
 
 	// Serving gauges and server-side incident counters.
+	tw.Family("ota_info", "Serving composition: replacement policy and admission filter.", "gauge")
+	tw.Int("ota_info", []obs.Label{
+		{Name: "policy", Value: s.shards[0].Policy().Name()},
+		{Name: "filter", Value: s.shards[0].Filter().Name()},
+	}, 1)
 	tw.Family("ota_engine_shards", "Independent engine shards behind the ring.", "gauge")
 	tw.Int("ota_engine_shards", nil, int64(len(s.shards)))
-	var residents, residentBytes int64
-	for _, sh := range s.shards {
-		residents += int64(sh.Policy().Len())
-		residentBytes += sh.Policy().Used()
+	// Occupancy is read once per shard, so the aggregate is the sum of
+	// the per-shard samples beside it.
+	residents := make([]int64, len(s.shards))
+	residentBytes := make([]int64, len(s.shards))
+	var sumResidents, sumBytes int64
+	for i, sh := range s.shards {
+		residents[i], residentBytes[i] = int64(sh.Policy().Len()), sh.Policy().Used()
+		sumResidents += residents[i]
+		sumBytes += residentBytes[i]
 	}
 	tw.Family("ota_residents", "Objects currently resident across all shard policies.", "gauge")
-	tw.Int("ota_residents", nil, residents)
+	tw.Int("ota_residents", nil, sumResidents)
+	tw.Family("ota_shard_residents", "Per-shard: objects currently resident in the shard policy.", "gauge")
+	for i, n := range residents {
+		tw.Int("ota_shard_residents", shardLabel(i), n)
+	}
 	tw.Family("ota_resident_bytes", "Bytes currently resident across all shard policies.", "gauge")
-	tw.Int("ota_resident_bytes", nil, residentBytes)
+	tw.Int("ota_resident_bytes", nil, sumBytes)
+	tw.Family("ota_shard_resident_bytes", "Per-shard: bytes currently resident in the shard policy.", "gauge")
+	for i, n := range residentBytes {
+		tw.Int("ota_shard_resident_bytes", shardLabel(i), n)
+	}
 	ready := int64(0)
 	if s.Ready() {
 		ready = 1
@@ -171,20 +203,36 @@ func (s *Server) writeBreakerMetrics(tw *obs.TextWriter) {
 
 // writeFlashMetrics renders the flash fleet families not already
 // covered by the engine.Metrics mirror (skipped when no shard has a
-// store attached).
+// store attached): the shard devices' flash.Stats summed, with the WAF
+// recomputed from the summed byte counters — the byte-weighted mean
+// over the devices, not a mean of per-device WAFs.
 func (s *Server) writeFlashMetrics(tw *obs.TextWriter) {
-	var agg *FlashStats
+	var agg flash.Stats
+	var capacity int64
 	for _, sh := range s.shards {
-		agg = agg.add(flashStats(sh))
+		fs := sh.Flash()
+		if fs == nil {
+			continue
+		}
+		st := fs.Stats()
+		capacity += st.SegmentSize * int64(st.Segments)
+		agg.FreeSegments += st.FreeSegments
+		agg.HostBytes += st.HostBytes
+		agg.GCBytes += st.GCBytes
+		agg.LiveBytes += st.LiveBytes
+		agg.Relocations += st.Relocations
+		agg.Dropped += st.Dropped
+		agg.SpareHeadroom += st.SpareHeadroom
+		agg.ScrubbedSegments += st.ScrubbedSegments
+		agg.Exhausted = agg.Exhausted || st.Exhausted
 	}
-	if agg == nil {
+	if capacity == 0 { // no store attached
 		return
 	}
-	uptime := s.clock.Now().Sub(s.started).Seconds()
 	tw.Family("ota_flash_waf", "Measured device write amplification, (host + GC) / host bytes.", "gauge")
-	tw.Sample("ota_flash_waf", nil, agg.WAF)
+	tw.Sample("ota_flash_waf", nil, agg.WAF())
 	tw.Family("ota_flash_capacity_bytes", "Flash capacity summed across shard devices.", "gauge")
-	tw.Int("ota_flash_capacity_bytes", nil, agg.CapacityBytes)
+	tw.Int("ota_flash_capacity_bytes", nil, capacity)
 	tw.Family("ota_flash_live_bytes", "Live-byte estimate across shard devices.", "gauge")
 	tw.Int("ota_flash_live_bytes", nil, agg.LiveBytes)
 	tw.Family("ota_flash_free_segments", "Erased segments ready to take a log head.", "gauge")
@@ -194,19 +242,37 @@ func (s *Server) writeFlashMetrics(tw *obs.TextWriter) {
 	tw.Family("ota_flash_dropped_total", "Writes abandoned for lack of a free segment.", "counter")
 	tw.Int("ota_flash_dropped_total", nil, agg.Dropped)
 	tw.Family("ota_flash_spare_headroom", "Block retirements the spare pool can still absorb.", "gauge")
-	tw.Int("ota_flash_spare_headroom", nil, agg.Health.SpareHeadroom)
+	tw.Int("ota_flash_spare_headroom", nil, agg.SpareHeadroom)
 	tw.Family("ota_flash_scrubbed_segments_total", "Sealed segments the scrub patrol has verified.", "counter")
-	tw.Int("ota_flash_scrubbed_segments_total", nil, agg.Health.ScrubbedSegments)
+	tw.Int("ota_flash_scrubbed_segments_total", nil, agg.ScrubbedSegments)
 	exhausted := int64(0)
-	if agg.Health.Exhausted {
+	if agg.Exhausted {
 		exhausted = 1
 	}
 	tw.Family("ota_flash_exhausted", "1 when any shard device's spare pool is spent (EOL).", "gauge")
 	tw.Int("ota_flash_exhausted", nil, exhausted)
-	if days := flashLifetimeDays(agg, uptime); days > 0 {
+	uptime := s.clock.Now().Sub(s.started).Seconds()
+	if days := flashLifetimeDays(agg, capacity, uptime); days > 0 {
 		tw.Family("ota_flash_lifetime_days", "Wear-out estimate at the measured WAF and observed write rate.", "gauge")
 		tw.Sample("ota_flash_lifetime_days", nil, days)
 	}
+}
+
+// flashLifetimeDays turns the summed wear counters into a wear-out
+// estimate: the TLC endurance profile at the summed device capacity,
+// the profile's guessed WAF replaced by the measured one, at the
+// host-write rate observed since boot. Zero until host writes have been
+// observed (no meaningful rate yet).
+func flashLifetimeDays(agg flash.Stats, capacity int64, uptimeSec float64) float64 {
+	if agg.HostBytes == 0 || uptimeSec <= 0 {
+		return 0
+	}
+	dev, err := ssd.DefaultTLC(capacity).WithMeasuredWAF(agg.WAF())
+	if err != nil {
+		return 0
+	}
+	bytesPerDay := float64(agg.HostBytes) / uptimeSec * 86400
+	return dev.Lifetime(bytesPerDay).Hours() / 24
 }
 
 // writeHistogramMetrics renders the latency distributions: per-shard
@@ -454,20 +520,28 @@ func (s *Server) RestoreSnapshot(path string) (SnapshotResult, error) {
 	return res, err
 }
 
+// getMetrics fetches GET /metrics and hands the body of a 200 response
+// to read.
+func (c *Client) getMetrics(read func(io.Reader) error) error {
+	resp, err := c.hc.Get(c.base + "/metrics")
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("metrics: status %s", resp.Status)
+	}
+	return read(resp.Body)
+}
+
 // MetricsText fetches GET /metrics and returns the raw exposition
 // page.
 func (c *Client) MetricsText() (string, error) {
-	resp, err := c.hc.Get(c.base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	//lint:allow errsink read-side close; the body has been consumed
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("metrics: status %s", resp.Status)
-	}
 	var b strings.Builder
-	if _, err := io.Copy(&b, resp.Body); err != nil {
+	if err := c.getMetrics(func(r io.Reader) error {
+		_, err := io.Copy(&b, r)
+		return err
+	}); err != nil {
 		return "", err
 	}
 	return b.String(), nil
@@ -475,14 +549,88 @@ func (c *Client) MetricsText() (string, error) {
 
 // Metrics fetches and parses GET /metrics into samples.
 func (c *Client) Metrics() ([]obs.Sample, error) {
-	resp, err := c.hc.Get(c.base + "/metrics")
+	var samples []obs.Sample
+	err := c.getMetrics(func(r io.Reader) (err error) {
+		samples, err = obs.ParseText(r)
+		return err
+	})
+	return samples, err
+}
+
+// Stats fetches GET /metrics and parses it into a Scrape.
+func (c *Client) Stats() (*Scrape, error) {
+	samples, err := c.Metrics()
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow errsink read-side close; the body has been consumed
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: status %s", resp.Status)
+	return newScrape(samples)
+}
+
+// Scrape is a typed view of one /metrics page. The engine counters are
+// rebuilt from the engine.Counters families, so a counter added to
+// engine.Metrics reaches the client with no edit here; every other
+// family is read by name (Sample, Value). A window's traffic is the
+// difference of two scrapes: later.Cumulative.Sub(earlier.Cumulative).
+type Scrape struct {
+	// Cumulative is the engine counters since boot, summed over shards.
+	Cumulative engine.Metrics
+	// Shards holds each engine shard's counters, indexed by shard.
+	Shards []engine.Metrics
+	// Samples is the whole page in page order.
+	Samples []obs.Sample
+}
+
+// newScrape builds the typed view of a parsed /metrics page; a shard
+// label that is not a plausible index is an error.
+func newScrape(samples []obs.Sample) (*Scrape, error) {
+	type row struct {
+		c     engine.Counter
+		shard bool
 	}
-	return obs.ParseText(resp.Body)
+	rows := make(map[string]row, 2*len(engine.Counters))
+	for _, c := range engine.Counters {
+		rows[MetricName(c.Name)] = row{c, false}
+		rows[ShardMetricName(c.Name)] = row{c, true}
+	}
+	st := &Scrape{Samples: samples}
+	for _, smp := range samples {
+		r, ok := rows[smp.Name]
+		if !ok {
+			continue
+		}
+		m := &st.Cumulative
+		if r.shard {
+			i, err := strconv.Atoi(smp.Label("shard"))
+			if err != nil || i < 0 || i >= len(samples) {
+				return nil, fmt.Errorf("metrics: %s has bad shard label %q", smp.Name, smp.Label("shard"))
+			}
+			for len(st.Shards) <= i {
+				st.Shards = append(st.Shards, engine.Metrics{})
+			}
+			m = &st.Shards[i]
+		}
+		*r.c.Field(m) = int64(smp.Value)
+	}
+	return st, nil
+}
+
+// Sample returns a sample named name: with shard < 0 the first one that
+// carries no shard label, otherwise the one labelled shard="<shard>".
+func (st *Scrape) Sample(name string, shard int) (obs.Sample, bool) {
+	want := ""
+	if shard >= 0 {
+		want = strconv.Itoa(shard)
+	}
+	for _, smp := range st.Samples {
+		if smp.Name == name && smp.Label("shard") == want {
+			return smp, true
+		}
+	}
+	return obs.Sample{}, false
+}
+
+// Value is Sample's value, 0 when the page has no such sample.
+func (st *Scrape) Value(name string, shard int) float64 {
+	smp, _ := st.Sample(name, shard)
+	return smp.Value
 }

@@ -117,13 +117,12 @@ func counterLines(page string) string {
 }
 
 // TestMetricsExposition is the golden /metrics contract: scrape a
-// loopback daemon, parse the text back, and check by reflection that
-// every engine.Metrics field appears exactly once as an aggregate
-// family whose per-shard breakdown sums to it. A counter added to
-// Metrics fails this test until the exposition carries it. The counter
-// families are also pinned byte for byte against
-// testdata/metrics_counters.golden (regenerate with -update only for a
-// deliberate wire change).
+// loopback daemon and pin the engine.Metrics families (one aggregate
+// and one per-shard family per field, found by reflection) byte for
+// byte against testdata/metrics_counters.golden, so a counter added to
+// Metrics fails this test until the exposition carries it (regenerate
+// with -update only for a deliberate wire change). Parsed back, the
+// counters must equal the engines' snapshots.
 func TestMetricsExposition(t *testing.T) {
 	se := shardedObsEngine(t)
 	srv := New(se, Config{
@@ -172,39 +171,21 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("counter families differ from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 
-	cur := se.Snapshot()
-	shards := se.Shards()
-	mt := reflect.TypeOf(engine.Metrics{})
-	for i := 0; i < mt.NumField(); i++ {
-		field := mt.Field(i).Name
-		name := MetricName(field)
-		agg := idx[name]
-		if len(agg) != 1 {
-			t.Errorf("%s: %d samples, want exactly 1", name, len(agg))
-			continue
-		}
-		want := reflect.ValueOf(cur).FieldByName(field).Int()
-		if int64(agg[0].Value) != want {
-			t.Errorf("%s = %v, want %d", name, agg[0].Value, want)
-		}
-		perShard := idx[ShardMetricName(field)]
-		if len(perShard) != len(shards) {
-			t.Errorf("%s: %d shard samples, want %d", ShardMetricName(field), len(perShard), len(shards))
-			continue
-		}
-		var sum int64
-		seen := make(map[string]bool)
-		for _, s := range perShard {
-			sum += int64(s.Value)
-			seen[s.Label("shard")] = true
-		}
-		if sum != int64(agg[0].Value) {
-			t.Errorf("%s shard sum = %d, aggregate = %v", field, sum, agg[0].Value)
-		}
-		for i := range shards {
-			if !seen[strconv.Itoa(i)] {
-				t.Errorf("%s missing shard=%d", ShardMetricName(field), i)
-			}
+	// Read back through the client's view, every counter equals the
+	// engines' own snapshots, in aggregate and per shard.
+	st, err := newScrape(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := se.Snapshot(); st.Cumulative != want {
+		t.Errorf("scraped counters %+v, Snapshot %+v", st.Cumulative, want)
+	}
+	if len(st.Shards) != len(se.Shards()) {
+		t.Fatalf("scrape has %d shards, want %d", len(st.Shards), len(se.Shards()))
+	}
+	for i, sh := range se.Shards() {
+		if want := sh.Snapshot(); st.Shards[i] != want {
+			t.Errorf("shard %d scraped %+v, Snapshot %+v", i, st.Shards[i], want)
 		}
 	}
 

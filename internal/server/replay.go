@@ -120,7 +120,7 @@ type replayJob struct {
 // Replay streams the trace's request sequence against the daemon from
 // opt.Workers goroutines, pacing at opt.TargetQPS, and reports achieved
 // throughput, latency percentiles, and the server-side counter movement
-// (scraped from /stats before and after).
+// (scraped from /metrics before and after).
 //
 // The dispatcher walks the trace in order — feature extraction is
 // stateful and sequential — while workers race on the wire, so with
@@ -142,7 +142,7 @@ func (c *Client) Replay(tr *trace.Trace, opt ReplayOptions) (*ReplayReport, erro
 
 	before, err := c.Stats()
 	if err != nil {
-		return nil, fmt.Errorf("replay: scraping /stats before run: %w", err)
+		return nil, fmt.Errorf("replay: scraping /metrics before run: %w", err)
 	}
 
 	var (
@@ -217,7 +217,7 @@ func (c *Client) Replay(tr *trace.Trace, opt ReplayOptions) (*ReplayReport, erro
 
 	after, err := c.Stats()
 	if err != nil {
-		return nil, fmt.Errorf("replay: scraping /stats after run: %w", err)
+		return nil, fmt.Errorf("replay: scraping /metrics after run: %w", err)
 	}
 
 	rep := &ReplayReport{

@@ -2,11 +2,11 @@
 // daemon (otacached) exposing an engine.Server — a single engine.Engine
 // or an engine.ShardedEngine routing keys over a consistent-hash ring
 // to independent engine shards — to remote clients, with the
-// operational surface a production cache node needs: interval,
-// cumulative, and per-shard metrics, classifier hot-swap across all
-// shards (the wire-level analogue of the §4.4.3 daily retrain), live
-// retraining from served traffic, per-request timeouts, a connection
-// cap, and graceful drain.
+// operational surface a production cache node needs: cumulative and
+// per-shard metrics, classifier hot-swap across all shards (the
+// wire-level analogue of the §4.4.3 daily retrain), live retraining
+// from served traffic, per-request timeouts, a connection cap, and
+// graceful drain.
 //
 // # Wire protocol
 //
@@ -31,11 +31,13 @@
 //
 // Control plane:
 //
-//	GET /stats             cumulative and interval engine.Metrics as
-//	                       JSON, plus a per-shard breakdown (counters,
-//	                       occupancy, breaker state for each engine
-//	                       shard). The interval window is since the
-//	                       previous /stats scrape (one scraper assumed).
+//	GET /metrics           the Prometheus text exposition: every
+//	                       engine.Metrics counter since boot with its
+//	                       per-shard breakdown, occupancy, breaker and
+//	                       flash state, and the latency histograms.
+//	                       Client.Stats parses it; intervals are the
+//	                       difference of two scrapes (Metrics.Sub).
+//	GET /admin/trace       the sampled decision-trace ring.
 //	GET /healthz           liveness probe.
 //	GET /readyz            readiness probe: 503 while a snapshot is
 //	                       being restored or the drain has begun, 200
@@ -53,7 +55,7 @@
 //
 // Responses decided by the circuit breaker's fallback (classifier
 // error, panic, or latency-budget overrun) carry X-Ota-Degraded: true;
-// /stats reports the breaker state and the degraded-decision count.
+// /metrics reports the breaker state and the degraded-decision count.
 package server
 
 import (
@@ -75,7 +77,6 @@ import (
 	"otacache/internal/flash"
 	"otacache/internal/ml/cart"
 	"otacache/internal/obs"
-	"otacache/internal/ssd"
 )
 
 // Config carries the operational knobs of one daemon.
@@ -142,7 +143,7 @@ type Server struct {
 	// so object requests must carry features.
 	classified bool
 	// breakers holds each shard's circuit breaker when one wraps its
-	// filter (nil entries otherwise), surfaced through /stats.
+	// filter (nil entries otherwise), surfaced through /metrics.
 	breakers []*engine.Breaker
 	// swapMu serializes classifier installs across shards: a swap is
 	// atomic with respect to other swaps, never half-applied.
@@ -171,13 +172,9 @@ type Server struct {
 	notReady atomic.Value // string
 	// panics counts handler panics absorbed by the recovery middleware.
 	panics atomic.Int64
-	// encodeErrors counts JSON response bodies that failed to write
-	// (the client vanished mid-response); surfaced through /stats.
+	// encodeErrors counts response bodies that failed to write (the
+	// client vanished mid-response); surfaced through /metrics.
 	encodeErrors atomic.Int64
-
-	// statsMu guards the interval baseline advanced by each /stats.
-	statsMu  sync.Mutex
-	lastScan engine.Metrics
 
 	// testHookRequest, when set, runs inside every object handler —
 	// tests use it to hold requests in flight across a Shutdown.
@@ -321,7 +318,6 @@ func (s *Server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /object/{key}", s.handleLookup)
 	mux.HandleFunc("PUT /object/{key}", s.handleOffer)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /admin/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -466,290 +462,6 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 	s.finishObject(t, key, tick, out, true)
 	writeDecision(w, out)
 	fmt.Fprintln(w, "OFFERED")
-}
-
-// Stats is the /stats payload: the engine's cumulative counters since
-// boot, the interval since the previous scrape, and the resilience
-// surface (readiness, recovered panics, breaker state).
-type Stats struct {
-	Policy    string
-	Filter    string
-	UptimeSec float64
-	// Ready mirrors /readyz.
-	Ready bool
-	// PanicsRecovered counts handler panics the middleware absorbed.
-	PanicsRecovered int64
-	// EncodeErrors counts JSON response bodies that failed to write
-	// after the handler committed the response (client gone
-	// mid-response).
-	EncodeErrors int64
-	// Breaker reports the admission circuit breaker of a single-shard
-	// engine (nil without one). A sharded engine has one breaker per
-	// shard — see Shards.
-	Breaker *BreakerStats `json:",omitempty"`
-	// Residents and ResidentBytes are the policies' current occupancy,
-	// summed across shards — nonzero right after a snapshot restore
-	// even though the counters start at zero.
-	Residents     int
-	ResidentBytes int64
-	Cumulative    engine.Metrics
-	Interval      engine.Metrics
-	// EngineShards is the number of independent engine shards behind
-	// the ring (1 for a plain Engine).
-	EngineShards int
-	// Flash aggregates the per-shard flash devices (nil when the daemon
-	// runs without a flash layer): counter sums, the WAF measured over
-	// the whole device fleet, and a lifetime estimate from the measured
-	// WAF and the host-write rate since boot.
-	Flash *FlashStats `json:",omitempty"`
-	// Shards breaks the aggregate down per engine shard, in shard
-	// order; Cumulative above is their field-wise sum.
-	Shards []ShardStats
-}
-
-// ShardStats is one engine shard's slice of the /stats payload.
-type ShardStats struct {
-	// Shard is the index into the ring's shard list.
-	Shard int
-	// Residents and ResidentBytes are this shard's policy occupancy.
-	Residents     int
-	ResidentBytes int64
-	// Breaker reports this shard's circuit breaker (nil without one).
-	Breaker *BreakerStats `json:",omitempty"`
-	// Flash is this shard's flash device (nil without one); the
-	// top-level Flash block is the field-wise sum of these.
-	Flash *FlashStats `json:",omitempty"`
-	// Cumulative is this shard's counters since boot.
-	Cumulative engine.Metrics
-}
-
-// FlashStats is the flash device block of /stats: the log-structured
-// store's layout and wear counters, the measured write amplification,
-// and — on the aggregate block — a lifetime estimate that replaces the
-// static-profile guess with the measured WAF.
-type FlashStats struct {
-	// SegmentSize is the erase-block size; CapacityBytes the device
-	// capacity (summed across shards on the aggregate block).
-	SegmentSize   int64
-	CapacityBytes int64
-	// FreeSegments counts erased blocks ready to open as a head.
-	FreeSegments int
-	// HostBytes, GCBytes, and Erases are the wear counters behind the
-	// WAF: host-written bytes, GC-relocated bytes, block erasures.
-	HostBytes int64
-	GCBytes   int64
-	Erases    int64
-	// Relocations counts objects the collectors moved; Dropped counts
-	// writes abandoned for lack of a free segment (sizing alarm).
-	Relocations int64
-	Dropped     int64
-	// LiveBytes is the stores' live-byte estimate.
-	LiveBytes int64
-	// WAF is the measured write amplification, (Host + GC) / Host.
-	WAF float64
-	// LifetimeDays estimates time to wear-out at the host-write rate
-	// observed since boot, using the TLC endurance profile at the
-	// device capacity with the measured WAF swapped in
-	// (ssd.Endurance.WithMeasuredWAF). Zero when no host writes have
-	// been observed yet. Aggregate block only.
-	LifetimeDays float64 `json:",omitempty"`
-	// Health is the media fault domain: errors survived, blocks
-	// retired, spare budget left, scrub progress.
-	Health FlashHealth
-}
-
-// FlashHealth is the fault-domain slice of a flash block: what the
-// device has survived (uncorrectable reads, checksum-failed extents,
-// retired erase blocks), how much bad-block budget remains, and how far
-// the background scrub patrol has walked. On the aggregate block the
-// counters are shard sums and Exhausted is true if ANY shard's spare
-// pool is gone — the same predicate that flips /readyz to 503, since a
-// device that can no longer retire a failing block may start losing
-// writes.
-type FlashHealth struct {
-	// ReadErrors counts uncorrectable device reads; CorruptExtents
-	// counts extents dropped on checksum mismatch. Both degraded to
-	// cache misses (or scrub drops), never serving errors.
-	ReadErrors     int64
-	CorruptExtents int64
-	// RetiredBlocks counts erase blocks permanently retired after a
-	// failed program or erase; SpareBlocks is the retirement budget and
-	// SpareHeadroom what remains of it.
-	RetiredBlocks int64
-	SpareBlocks   int64
-	SpareHeadroom int64
-	// ScrubbedSegments counts sealed segments the background scrub has
-	// verified since boot.
-	ScrubbedSegments int64
-	// Exhausted reports the spare pool is spent: the device is at end
-	// of life and the daemon stops advertising readiness.
-	Exhausted bool
-}
-
-// BreakerStats is the admission breaker's observable state.
-type BreakerStats struct {
-	// State is "closed", "open", or "half-open".
-	State string
-	// Opens counts trips since boot.
-	Opens int64
-	// Failures counts failed primary decisions since boot.
-	Failures int64
-	// Fallback names the filter serving degraded decisions.
-	Fallback string
-	// LastError is the most recent primary failure.
-	LastError string `json:",omitempty"`
-}
-
-// snapshotShards reads every shard's counters once and returns them
-// with their field-wise sum, so the aggregate a scrape publishes is
-// exactly the sum of the per-shard values beside it (two separate
-// reads under live traffic would disagree).
-func (s *Server) snapshotShards() (total engine.Metrics, perShard []engine.Metrics) {
-	perShard = make([]engine.Metrics, len(s.shards))
-	for i, sh := range s.shards {
-		perShard[i] = sh.Snapshot()
-		total = total.Add(perShard[i])
-	}
-	return total, perShard
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	cur, perShard := s.snapshotShards()
-	s.statsMu.Lock()
-	interval := cur.Sub(s.lastScan)
-	s.lastScan = cur
-	s.statsMu.Unlock()
-	st := Stats{
-		Policy:          s.shards[0].Policy().Name(),
-		Filter:          s.shards[0].Filter().Name(),
-		UptimeSec:       s.clock.Now().Sub(s.started).Seconds(),
-		Ready:           s.Ready(),
-		PanicsRecovered: s.panics.Load(),
-		EncodeErrors:    s.encodeErrors.Load(),
-		Cumulative:      cur,
-		Interval:        interval,
-		EngineShards:    len(s.shards),
-		Shards:          make([]ShardStats, len(s.shards)),
-	}
-	for i, sh := range s.shards {
-		ss := ShardStats{
-			Shard:         i,
-			Residents:     sh.Policy().Len(),
-			ResidentBytes: sh.Policy().Used(),
-			Breaker:       breakerStats(s.breakers[i]),
-			Flash:         flashStats(sh),
-			Cumulative:    perShard[i],
-		}
-		st.Residents += ss.Residents
-		st.ResidentBytes += ss.ResidentBytes
-		st.Flash = st.Flash.add(ss.Flash)
-		st.Shards[i] = ss
-	}
-	if st.Flash != nil {
-		st.Flash.LifetimeDays = flashLifetimeDays(st.Flash, st.UptimeSec)
-	}
-	if len(s.shards) == 1 {
-		st.Breaker = st.Shards[0].Breaker
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.writeJSON(w, st)
-}
-
-// flashStats renders one shard's flash device block (nil when the
-// shard runs without a store).
-func flashStats(sh *engine.Engine) *FlashStats {
-	fs := sh.Flash()
-	if fs == nil {
-		return nil
-	}
-	fst := fs.Stats()
-	return &FlashStats{
-		SegmentSize:   fst.SegmentSize,
-		CapacityBytes: fst.SegmentSize * int64(fst.Segments),
-		FreeSegments:  fst.FreeSegments,
-		HostBytes:     fst.HostBytes,
-		GCBytes:       fst.GCBytes,
-		Erases:        fst.Erases,
-		Relocations:   fst.Relocations,
-		Dropped:       fst.Dropped,
-		LiveBytes:     fst.LiveBytes,
-		WAF:           fst.WAF(),
-		Health: FlashHealth{
-			ReadErrors:       fst.ReadErrors,
-			CorruptExtents:   fst.CorruptExtents,
-			RetiredBlocks:    fst.RetiredBlocks,
-			SpareBlocks:      fst.SpareBlocks,
-			SpareHeadroom:    fst.SpareHeadroom,
-			ScrubbedSegments: fst.ScrubbedSegments,
-			Exhausted:        fst.Exhausted,
-		},
-	}
-}
-
-// add folds one shard's flash block into the aggregate (either side may
-// be nil). The aggregate WAF is recomputed from the summed byte
-// counters — the byte-weighted mean over the shard devices, not a mean
-// of per-shard WAFs.
-func (f *FlashStats) add(o *FlashStats) *FlashStats {
-	if o == nil {
-		return f
-	}
-	if f == nil {
-		cp := *o
-		f = &cp
-		return f
-	}
-	f.CapacityBytes += o.CapacityBytes
-	f.FreeSegments += o.FreeSegments
-	f.HostBytes += o.HostBytes
-	f.GCBytes += o.GCBytes
-	f.Erases += o.Erases
-	f.Relocations += o.Relocations
-	f.Dropped += o.Dropped
-	f.LiveBytes += o.LiveBytes
-	f.WAF = flash.Stats{HostBytes: f.HostBytes, GCBytes: f.GCBytes}.WAF()
-	f.Health.ReadErrors += o.Health.ReadErrors
-	f.Health.CorruptExtents += o.Health.CorruptExtents
-	f.Health.RetiredBlocks += o.Health.RetiredBlocks
-	f.Health.SpareBlocks += o.Health.SpareBlocks
-	f.Health.SpareHeadroom += o.Health.SpareHeadroom
-	f.Health.ScrubbedSegments += o.Health.ScrubbedSegments
-	f.Health.Exhausted = f.Health.Exhausted || o.Health.Exhausted
-	return f
-}
-
-// flashLifetimeDays turns the aggregate wear counters into a
-// wear-out estimate: the TLC endurance profile at the measured device
-// capacity, the profile's guessed WAF replaced by the measured one, at
-// the host-write rate observed since boot. Zero until host writes have
-// been observed (no meaningful rate yet).
-func flashLifetimeDays(f *FlashStats, uptimeSec float64) float64 {
-	if f.HostBytes == 0 || uptimeSec <= 0 {
-		return 0
-	}
-	dev, err := ssd.DefaultTLC(f.CapacityBytes).WithMeasuredWAF(f.WAF)
-	if err != nil {
-		return 0
-	}
-	bytesPerDay := float64(f.HostBytes) / uptimeSec * 86400
-	return dev.Lifetime(bytesPerDay).Hours() / 24
-}
-
-// breakerStats renders one shard's breaker state (nil in, nil out).
-func breakerStats(br *engine.Breaker) *BreakerStats {
-	if br == nil {
-		return nil
-	}
-	bs := &BreakerStats{
-		State:    br.State().String(),
-		Opens:    br.Opens(),
-		Failures: br.Failures(),
-		Fallback: br.Fallback().Name(),
-	}
-	if err := br.LastError(); err != nil {
-		bs.LastError = err.Error()
-	}
-	return bs
 }
 
 func (s *Server) handleSwapClassifier(w http.ResponseWriter, r *http.Request) {

@@ -202,45 +202,6 @@ func TestFeatRequiredWithClassifier(t *testing.T) {
 	}
 }
 
-func TestStatsCumulativeAndInterval(t *testing.T) {
-	s := New(newTestEngine(t, nil), Config{})
-	_, c := startTestServer(t, s)
-
-	for i := 0; i < 10; i++ {
-		if _, err := c.Lookup(uint64(i), 100, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cumulative.Requests != 10 || st.Interval.Requests != 10 {
-		t.Fatalf("first scrape: cumulative=%d interval=%d, want 10/10",
-			st.Cumulative.Requests, st.Interval.Requests)
-	}
-	if st.Policy == "" || st.Filter != "admit-all" {
-		t.Fatalf("identity: policy=%q filter=%q", st.Policy, st.Filter)
-	}
-
-	for i := 0; i < 4; i++ {
-		if _, err := c.Lookup(uint64(i), 100, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err = c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cumulative.Requests != 14 || st.Interval.Requests != 4 {
-		t.Fatalf("second scrape: cumulative=%d interval=%d, want 14/4",
-			st.Cumulative.Requests, st.Interval.Requests)
-	}
-	if st.Interval.Hits != 4 {
-		t.Fatalf("second window must be all hits, got %d", st.Interval.Hits)
-	}
-}
-
 // TestClassifierHotSwap pins the acceptance criterion: uploading a new
 // model over the admin endpoint changes subsequent admission decisions
 // without a restart.

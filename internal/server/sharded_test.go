@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"otacache/internal/cache"
 	"otacache/internal/engine"
+	"otacache/internal/faults"
 	"otacache/internal/features"
+	"otacache/internal/flash"
 	"otacache/internal/mlcore"
 	"otacache/internal/trace"
 )
@@ -98,13 +103,23 @@ func TestShardedGoldenOneShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedStatsPerShard pins the /stats breakdown: EngineShards,
-// one ShardStats entry per shard, and aggregate counters and occupancy
-// equal to the field-wise shard sums.
+// TestShardedStatsPerShard pins the per-shard breakdown a scrape
+// carries: ota_engine_shards, one counter row and one occupancy row per
+// shard, and aggregate counters and occupancy equal to the shard sums.
+// /metrics is the only stats page; the old JSON /stats route is gone.
 func TestShardedStatsPerShard(t *testing.T) {
 	se := newShardedTestEngine(t, 3)
 	s := New(se, Config{})
-	_, c := startTestServer(t, s)
+	ts, c := startTestServer(t, s)
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", resp.StatusCode)
+	}
 
 	for i := 0; i < 300; i++ {
 		if _, err := c.Lookup(uint64(i%100), 1000, nil); err != nil {
@@ -115,94 +130,135 @@ func TestShardedStatsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EngineShards != 3 || len(st.Shards) != 3 {
-		t.Fatalf("EngineShards=%d len(Shards)=%d, want 3/3", st.EngineShards, len(st.Shards))
-	}
-	if st.Breaker != nil {
-		t.Fatal("multi-shard top-level Breaker must be omitted")
+	if n := st.Value("ota_engine_shards", -1); n != 3 || len(st.Shards) != 3 {
+		t.Fatalf("ota_engine_shards=%v len(Shards)=%d, want 3/3", n, len(st.Shards))
 	}
 	var reqs int64
-	var residents int
-	var bytes int64
-	for i, ss := range st.Shards {
-		if ss.Shard != i {
-			t.Fatalf("shard %d reports index %d", i, ss.Shard)
-		}
-		if ss.Cumulative.Requests == 0 {
+	var residents, bytes float64
+	for i, m := range st.Shards {
+		if m.Requests == 0 {
 			t.Fatalf("shard %d saw no traffic; routing is not spreading", i)
 		}
-		reqs += ss.Cumulative.Requests
-		residents += ss.Residents
-		bytes += ss.ResidentBytes
+		reqs += m.Requests
+		residents += st.Value("ota_shard_residents", i)
+		bytes += st.Value("ota_shard_resident_bytes", i)
 	}
 	if reqs != st.Cumulative.Requests || st.Cumulative.Requests != 300 {
 		t.Fatalf("shard requests sum to %d, aggregate %d, want 300", reqs, st.Cumulative.Requests)
 	}
-	if residents != st.Residents || bytes != st.ResidentBytes {
-		t.Fatalf("occupancy sums %d/%d diverge from aggregate %d/%d",
-			residents, bytes, st.Residents, st.ResidentBytes)
+	if residents != st.Value("ota_residents", -1) || bytes != st.Value("ota_resident_bytes", -1) || residents != 100 {
+		t.Fatalf("occupancy sums %v/%v diverge from aggregate %v/%v (want 100 residents)",
+			residents, bytes, st.Value("ota_residents", -1), st.Value("ota_resident_bytes", -1))
 	}
 }
 
-// TestScrapeAggregateIsShardSum checks that every /stats and /metrics
-// scrape is self-consistent under live traffic: the aggregate counters
-// must equal the field-wise sum of the per-shard counters on the same
-// page, which holds only if each shard is read once per scrape.
+// TestScrapeAggregateIsShardSum checks the scrape view end to end on a
+// flash-attached stack under media faults. Under live traffic every
+// scrape must be self-consistent — the aggregate counters and occupancy
+// equal the sums of the per-shard rows on the same page, which holds
+// only if each shard is read once per scrape. At quiescence the parsed
+// Cumulative and per-shard counters must equal the engines' own
+// Snapshots field by field over engine.Counters, with every Flash* row
+// nonzero, and the residency gauges must equal each shard policy's
+// Len and Used.
 func TestScrapeAggregateIsShardSum(t *testing.T) {
-	se := newShardedTestEngine(t, 4)
-	s := New(se, Config{})
-	_, c := startTestServer(t, s)
+	const shards = 4
+	se := newChaosSharded(t, shards, 32<<10)
+	err := engine.AttachFlashOpts(se, engine.FlashOptions{
+		SegmentSize:   4096,
+		Overprovision: 1.5,
+		Device: func(_, segments int) flash.Device {
+			read := faults.NewInjector(faults.EveryNth(97, faults.Fault{Kind: faults.Error}), nil)
+			prog := faults.NewInjector(faults.After(50, faults.FailN(1, faults.Fault{Kind: faults.Error})), nil)
+			flip := faults.NewInjector(faults.EveryNth(89, faults.Fault{Kind: faults.Error}), nil)
+			return faults.WrapDevice(flash.NewMemDevice(segments), read, prog, nil, flip)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := startTestServer(t, New(se, Config{}))
+
+	// A hot set that stays resident across collections beside a cold
+	// churn that keeps evicting, so the collectors relocate survivors.
+	lookup := func(rng *rand.Rand) {
+		key := uint64(rng.Intn(400))
+		if rng.Intn(2) == 0 {
+			key %= 24
+		}
+		se.Lookup(key, 1000, se.NextTick(), nil)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		lookup(rng)
+	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	quiesce := sync.OnceFunc(func() {
+		close(stop)
+		<-done
+	})
+	defer quiesce()
 	go func() {
 		defer close(done)
-		for i := 0; ; i++ {
+		rng := rand.New(rand.NewSource(2))
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			se.Lookup(uint64(i%500), 1000, se.NextTick(), nil)
+			lookup(rng)
 		}
 	}()
-	defer func() {
-		close(stop)
-		<-done
-	}()
-
-	fields := reflect.TypeOf(engine.Metrics{})
 	for scrape := 0; scrape < 50; scrape++ {
 		st, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sum engine.Metrics
-		for _, ss := range st.Shards {
-			sum = sum.Add(ss.Cumulative)
+		var residents, bytes float64
+		for i, m := range st.Shards {
+			sum = sum.Add(m)
+			residents += st.Value("ota_shard_residents", i)
+			bytes += st.Value("ota_shard_resident_bytes", i)
 		}
-		if sum != st.Cumulative {
-			t.Fatalf("/stats scrape %d: aggregate %+v != shard sum %+v", scrape, st.Cumulative, sum)
+		if len(st.Shards) != shards || sum != st.Cumulative {
+			t.Fatalf("scrape %d: %d shards, aggregate %+v != shard sum %+v", scrape, len(st.Shards), st.Cumulative, sum)
 		}
+		if residents != st.Value("ota_residents", -1) || bytes != st.Value("ota_resident_bytes", -1) {
+			t.Fatalf("scrape %d: occupancy shard sums %v/%v != aggregate %v/%v", scrape,
+				residents, bytes, st.Value("ota_residents", -1), st.Value("ota_resident_bytes", -1))
+		}
+	}
+	quiesce()
 
-		samples, err := c.Metrics()
-		if err != nil {
-			t.Fatal(err)
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := se.Snapshot()
+	for _, ctr := range engine.Counters {
+		if got, w := *ctr.Field(&st.Cumulative), *ctr.Field(&want); got != w {
+			t.Errorf("Cumulative.%s = %d, Snapshot %d", ctr.Name, got, w)
 		}
-		idx := sampleIndex(samples)
-		for i := 0; i < fields.NumField(); i++ {
-			name := fields.Field(i).Name
-			agg := idx[MetricName(name)]
-			if len(agg) != 1 {
-				t.Fatalf("%s: %d samples, want 1", MetricName(name), len(agg))
+		if strings.HasPrefix(ctr.Name, "Flash") && *ctr.Field(&want) == 0 {
+			t.Errorf("%s is zero; the workload must drive every flash row", ctr.Name)
+		}
+	}
+	for i, sh := range se.Shards() {
+		shardWant := sh.Snapshot()
+		for _, ctr := range engine.Counters {
+			if got, w := *ctr.Field(&st.Shards[i]), *ctr.Field(&shardWant); got != w {
+				t.Errorf("shard %d %s = %d, Snapshot %d", i, ctr.Name, got, w)
 			}
-			var shardSum float64
-			for _, smp := range idx[ShardMetricName(name)] {
-				shardSum += smp.Value
-			}
-			if shardSum != agg[0].Value {
-				t.Fatalf("/metrics scrape %d: %s = %v, shard sum %v", scrape, MetricName(name), agg[0].Value, shardSum)
-			}
+		}
+		if got, w := st.Value("ota_shard_residents", i), float64(sh.Policy().Len()); got != w {
+			t.Errorf("shard %d ota_shard_residents = %v, Policy().Len() %v", i, got, w)
+		}
+		if got, w := st.Value("ota_shard_resident_bytes", i), float64(sh.Policy().Used()); got != w {
+			t.Errorf("shard %d ota_shard_resident_bytes = %v, Policy().Used() %v", i, got, w)
 		}
 	}
 }
