@@ -18,7 +18,7 @@ OTALINT_FLAGS ?=
 check: fmt build vet lint race
 
 # The repo-specific analyzers (see internal/lint and DESIGN.md §8):
-# lockscope, detclock, errsink, atomicfield, lockorder. The hot path's
+# lockscope, detclock, errsink, lockorder. The hot path's
 # zero allocations and the snapshot wire format are pinned by tests
 # instead (TestHotPathAllocs, TestSnapshotGolden). Suppress a finding
 # only with //lint:allow <analyzer> <reason>; stale or reasonless

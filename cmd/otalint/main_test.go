@@ -70,7 +70,7 @@ func TestBadModule(t *testing.T) {
 	}
 	for _, analyzer := range []string{
 		"[detclock]", "[lockscope]",
-		"[errsink]", "[atomicfield]", "[lockorder]",
+		"[errsink]", "[lockorder]",
 	} {
 		if !strings.Contains(out, analyzer) {
 			t.Errorf("badmod findings missing %s:\n%s", analyzer, out)
@@ -114,7 +114,7 @@ func TestVetToolMode(t *testing.T) {
 	}
 	for _, analyzer := range []string{
 		"[detclock]", "[lockscope]",
-		"[errsink]", "[atomicfield]", "[lockorder]",
+		"[errsink]", "[lockorder]",
 	} {
 		if !strings.Contains(string(out), analyzer) {
 			t.Errorf("go vet -vettool output missing %s finding:\n%s", analyzer, out)

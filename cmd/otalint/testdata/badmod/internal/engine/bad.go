@@ -1,20 +1,18 @@
 // Package engine is a deliberately broken fixture: its import path
-// suffix places it in the scope of detclock, lockscope, errsink,
-// atomicfield, and lockorder, and it commits one violation of each. The otalint smoke test asserts the binary exits nonzero
+// suffix places it in the scope of detclock, lockscope, errsink and
+// lockorder, and it commits one violation of each. The otalint smoke test asserts the binary exits nonzero
 // here and names every analyzer.
 package engine
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 type Engine struct {
-	mu    sync.Mutex
-	gcMu  sync.Mutex
-	ticks int64
+	mu   sync.Mutex
+	gcMu sync.Mutex
 }
 
 // Stamp reads the wall clock in a deterministic package: detclock.
@@ -22,19 +20,11 @@ func (e *Engine) Stamp() int64 {
 	return time.Now().UnixNano()
 }
 
-// Tick blocks while holding the mutex (lockscope) and bumps an
-// atomically-read counter with a plain increment (atomicfield).
+// Tick blocks while holding the mutex: lockscope.
 func (e *Engine) Tick() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ticks++
 	time.Sleep(time.Millisecond)
-}
-
-// Ticks reads the counter atomically: the other half of the
-// atomicfield seed.
-func (e *Engine) Ticks() int64 {
-	return atomic.LoadInt64(&e.ticks)
 }
 
 // flush returns an error Sync drops on the floor: errsink.

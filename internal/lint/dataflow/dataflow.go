@@ -1,5 +1,5 @@
 // Package dataflow is the shared intra-procedural layer under the
-// wave-2 analyzers (errsink, atomicfield, lockorder): parent links and
+// wave-2 analyzers (errsink, lockorder): parent links and
 // def-use chains over one go/types-resolved function body.
 //
 // The model is deliberately small. A Func indexes one function (or
@@ -151,8 +151,7 @@ func isNil(info *types.Info, x, y, child ast.Expr) bool {
 // FieldKey names a struct field globally: "pkgpath.Type.field" for a
 // field of a named struct type, "" when expr does not select a field
 // the type checker resolved. Analyzers use it as a stable identity for
-// locks and atomic counters across every access spelling ("s.mu",
-// "e.shards[i].mu", ...).
+// locks across every access spelling ("s.mu", "e.shards[i].mu", ...).
 func FieldKey(info *types.Info, sel *ast.SelectorExpr) string {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
@@ -167,17 +166,6 @@ func FieldKey(info *types.Info, sel *ast.SelectorExpr) string {
 		return ""
 	}
 	return field.Pkg().Path() + "." + owner + "." + field.Name()
-}
-
-// FieldObj resolves the *types.Var a selector expression selects, or
-// nil when it is not a field selection.
-func FieldObj(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
 }
 
 // namedOwner walks to the named type (or named struct through

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"otacache/internal/lint/analysis"
-	"otacache/internal/lint/atomicfield"
 	"otacache/internal/lint/errsink"
 	"otacache/internal/lint/linttest"
 	"otacache/internal/lint/lockorder"
@@ -51,11 +50,10 @@ func TestMisplacedWant(t *testing.T) {
 }
 
 // TestMandatoryReasons proves a reasonless //lint:allow is a finding
-// for each of the three wave-2 analyzers when they run as a suite.
+// for each of the two wave-2 analyzers when they run as a suite.
 func TestMandatoryReasons(t *testing.T) {
 	linttest.RunSuite(t, []*analysis.Analyzer{
 		errsink.Analyzer,
-		atomicfield.Analyzer,
 		lockorder.Analyzer,
 	}, "reasons")
 }

@@ -5,20 +5,18 @@ package lint
 
 import (
 	"otacache/internal/lint/analysis"
-	"otacache/internal/lint/atomicfield"
 	"otacache/internal/lint/detclock"
 	"otacache/internal/lint/errsink"
 	"otacache/internal/lint/lockorder"
 	"otacache/internal/lint/lockscope"
 )
 
-// Suite returns the five repo-specific analyzers with their default
+// Suite returns the four repo-specific analyzers with their default
 // configurations:
 //
 //   - lockscope: no mutex held across blocking calls in the hot paths
 //   - detclock: no wall clocks or global RNGs in deterministic packages
 //   - errsink: no dropped errors in accounting-bearing packages
-//   - atomicfield: no mixed atomic/plain access to one struct field
 //   - lockorder: no cycles or unordered same-class nesting in the
 //     mutex-acquisition graph
 //
@@ -32,7 +30,6 @@ func Suite() []*analysis.Analyzer {
 		lockscope.New(lockscope.Config{Scope: lockscope.DefaultScope}),
 		detclock.New(detclock.Config{Scope: detclock.DefaultScope}),
 		errsink.Analyzer,
-		atomicfield.Analyzer,
 		lockorder.Analyzer,
 	}
 }

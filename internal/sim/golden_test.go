@@ -10,6 +10,7 @@ import (
 	"otacache/internal/features"
 	"otacache/internal/labeling"
 	"otacache/internal/mlcore"
+	"otacache/internal/tier"
 )
 
 // seedRun is a frozen, verbatim copy of the monolithic Runner.Run loop
@@ -178,6 +179,14 @@ func seedRun(r *Runner, cfg Config) (*Result, error) {
 	}
 	return res, nil
 }
+
+// bootstrapClassifier and project are the seed's helpers; both now live
+// in the admission code the simulator shares with the serving layer.
+func (r *Runner) bootstrapClassifier(cfg Config, labels []int) (mlcore.Classifier, error) {
+	return tier.Bootstrap(r.tr, labels, cfg.spec())
+}
+
+func project(full []float64, cols []int) []float64 { return tier.Project(full, cols) }
 
 // TestGoldenEquivalence proves the Engine-driven staged Run reproduces
 // the seed implementation's Result exactly — every counter, the float

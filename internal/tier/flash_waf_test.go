@@ -6,7 +6,6 @@ import (
 	"otacache/internal/cache"
 	"otacache/internal/core"
 	"otacache/internal/engine"
-	"otacache/internal/features"
 	"otacache/internal/labeling"
 	"otacache/internal/trace"
 )
@@ -27,14 +26,7 @@ func replayOnFlash(t *testing.T, filter core.Filter, capacity int64) engine.Metr
 	if err := engine.AttachFlash(eng, 2<<20, 1.15); err != nil {
 		t.Fatal(err)
 	}
-	ex := features.NewExtractor(tr)
-	var feat [features.NumFeatures]float64
-	for i := range tr.Requests {
-		req := &tr.Requests[i]
-		ex.NextInto(i, feat[:])
-		eng.Lookup(uint64(req.Photo), tr.Photos[req.Photo].Size, i, project(feat[:]))
-	}
-	return eng.Snapshot()
+	return replay(tr, eng)
 }
 
 // strictClassifier trains a CART on the trace under a deliberately
@@ -56,7 +48,7 @@ func strictClassifier(t *testing.T, capacity int64) core.Filter {
 		CacheBytes:   capacity,
 		MeanObjBytes: tr.MeanPhotoSize(),
 	}
-	clf, err := bootstrapTree(tr, next, Config{SamplesPerMinute: 100}, crit)
+	clf, err := Bootstrap(tr, labeling.Labels(next, crit), Spec{CacheBytes: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package tier
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"otacache/internal/engine"
+	"otacache/internal/features"
 	"otacache/internal/trace"
 )
 
@@ -173,5 +176,58 @@ func TestTwoTierByteAccounting(t *testing.T) {
 	// workload (the paper makes the same observation in Figure 7).
 	if diff := res.CombinedHitRate() - bhr; diff < -0.15 || diff > 0.15 {
 		t.Fatalf("file (%.3f) and byte (%.3f) hit rates diverge", res.CombinedHitRate(), bhr)
+	}
+}
+
+// replay drives the whole trace through one engine request by request,
+// with the classifier's projected features, and returns its counters.
+func replay(tr *trace.Trace, eng *engine.Engine) engine.Metrics {
+	ex := features.NewExtractor(tr)
+	cols := features.PaperSelected()
+	var feat [features.NumFeatures]float64
+	for i := range tr.Requests {
+		req := &tr.Requests[i]
+		ex.NextInto(i, feat[:])
+		eng.Lookup(uint64(req.Photo), tr.Photos[req.Photo].Size, i, Project(feat[:], cols))
+	}
+	return eng.Snapshot()
+}
+
+// TestBuildLayerSamplesDefault proves Config.SamplesPerMinute's
+// documented default reaches a direct BuildLayer call: a zero Config
+// bootstraps on the paper's 100 records per minute and decides exactly
+// as an explicit 100.
+func TestBuildLayerSamplesDefault(t *testing.T) {
+	tr := testTrace(t)
+	next := trace.BuildNextAccess(tr)
+	lc := LayerConfig{Policy: "lru", CacheBytes: tr.TotalBytes() / 10, Filter: Classifier}
+	var got [2]engine.Metrics
+	for i, cfg := range []Config{{}, {SamplesPerMinute: 100}} {
+		l, err := BuildLayer(tr, next, cfg, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = replay(tr, l.Engine)
+	}
+	if got[0] != got[1] {
+		t.Fatalf("SamplesPerMinute 0 decides unlike 100:\n   0: %+v\n 100: %+v", got[0], got[1])
+	}
+}
+
+// TestBootstrapRefusesDegenerateFirstDay proves a classifier layer
+// whose first day holds fewer than 10 samples fails to build instead of
+// serving a tree trained on nothing.
+func TestBootstrapRefusesDegenerateFirstDay(t *testing.T) {
+	src := testTrace(t)
+	tr := *src
+	tr.Requests = append([]trace.Request(nil), src.Requests...)
+	for i := 5; i < len(tr.Requests); i++ {
+		tr.Requests[i].Time += 86400 // leave five requests on day 0
+	}
+	tr.Horizon += 86400
+	_, err := BuildLayer(&tr, trace.BuildNextAccess(&tr), Config{},
+		LayerConfig{Policy: "lru", CacheBytes: tr.TotalBytes() / 10, Filter: Classifier})
+	if err == nil || !strings.Contains(err.Error(), "bootstrap samples") {
+		t.Fatalf("degenerate first day built a layer (err %v)", err)
 	}
 }
