@@ -13,7 +13,7 @@ func Example() {
 	next := trace.BuildNextAccess(tr)
 	capacity := tr.TotalBytes() / 10
 
-	h := labeling.EstimateHitRate(tr, capacity, 0)
+	h := labeling.EstimateHitRate(tr, capacity, labeling.HitRateSampleRequests)
 	crit := labeling.Solve(tr, next, capacity, h, 3)
 	labels := labeling.Labels(next, crit)
 

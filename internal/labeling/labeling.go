@@ -120,9 +120,18 @@ func (c Criteria) ForPolicy(policyName string, lirRatio float64) Criteria {
 	return out
 }
 
-// EstimateHitRate runs a plain LRU simulation over the trace (or its
-// first maxRequests accesses, if positive) and returns the file hit
-// rate, the paper's suggested way of obtaining h for the model.
+// HitRateSampleRequests is how many leading requests the LRU pass that
+// measures h replays for the criteria solve, in the simulator and the
+// daemon alike (tier.Solve). Replaying the whole trace instead would
+// add a full-trace LRU pass to the daemon's start-up, and at 200 000
+// photos it raised the proposal's byte write rate by 4.3 % (DESIGN.md
+// §6b).
+const HitRateSampleRequests = 200000
+
+// EstimateHitRate runs a plain LRU simulation over the trace's first
+// maxRequests accesses (the whole trace when maxRequests <= 0) and
+// returns the file hit rate, the paper's suggested way of obtaining h
+// for the model (§4.3). Criteria solving passes HitRateSampleRequests.
 func EstimateHitRate(tr *trace.Trace, cacheBytes int64, maxRequests int) float64 {
 	n := len(tr.Requests)
 	if maxRequests > 0 && maxRequests < n {

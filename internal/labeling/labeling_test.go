@@ -115,21 +115,21 @@ func TestLabelsMatchCriteria(t *testing.T) {
 
 func TestEstimateHitRate(t *testing.T) {
 	tr, _ := genTrace(t)
-	h := EstimateHitRate(tr, 256<<20, 0)
+	h := EstimateHitRate(tr, 256<<20, HitRateSampleRequests)
 	if h <= 0 || h >= 1 {
 		t.Fatalf("hit rate = %v", h)
 	}
 	// A bigger cache hits at least as often.
-	h2 := EstimateHitRate(tr, 1<<30, 0)
+	h2 := EstimateHitRate(tr, 1<<30, HitRateSampleRequests)
 	if h2 < h {
 		t.Fatalf("bigger cache hit rate dropped: %v -> %v", h, h2)
 	}
 	// Truncated estimate also valid.
-	ht := EstimateHitRate(tr, 256<<20, 1000)
+	ht := EstimateHitRate(tr, 256<<20, len(tr.Requests)/4)
 	if ht < 0 || ht > 1 {
 		t.Fatalf("truncated hit rate = %v", ht)
 	}
-	if EstimateHitRate(&trace.Trace{}, 100, 0) != 0 {
+	if EstimateHitRate(&trace.Trace{}, 100, HitRateSampleRequests) != 0 {
 		t.Fatal("empty trace hit rate must be 0")
 	}
 }

@@ -100,9 +100,11 @@ func SolveCriteria(t *Trace, next []int, cacheBytes int64, h float64, iters int)
 	return labeling.Solve(t, next, cacheBytes, h, iters)
 }
 
-// EstimateHitRate measures LRU hit rate for criteria solving.
+// EstimateHitRate measures LRU hit rate for criteria solving, over the
+// same leading requests the simulator and the daemon measure
+// (labeling.HitRateSampleRequests).
 func EstimateHitRate(t *Trace, cacheBytes int64) float64 {
-	return labeling.EstimateHitRate(t, cacheBytes, 0)
+	return labeling.EstimateHitRate(t, cacheBytes, labeling.HitRateSampleRequests)
 }
 
 // OneTimeLabels labels every request under the criteria.
