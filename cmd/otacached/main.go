@@ -110,7 +110,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.retrainAt, "retrain-hour", sim.RetrainHourDefault, "daily retraining hour, 0-23 (0 = midnight)")
 	fs.StringVar(&c.Model, "model", c.Model, "replace the bootstrap classifier with a tree saved by trainer -save")
 	fs.IntVar(&o.maxConns, "max-conns", 0, "concurrent connection cap (0 = unlimited)")
-	fs.DurationVar(&o.reqTO, "timeout", 5*time.Second, "per-request timeout")
+	fs.DurationVar(&o.reqTO, "timeout", 5*time.Second, "bound on reading a request's headers and on handling a control-plane request (object requests do no I/O and run without a handler timeout)")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
 
 	fs.StringVar(&o.snapPath, "snapshot", "", "crash-safe state file: restored at startup, written periodically and after drain")

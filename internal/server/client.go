@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,7 +35,8 @@ type RetryConfig struct {
 	// MaxBackoff caps the exponential growth (0 = 500ms).
 	MaxBackoff time.Duration
 	// AttemptTimeout bounds each individual attempt (0 = the client's
-	// overall 30s timeout only).
+	// 30s timeout). The default transport enforces it as a connection
+	// deadline; a transport set with SetTransport owns its own timeouts.
 	AttemptTimeout time.Duration
 	// Budget caps total retries across the client's lifetime: once
 	// spent, requests fail fast on their first error instead of piling
@@ -61,10 +63,21 @@ func (c *RetryConfig) normalize() {
 	}
 }
 
+// clientTimeout bounds one request on the default transport when no
+// AttemptTimeout is set.
+const clientTimeout = 30 * time.Second
+
 // Client is a typed client for the otacached wire protocol.
 type Client struct {
-	base  string
-	hc    *http.Client
+	// base is the daemon's URL; control-plane requests append a path to
+	// it. url is base parsed once, the template of every object request
+	// (nil when base does not parse; urlErr says why).
+	base   string
+	url    *url.URL
+	urlErr error
+	// rt carries every request: the default connPool, or what
+	// SetTransport installed.
+	rt    http.RoundTripper
 	retry RetryConfig
 	// clock paces backoff, readiness polling, and replay (latency
 	// measurement and QPS pacing); tests substitute a faults.FakeClock.
@@ -79,38 +92,46 @@ type Client struct {
 
 // NewClient targets a daemon at base (e.g. "http://127.0.0.1:8344").
 // workers sizes the connection pool for concurrent use (<= 0 picks a
-// default). The default retry policy (3 attempts, jittered exponential
-// backoff) applies; SetRetry overrides it.
+// default): up to 2×workers idle keep-alive connections are kept. The
+// default transport speaks plain HTTP/1.1 on the caller's goroutine;
+// another scheme needs SetTransport. The default retry policy (3
+// attempts, jittered exponential backoff) applies; SetRetry overrides
+// it.
 func NewClient(base string, workers int) *Client {
 	if workers <= 0 {
 		workers = 8
 	}
-	tr := &http.Transport{
-		MaxIdleConns:        workers * 2,
-		MaxIdleConnsPerHost: workers * 2,
-		IdleConnTimeout:     30 * time.Second,
-	}
-	c := &Client{
-		base:  strings.TrimRight(base, "/"),
-		hc:    &http.Client{Transport: tr, Timeout: 30 * time.Second},
-		clock: faults.WallClock{},
+	c := &Client{base: strings.TrimRight(base, "/"), clock: faults.WallClock{}}
+	// A base that does not parse fails every request: object requests
+	// return urlErr, control requests fail in http.NewRequest.
+	if c.url, c.urlErr = url.Parse(c.base); c.urlErr == nil {
+		c.rt = newConnPool(c.url, workers*2, clientTimeout)
 	}
 	c.SetRetry(RetryConfig{})
 	return c
 }
 
-// SetRetry replaces the retry policy. Not safe to call concurrently
-// with in-flight requests; configure before use.
+// SetRetry replaces the retry policy. On the default transport
+// AttemptTimeout becomes the per-request connection deadline. Not safe
+// to call concurrently with in-flight requests; configure before use.
 func (c *Client) SetRetry(cfg RetryConfig) {
 	cfg.normalize()
 	c.retry = cfg
 	c.rng = rand.New(rand.NewSource(int64(cfg.Seed)))
+	if p, ok := c.rt.(*connPool); ok {
+		p.timeout = clientTimeout
+		if cfg.AttemptTimeout > 0 {
+			p.timeout = cfg.AttemptTimeout
+		}
+	}
 }
 
-// SetTransport replaces the underlying HTTP transport — the seam a
-// fault injector (internal/faults.Transport) wraps in tests. Configure
-// before use.
-func (c *Client) SetTransport(rt http.RoundTripper) { c.hc.Transport = rt }
+// SetTransport replaces the transport every request goes through — the
+// seam a fault injector (internal/faults.Transport) wraps in tests. The
+// replacement owns its own timeouts: the client's 30s bound and
+// AttemptTimeout are deadlines of the default transport only.
+// Configure before use.
+func (c *Client) SetTransport(rt http.RoundTripper) { c.rt = rt }
 
 // SetClock replaces the client's clock — a faults.FakeClock turns
 // backoff and pacing delays into no-ops in tests. Configure before use.
@@ -166,35 +187,73 @@ type LookupResult struct {
 	Degraded bool
 }
 
-func encodeFeat(feat []float64) string {
-	if feat == nil {
-		return ""
-	}
-	var sb strings.Builder
+// appendFeat appends the X-Ota-Feat encoding of feat to dst: shortest
+// round-trip decimal floats, comma-separated.
+func appendFeat(dst []byte, feat []float64) []byte {
 	for i, f := range feat {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 	}
-	return sb.String()
+	return dst
+}
+
+func encodeFeat(feat []float64) string { return string(appendFeat(nil, feat)) }
+
+// newObjectRequest builds one object request from the parsed base: the
+// key appended to its path, the header keys already canonical.
+func (c *Client) newObjectRequest(method string, key uint64, size int64, feat []float64) (*http.Request, error) {
+	if c.urlErr != nil {
+		return nil, c.urlErr
+	}
+	u := *c.url
+	var buf [128]byte
+	path := strconv.AppendUint(append(append(buf[:0], u.Path...), "/object/"...), key, 10)
+	u.Path = string(path)
+	if u.RawPath != "" {
+		u.RawPath += u.Path[len(c.url.Path):]
+	}
+	h := http.Header{"X-Ota-Size": {strconv.FormatInt(size, 10)}}
+	if len(feat) > 0 {
+		h["X-Ota-Feat"] = []string{string(appendFeat(buf[:0], feat))}
+	}
+	return &http.Request{
+		Method:     method,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
+	}, nil
+}
+
+// roundTrip sends req through the client's transport, naming the
+// request in a failure as http.Client does.
+func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.rt.RoundTrip(req)
+	if err != nil {
+		return nil, &url.Error{Op: req.Method, URL: req.URL.String(), Err: err}
+	}
+	return resp, nil
+}
+
+// do sends one control-plane request: base plus path.
+func (c *Client) do(method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	return c.roundTrip(req)
 }
 
 func (c *Client) objectRequest(method string, key uint64, size int64, feat []float64) (LookupResult, error) {
-	req, err := http.NewRequest(method, fmt.Sprintf("%s/object/%d", c.base, key), nil)
+	req, err := c.newObjectRequest(method, key, size, feat)
 	if err != nil {
 		return LookupResult{}, err
 	}
-	req.Header.Set("X-Ota-Size", strconv.FormatInt(size, 10))
-	if fh := encodeFeat(feat); fh != "" {
-		req.Header.Set("X-Ota-Feat", fh)
-	}
-	if c.retry.AttemptTimeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), c.retry.AttemptTimeout)
-		defer cancel()
-		req = req.WithContext(ctx)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return LookupResult{}, err
 	}
@@ -319,7 +378,7 @@ func (c *Client) afterCh(d time.Duration) <-chan time.Time {
 }
 
 func (c *Client) probe(path string) error {
-	resp, err := c.hc.Get(c.base + path)
+	resp, err := c.do(http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
@@ -338,11 +397,7 @@ func (c *Client) SwapClassifier(tree *cart.Tree) error {
 	if _, err := tree.WriteTo(&buf); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPut, c.base+"/admin/classifier", &buf)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.do(http.MethodPut, "/admin/classifier", &buf)
 	if err != nil {
 		return err
 	}
@@ -358,7 +413,7 @@ func (c *Client) SwapClassifier(tree *cart.Tree) error {
 // Retrain asks the daemon to train on its matured live samples now:
 // POST /admin/retrain.
 func (c *Client) Retrain() (*RetrainResult, error) {
-	resp, err := c.hc.Post(c.base+"/admin/retrain", "", nil)
+	resp, err := c.do(http.MethodPost, "/admin/retrain", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -523,7 +523,7 @@ func (s *Server) RestoreSnapshot(path string) (SnapshotResult, error) {
 // getMetrics fetches GET /metrics and hands the body of a 200 response
 // to read.
 func (c *Client) getMetrics(read func(io.Reader) error) error {
-	resp, err := c.hc.Get(c.base + "/metrics")
+	resp, err := c.do(http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return err
 	}

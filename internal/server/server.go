@@ -5,8 +5,8 @@
 // operational surface a production cache node needs: cumulative and
 // per-shard metrics, classifier hot-swap across all shards (the
 // wire-level analogue of the §4.4.3 daily retrain), live retraining
-// from served traffic, per-request timeouts, a connection cap, and
-// graceful drain.
+// from served traffic, header-read and control-plane timeouts, a
+// connection cap, and graceful drain.
 //
 // # Wire protocol
 //
@@ -62,6 +62,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -83,7 +84,11 @@ import (
 type Config struct {
 	// MaxConns caps concurrently accepted connections (0 = unlimited).
 	MaxConns int
-	// RequestTimeout bounds one request's handling (0 = 5s).
+	// RequestTimeout bounds reading each request's headers, and the
+	// handling of every request but GET and PUT /object/<decimal key>
+	// (0 = 5s). Object requests run on the connection goroutine with no
+	// handler timeout: their handler does no I/O, so the header read is
+	// the only wait they have.
 	RequestTimeout time.Duration
 	// NumFeatures is the expected X-Ota-Feat vector length; requests
 	// with a different length are rejected with 400 before they can
@@ -220,11 +225,42 @@ func New(eng engine.Server, cfg Config) *Server {
 			fs.SetObserver(flash.NewObserver(s.clock.Now, cfg.SampleEvery))
 		}
 	}
+	object := s.recoverPanics(http.HandlerFunc(s.handleObject))
+	rest := http.TimeoutHandler(s.recoverPanics(s.mux()), cfg.RequestTimeout, "request timeout\n")
 	s.httpSrv = &http.Server{
-		Handler:           http.TimeoutHandler(s.recoverPanics(s.mux()), cfg.RequestTimeout, "request timeout\n"),
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if key, ok := objectKey(r); ok {
+				r.SetPathValue("key", key)
+				object.ServeHTTP(w, r)
+				return
+			}
+			rest.ServeHTTP(w, r)
+		}),
 		ReadHeaderTimeout: cfg.RequestTimeout,
 	}
 	return s
+}
+
+// objectKey recognizes the serving hot path, GET or PUT /object/ and
+// one segment of decimal digits, returning that segment. It runs on the
+// connection goroutine: no mux match and no TimeoutHandler, which would
+// start a goroutine per request. Anything else, including every path
+// the mux would clean or redirect, goes to the mux, whose object routes
+// serve the same handler.
+func objectKey(r *http.Request) (string, bool) {
+	if r.Method != http.MethodGet && r.Method != http.MethodPut {
+		return "", false
+	}
+	key, ok := strings.CutPrefix(r.URL.Path, "/object/")
+	if !ok || key == "" {
+		return "", false
+	}
+	for i := 0; i < len(key); i++ {
+		if key[i] < '0' || key[i] > '9' {
+			return "", false
+		}
+	}
+	return key, true
 }
 
 // recoverPanics is the outermost handler layer: a panicking handler
@@ -308,16 +344,16 @@ func (s *Server) AttachRetrainer(rt *Retrainer) { s.retrainer = rt }
 // Retrainer returns the attached retrainer (nil if none).
 func (s *Server) Retrainer() *Retrainer { return s.retrainer }
 
-// Handler returns the daemon's full HTTP handler (the per-request
-// timeout included), for tests and embedders that bring their own
-// listener management.
+// Handler returns the daemon's full HTTP handler (the object fast path
+// and the control plane's per-request timeout included), for tests and
+// embedders that bring their own listener management.
 func (s *Server) Handler() http.Handler { return s.httpSrv.Handler }
 
 // mux routes the wire protocol.
 func (s *Server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /object/{key}", s.handleLookup)
-	mux.HandleFunc("PUT /object/{key}", s.handleOffer)
+	mux.HandleFunc("GET /object/{key}", s.handleObject)
+	mux.HandleFunc("PUT /object/{key}", s.handleObject)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /admin/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -386,9 +422,10 @@ func (s *Server) parseObject(r *http.Request) (key uint64, size int64, feat []fl
 		return 0, 0, nil, fmt.Errorf("bad X-Ota-Size %q", sizeHdr)
 	}
 	if fh := r.Header.Get("X-Ota-Feat"); fh != "" {
-		parts := strings.Split(fh, ",")
-		feat = make([]float64, len(parts))
-		for i, p := range parts {
+		feat = make([]float64, strings.Count(fh, ",")+1)
+		for i := range feat {
+			var p string
+			p, fh, _ = strings.Cut(fh, ",")
 			feat[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil || math.IsNaN(feat[i]) || math.IsInf(feat[i], 0) {
 				return 0, 0, nil, fmt.Errorf("bad X-Ota-Feat element %q", p)
@@ -404,18 +441,35 @@ func (s *Server) parseObject(r *http.Request) (key uint64, size int64, feat []fl
 	return key, size, feat, nil
 }
 
-func writeDecision(w http.ResponseWriter, out engine.Outcome) {
-	h := w.Header()
-	h.Set("X-Ota-Admitted", strconv.FormatBool(out.Decision.Admit))
-	h.Set("X-Ota-Written", strconv.FormatBool(out.Written))
-	h.Set("X-Ota-Rectified", strconv.FormatBool(out.Decision.Rectified))
-	h.Set("X-Ota-Predicted-One-Time", strconv.FormatBool(out.Decision.PredictedOneTime))
+// Decision header values. Responses share these slices, so nothing may
+// write through them.
+var (
+	hdrTrue  = []string{"true"}
+	hdrFalse = []string{"false"}
+)
+
+func hdrBool(b bool) []string {
+	if b {
+		return hdrTrue
+	}
+	return hdrFalse
+}
+
+func writeDecision(h http.Header, out engine.Outcome) {
+	h["X-Ota-Admitted"] = hdrBool(out.Decision.Admit)
+	h["X-Ota-Written"] = hdrBool(out.Written)
+	h["X-Ota-Rectified"] = hdrBool(out.Decision.Rectified)
+	h["X-Ota-Predicted-One-Time"] = hdrBool(out.Decision.PredictedOneTime)
 	if out.Decision.Degraded {
-		h.Set("X-Ota-Degraded", "true")
+		h["X-Ota-Degraded"] = hdrTrue
 	}
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
+// handleObject serves both object routes: GET (and, through the mux,
+// HEAD) runs the full lookup, answering 200 on a hit and 404 with the
+// decision on a miss; PUT runs the offer and always answers 200 with
+// the decision.
+func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	t := s.beginObject()
 	key, size, feat, err := s.parseObject(r)
 	if err != nil {
@@ -430,38 +484,31 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if s.retrainer != nil {
 		s.retrainer.Observe(key, tick, feat)
 	}
-	out := s.eng.Lookup(key, size, tick, feat)
-	s.finishObject(t, key, tick, out, false)
-	if out.Hit {
-		w.Header().Set("X-Ota-Hit", "true")
-		fmt.Fprintln(w, "HIT")
-		return
+	offer := r.Method == http.MethodPut
+	var out engine.Outcome
+	if offer {
+		out = s.eng.Offer(key, size, tick, feat)
+	} else {
+		out = s.eng.Lookup(key, size, tick, feat)
 	}
-	w.Header().Set("X-Ota-Hit", "false")
-	writeDecision(w, out)
-	w.WriteHeader(http.StatusNotFound)
-	fmt.Fprintln(w, "MISS")
-}
-
-func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
-	t := s.beginObject()
-	key, size, feat, err := s.parseObject(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	s.finishObject(t, key, tick, out, offer)
+	h := w.Header()
+	body := "OFFERED\n"
+	switch {
+	case offer:
+		writeDecision(h, out)
+	case out.Hit:
+		h["X-Ota-Hit"] = hdrTrue
+		body = "HIT\n"
+	default:
+		h["X-Ota-Hit"] = hdrFalse
+		writeDecision(h, out)
+		w.WriteHeader(http.StatusNotFound)
+		body = "MISS\n"
 	}
-	s.afterParse(&t)
-	if s.testHookRequest != nil {
-		s.testHookRequest()
+	if _, err := io.WriteString(w, body); err != nil {
+		s.encodeErrors.Add(1)
 	}
-	tick := s.eng.NextTick()
-	if s.retrainer != nil {
-		s.retrainer.Observe(key, tick, feat)
-	}
-	out := s.eng.Offer(key, size, tick, feat)
-	s.finishObject(t, key, tick, out, true)
-	writeDecision(w, out)
-	fmt.Fprintln(w, "OFFERED")
 }
 
 func (s *Server) handleSwapClassifier(w http.ResponseWriter, r *http.Request) {

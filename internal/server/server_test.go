@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,70 @@ func TestObjectValidation(t *testing.T) {
 	// Requests never reached the engine except the valid one.
 	if m := s.Engine().Snapshot(); m.Requests != 1 {
 		t.Fatalf("engine saw %d requests, want 1", m.Requests)
+	}
+}
+
+// TestObjectRouteStatusCodes pins what every near miss of the object
+// route answers: the status, the redirect target, the Allow list and
+// the body, as the mux-only dispatch answered them. Only GET and PUT
+// /object/<decimal> take the fast path; the rest must fall through to
+// the mux unchanged. Each request goes to a fresh server, so a valid
+// lookup is always a miss.
+func TestObjectRouteStatusCodes(t *testing.T) {
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		location     string
+		allow        string
+		body         string
+	}{
+		{"GET", "/object/1", 404, "", "", "MISS"},
+		{"PUT", "/object/1", 200, "", "", "OFFERED"},
+		{"GET", "/object/", 404, "", "", "404 page not found"},
+		{"GET", "/object/1/2", 404, "", "", "404 page not found"},
+		{"GET", "/object//1", 301, "/object/1", "", `<a href="/object/1">Moved Permanently</a>.`},
+		{"GET", "/object/abc", 400, "", "", `bad key: strconv.ParseUint: parsing "abc": invalid syntax`},
+		{"GET", "/object/%31", 404, "", "", "MISS"},
+		{"GET", "/object/1?x=1", 404, "", "", "MISS"},
+		{"DELETE", "/object/1", 405, "", "GET, HEAD, PUT", "Method Not Allowed"},
+		{"POST", "/object/1", 405, "", "GET, HEAD, PUT", "Method Not Allowed"},
+		{"HEAD", "/object/1", 404, "", "", ""},
+		{"GET", "/objects/1", 404, "", "", "404 page not found"},
+		{"PUT", "/object/", 404, "", "", "404 page not found"},
+		{"PUT", "/object//1", 301, "/object/1", "", ""},
+		{"PUT", "/object/1/2", 404, "", "", "404 page not found"},
+		{"PUT", "/object/abc", 400, "", "", `bad key: strconv.ParseUint: parsing "abc": invalid syntax`},
+		{"GET", "/object/.", 301, "/object", "", `<a href="/object">Moved Permanently</a>.`},
+		{"GET", "/object/..", 301, "/", "", `<a href="/">Moved Permanently</a>.`},
+		{"GET", "/object/%2E", 400, "", "", `bad key: strconv.ParseUint: parsing ".": invalid syntax`},
+		{"GET", "/object/1%2F2", 400, "", "", `bad key: strconv.ParseUint: parsing "1/2": invalid syntax`},
+		{"GET", "/object/18446744073709551616", 400, "", "",
+			`bad key: strconv.ParseUint: parsing "18446744073709551616": value out of range`},
+	} {
+		ts, _ := startTestServer(t, New(newTestEngine(t, nil), Config{}))
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Ota-Size", "10")
+		hc := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		}}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%d loc=%q allow=%q body=%q", resp.StatusCode,
+			resp.Header.Get("Location"), resp.Header.Get("Allow"), strings.TrimSpace(string(body)))
+		want := fmt.Sprintf("%d loc=%q allow=%q body=%q", tc.status, tc.location, tc.allow, tc.body)
+		if got != want {
+			t.Errorf("%s %s: got %s, want %s", tc.method, tc.path, got, want)
+		}
 	}
 }
 
