@@ -157,7 +157,8 @@ func DefaultTLC(capacityBytes int64) Endurance { return ssd.DefaultTLC(capacityB
 type (
 	// FlashStore is a log-structured flash store: cached payloads in
 	// erase-block segments with greedy GC, reporting measured WAF and
-	// per-block erase counts.
+	// per-block erase counts. It is not safe for concurrent use; a
+	// serving engine calls it only under its shard lock.
 	FlashStore = flash.Store
 	// FlashStats is one store's wear accounting (host vs GC bytes,
 	// erases, live bytes); FlashStats.WAF() is the measured

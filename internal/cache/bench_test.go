@@ -32,3 +32,35 @@ func BenchmarkPolicies(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedGet is BenchmarkPolicies' request on a 16-stripe LRU,
+// once through the stripe locks and once through the unlocked view an
+// engine with a flash store drives under its own shard lock: the
+// difference is what the stripe locks cost a request that needs none.
+func BenchmarkShardedGet(b *testing.B) {
+	const capacity = 640 << 10
+	keys, sizes, _ := digestStream(capacity, 1<<20)
+	for _, view := range []string{"locked", "unlocked"} {
+		b.Run(view, func(b *testing.B) {
+			s := newShardedLRU(b, capacity, 16)
+			var p Policy = s
+			if view == "unlocked" {
+				p = s.Unlocked()
+			}
+			request := func(i int) {
+				j := i % len(keys)
+				if !p.Get(keys[j], i) {
+					p.Admit(keys[j], sizes[j], i)
+				}
+			}
+			for i := 0; i < len(keys); i++ {
+				request(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				request(i)
+			}
+		})
+	}
+}

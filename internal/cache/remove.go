@@ -106,11 +106,16 @@ func (s *Sharded) Remove(key uint64) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r, ok := sh.p.(Remover)
-	if !ok {
-		return false
-	}
-	return r.Remove(key)
+	return remove(sh.p, key)
+}
+
+// Remove implements Remover, delegating to the key's stripe.
+func (u *Unlocked) Remove(key uint64) bool { return remove(u.stripe(key), key) }
+
+// remove removes key from p, or reports false when p cannot remove.
+func remove(p Policy, key uint64) bool {
+	r, ok := p.(Remover)
+	return ok && r.Remove(key)
 }
 
 var (
@@ -121,4 +126,5 @@ var (
 	_ Remover = (*LIRS)(nil)
 	_ Remover = (*Belady)(nil)
 	_ Remover = (*Sharded)(nil)
+	_ Remover = (*Unlocked)(nil)
 )

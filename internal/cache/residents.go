@@ -1,6 +1,10 @@
 package cache
 
-import "otacache/internal/slab"
+import (
+	"sync"
+
+	"otacache/internal/slab"
+)
 
 // Ranger is the optional enumeration side of Policy: policies that can
 // walk their resident set implement it so a cache server can snapshot
@@ -98,16 +102,31 @@ func (c *LIRS) Range(fn func(key uint64, size int64) bool) {
 // hash, so only the per-shard order matters, and that is preserved.
 // Shards whose policy does not implement Ranger are skipped; CanRange
 // reports whether there are any, and AsRanger checks it.
-func (s *Sharded) Range(fn func(key uint64, size int64) bool) {
+func (s *Sharded) Range(fn func(key uint64, size int64) bool) { s.rangeStripes(nil, fn) }
+
+// RangeUnder walks the residents as Sharded.Range does, holding l — the
+// lock the view's owner serializes it with — around each stripe's walk
+// and releasing it between stripes, so a walk stalls the owner's other
+// callers no longer than one stripe's walk.
+func (u *Unlocked) RangeUnder(l sync.Locker, fn func(key uint64, size int64) bool) {
+	(*Sharded)(u).rangeStripes(l, fn)
+}
+
+// rangeStripes walks every stripe in turn under l, or under the
+// stripe's own lock when l is nil.
+func (s *Sharded) rangeStripes(l sync.Locker, fn func(key uint64, size int64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
 		r, ok := sh.p.(Ranger)
 		if !ok {
-			sh.mu.Unlock()
 			continue
 		}
+		lk := l
+		if lk == nil {
+			lk = &sh.mu
+		}
 		stopped := false
+		lk.Lock()
 		r.Range(func(key uint64, size int64) bool {
 			if !fn(key, size) {
 				stopped = true
@@ -115,7 +134,7 @@ func (s *Sharded) Range(fn func(key uint64, size int64) bool) {
 			}
 			return true
 		})
-		sh.mu.Unlock()
+		lk.Unlock()
 		if stopped {
 			return
 		}

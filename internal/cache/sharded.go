@@ -139,4 +139,60 @@ func (s *Sharded) Cap() int64 {
 	return b
 }
 
-var _ Policy = (*Sharded)(nil)
+// Unlocked returns a view of s that takes no stripe lock: the same
+// stripes, routing and capacity split, so it decides exactly as s does.
+// Its caller serializes every use of the view against every other use
+// of the stripes, s's own locked methods included. An engine with a
+// flash store attached drives its policy through this view under its
+// shard lock, the one lock such a shard takes.
+func (s *Sharded) Unlocked() *Unlocked { return (*Unlocked)(s) }
+
+// Unlocked is Sharded without the stripe locks; see Sharded.Unlocked.
+type Unlocked Sharded
+
+func (u *Unlocked) stripe(key uint64) Policy { return (*Sharded)(u).shardFor(key).p }
+
+// Name implements Policy.
+func (u *Unlocked) Name() string { return (*Sharded)(u).Name() }
+
+// Get implements Policy.
+func (u *Unlocked) Get(key uint64, tick int) bool { return u.stripe(key).Get(key, tick) }
+
+// Admit implements Policy.
+func (u *Unlocked) Admit(key uint64, size int64, tick int) { u.stripe(key).Admit(key, size, tick) }
+
+// Contains implements Policy.
+func (u *Unlocked) Contains(key uint64) bool { return u.stripe(key).Contains(key) }
+
+// Len implements Policy.
+func (u *Unlocked) Len() int {
+	n := 0
+	for i := range u.shards {
+		n += u.shards[i].p.Len()
+	}
+	return n
+}
+
+// Used implements Policy.
+func (u *Unlocked) Used() int64 {
+	var b int64
+	for i := range u.shards {
+		b += u.shards[i].p.Used()
+	}
+	return b
+}
+
+// Cap implements Policy.
+func (u *Unlocked) Cap() int64 { return (*Sharded)(u).Cap() }
+
+// SetEvictNotify implements Policy.
+func (u *Unlocked) SetEvictNotify(fn func(key uint64)) {
+	for i := range u.shards {
+		u.shards[i].p.SetEvictNotify(fn)
+	}
+}
+
+var (
+	_ Policy = (*Sharded)(nil)
+	_ Policy = (*Unlocked)(nil)
+)

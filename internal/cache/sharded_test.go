@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -162,5 +163,46 @@ func TestShardedCapacityInvariant(t *testing.T) {
 		if s.Used() > s.Cap() {
 			t.Fatalf("used %d > cap %d", s.Used(), s.Cap())
 		}
+	}
+}
+
+// TestUnlockedDecidesAsSharded drives a Sharded and the unlocked view of
+// a second, identical one with the same stream: every Get, every
+// eviction callback, Remove, Len, Used and the resident walk must agree,
+// because the view is the same stripes behind the same routing.
+func TestUnlockedDecidesAsSharded(t *testing.T) {
+	const capacity = 8 << 10
+	keys, sizes, _ := digestStream(capacity, 20000)
+	locked := newShardedLRU(t, capacity, 4)
+	view := newShardedLRU(t, capacity, 4).Unlocked()
+	var lockedEvicted, viewEvicted []uint64
+	locked.SetEvictNotify(func(key uint64) { lockedEvicted = append(lockedEvicted, key) })
+	view.SetEvictNotify(func(key uint64) { viewEvicted = append(viewEvicted, key) })
+	for i, key := range keys {
+		hit := locked.Get(key, i)
+		if got := view.Get(key, i); got != hit {
+			t.Fatalf("request %d: view Get = %v, Sharded %v", i, got, hit)
+		}
+		if !hit {
+			locked.Admit(key, sizes[i], i)
+			view.Admit(key, sizes[i], i)
+		}
+		if i%97 == 0 && locked.Remove(key) != view.Remove(key) {
+			t.Fatalf("request %d: Remove disagrees", i)
+		}
+	}
+	if len(lockedEvicted) == 0 || !slices.Equal(lockedEvicted, viewEvicted) {
+		t.Fatalf("evictions: Sharded %d, view %d (or they differ)", len(lockedEvicted), len(viewEvicted))
+	}
+	if locked.Len() != view.Len() || locked.Used() != view.Used() || locked.Cap() != view.Cap() {
+		t.Fatalf("view holds %d objects, %d of %d bytes; Sharded %d, %d of %d",
+			view.Len(), view.Used(), view.Cap(), locked.Len(), locked.Used(), locked.Cap())
+	}
+	var want, got []uint64
+	locked.Range(func(key uint64, _ int64) bool { want = append(want, key); return true })
+	var mu sync.Mutex
+	view.RangeUnder(&mu, func(key uint64, _ int64) bool { got = append(got, key); return true })
+	if !slices.Equal(got, want) {
+		t.Fatalf("view walks %d residents, Sharded %d (or in another order)", len(got), len(want))
 	}
 }

@@ -23,9 +23,16 @@
 // concurrent use (cache.Sharded; core.AdmitAll, core.OracleAdmission,
 // core.ClassifierAdmission, core.FrequencyAdmission). The bare
 // single-threaded policies (cache.NewLRU etc.) remain valid for
-// single-goroutine callers such as the simulator. An engine with a flash
-// store attached also runs each request under its own lock, so an
-// admission and its flash write are one step (see SetFlash).
+// single-goroutine callers such as the simulator.
+//
+// A flash shard has one lock. An engine with a flash store attached runs
+// each request under its own lock, so an admission and its flash write
+// are one step, and under that lock it drives a cache.Sharded policy
+// through the unlocked view (cache.Sharded.Unlocked) and a store that
+// takes no lock of its own. Every other reader or writer of such a
+// shard's policy or store — the scrubber, Snapshot, the server's gauges
+// and snapshot walk, RebuildFlash — goes through the same lock, by way
+// of WithFlash and RangeResidents.
 package engine
 
 import (
@@ -50,8 +57,8 @@ type Engine struct {
 	// flash is the optional log-structured device layer under this
 	// shard's policy: admitted writes land in it, so the snapshot
 	// carries device-measured write amplification instead of a profile
-	// constant. An atomic pointer because SetFlash may race Lookup
-	// traffic (the daemon attaches after assembly).
+	// constant. Set under mu; atomic so a request can tell, before it
+	// takes mu, whether it needs it.
 	flash atomic.Pointer[flash.Store]
 	// inst is the optional measurement plane (sampled lookup latency
 	// histograms); same atomic-attach contract as flash. See
@@ -61,12 +68,17 @@ type Engine struct {
 	// c holds the engine-owned counters, indexed by the c* constants.
 	c [numEngineCounters]atomic.Int64
 	// mu serializes Lookup, Get and Offer while a store is attached, so
-	// no eviction can fall between an admission and its flash write.
-	// The lock order is mu → policy stripe → store. Engines without a
+	// no eviction can fall between an admission and its flash write, and
+	// it is the only lock such a shard takes: under it the policy is
+	// driven through own and the store locks nothing. Engines without a
 	// store never take it (see DESIGN §9). It sits last: ahead of the
 	// counters it moved the fields every request touches, which cost
 	// engine-proposal a few per cent.
 	mu sync.Mutex
+	// own is the policy a request holding mu drives while a store is
+	// attached: policy's unlocked view when policy is a *cache.Sharded,
+	// else policy itself. Fixed at New.
+	own cache.Policy
 }
 
 // Outcome describes one Lookup (or Offer) with enough detail for a
@@ -82,9 +94,10 @@ type Outcome struct {
 	Written bool
 }
 
-// Metrics is a point-in-time snapshot of the Engine's counters. Under
-// concurrent traffic each counter is individually exact but the set is
-// not a single atomic cut.
+// Metrics is a point-in-time snapshot of the Engine's counters. A flash
+// shard's snapshot is one atomic cut, taken under its lock. Without a
+// store, each counter is individually exact under concurrent traffic
+// but the set is not a single atomic cut.
 type Metrics struct {
 	Requests   int64
 	Hits       int64
@@ -177,10 +190,17 @@ func New(policy cache.Policy, filter core.Filter) (*Engine, error) {
 	if filter == nil {
 		filter = core.AdmitAll{}
 	}
-	return &Engine{policy: policy, filter: filter}, nil
+	e := &Engine{policy: policy, filter: filter, own: policy}
+	if s, ok := policy.(*cache.Sharded); ok {
+		e.own = s.Unlocked()
+	}
+	return e, nil
 }
 
-// Policy returns the composed replacement policy.
+// Policy returns the composed replacement policy. While a flash shard
+// serves, its requests skip the policy's stripe locks, so a live reader
+// of such a shard's policy goes through WithFlash or RangeResidents
+// instead; Name and Cap are safe from anywhere.
 func (e *Engine) Policy() cache.Policy { return e.policy }
 
 // Filter returns the composed admission filter.
@@ -230,26 +250,37 @@ func (e *Engine) ResumeTick(t int64) { e.tick.Store(t) }
 // rejected the admit as oversize or out of space) is not a media fault
 // and hits normally; the policy is the residency authority there.
 func (e *Engine) Get(key uint64, size int64, tick int) bool {
-	fs := e.flash.Load()
-	if fs != nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	if e.flash.Load() == nil {
+		return e.get(key, size, tick, e.policy, nil)
 	}
-	return e.get(key, size, tick, fs)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, fs := e.owned()
+	return e.get(key, size, tick, p, fs)
 }
 
-// get is Get's body; fs is the attached store, and the caller holds mu
-// when it is not nil.
-func (e *Engine) get(key uint64, size int64, tick int, fs *flash.Store) bool {
+// owned returns the policy and store a caller holding mu drives: the
+// unlocked view and the attached store, or the policy and nil when the
+// store was detached while the caller waited for mu.
+func (e *Engine) owned() (cache.Policy, *flash.Store) {
+	if fs := e.flash.Load(); fs != nil {
+		return e.own, fs
+	}
+	return e.policy, nil
+}
+
+// get is Get's body over policy p; fs is the attached store, and the
+// caller holds mu when it is not nil.
+func (e *Engine) get(key uint64, size int64, tick int, p cache.Policy, fs *flash.Store) bool {
 	e.c[cRequests].Add(1)
 	e.c[cTotalBytes].Add(size)
-	if e.policy.Get(key, tick) {
+	if p.Get(key, tick) {
 		if fs != nil {
 			if _, _, err := fs.ReadExtent(key); err != nil && !errors.Is(err, flash.ErrNotFound) {
 				// The store already dropped the extent and charged its
 				// ReadErrors/CorruptExtents counter; evict the phantom so
 				// the policy agrees the bytes are gone.
-				if r, ok := e.policy.(cache.Remover); ok {
+				if r, ok := p.(cache.Remover); ok {
 					r.Remove(key)
 				}
 				e.c[cMisses].Add(1)
@@ -268,17 +299,18 @@ func (e *Engine) get(key uint64, size int64, tick int, fs *flash.Store) bool {
 // into the policy on admit. feat is the request's feature vector (nil
 // for filters that do not use features).
 func (e *Engine) Offer(key uint64, size int64, tick int, feat []float64) Outcome {
-	fs := e.flash.Load()
-	if fs != nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	if e.flash.Load() == nil {
+		return e.offer(key, size, tick, feat, e.policy, nil)
 	}
-	return e.offer(key, size, tick, feat, fs)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, fs := e.owned()
+	return e.offer(key, size, tick, feat, p, fs)
 }
 
-// offer is Offer's body; fs is the attached store, and the caller holds
-// mu when it is not nil.
-func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, fs *flash.Store) Outcome {
+// offer is Offer's body over policy p; fs is the attached store, and
+// the caller holds mu when it is not nil.
+func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, p cache.Policy, fs *flash.Store) Outcome {
 	d := e.filter.Decide(key, tick, feat)
 	if d.Rectified {
 		e.c[cRectified].Add(1)
@@ -290,9 +322,9 @@ func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, fs *fla
 		e.c[cBypassed].Add(1)
 		return Outcome{Decision: d}
 	}
-	e.policy.Admit(key, size, tick)
+	p.Admit(key, size, tick)
 	out := Outcome{Decision: d}
-	if e.policy.Contains(key) {
+	if p.Contains(key) {
 		out.Written = true
 		e.c[cWrites].Add(1)
 		e.c[cWriteBytes].Add(size)
@@ -325,35 +357,74 @@ func (e *Engine) Lookup(key uint64, size int64, tick int, feat []float64) Outcom
 	}
 	// Without a store, get and offer run with no frame between them and
 	// Lookup: going through lookup cost engine-proposal a few per cent.
-	if e.get(key, size, tick, nil) {
+	if e.get(key, size, tick, e.policy, nil) {
 		return Outcome{Hit: true}
 	}
-	return e.offer(key, size, tick, feat, nil)
+	return e.offer(key, size, tick, feat, e.policy, nil)
 }
 
 // lookup is Lookup without the timing: with a store attached, the whole
 // request runs under one acquisition of mu.
 func (e *Engine) lookup(key uint64, size int64, tick int, feat []float64) Outcome {
-	fs := e.flash.Load()
-	if fs != nil {
+	p, fs := e.policy, (*flash.Store)(nil)
+	if e.flash.Load() != nil {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		p, fs = e.owned()
 	}
-	if e.get(key, size, tick, fs) {
+	if e.get(key, size, tick, p, fs) {
 		return Outcome{Hit: true}
 	}
-	return e.offer(key, size, tick, feat, fs)
+	return e.offer(key, size, tick, feat, p, fs)
+}
+
+// WithFlash runs fn with the policy and flash store this shard's
+// requests drive, under the shard lock when a store is attached: the
+// way to read or change a flash shard's policy or store while it
+// serves, since neither takes a lock of its own there. fn then gets the
+// policy's unlocked view and the store. Without a store fn gets the
+// policy and nil and runs without the lock (a cache.Sharded policy
+// locks per stripe). fn must not call back into the engine.
+func (e *Engine) WithFlash(fn func(p cache.Policy, fs *flash.Store)) {
+	if e.flash.Load() == nil {
+		fn(e.policy, nil)
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	fn(e.owned())
+}
+
+// RangeResidents walks the policy's residents as cache.Ranger does; it
+// walks nothing when cache.AsRanger refuses the policy, which callers
+// check first. With a store attached the walk holds the shard lock one
+// policy stripe at a time, so it stalls requests no longer than one
+// stripe's walk; a policy that is not a cache.Sharded is one stripe.
+func (e *Engine) RangeResidents(fn func(key uint64, size int64) bool) {
+	r, ok := cache.AsRanger(e.policy)
+	if !ok {
+		return
+	}
+	if u, ok := e.own.(*cache.Unlocked); ok && e.flash.Load() != nil {
+		u.RangeUnder(&e.mu, fn)
+		return
+	}
+	e.WithFlash(func(cache.Policy, *flash.Store) { r.Range(fn) })
 }
 
 // Snapshot returns the current counters: the engine-owned rows of
 // Counters from the atomics, then the flash mirrors from the attached
-// store.
+// store. A flash shard reads both under its lock, so the snapshot is
+// one atomic cut of the shard.
 func (e *Engine) Snapshot() Metrics {
 	var m Metrics
-	for i := range e.c {
-		*Counters[i].Field(&m) = e.c[i].Load()
-	}
-	if fs := e.flash.Load(); fs != nil {
+	e.WithFlash(func(_ cache.Policy, fs *flash.Store) {
+		for i := range e.c {
+			*Counters[i].Field(&m) = e.c[i].Load()
+		}
+		if fs == nil {
+			return
+		}
 		st := fs.Stats()
 		m.FlashHostBytes = st.HostBytes
 		m.FlashGCBytes = st.GCBytes
@@ -361,6 +432,6 @@ func (e *Engine) Snapshot() Metrics {
 		m.FlashReadErrors = st.ReadErrors
 		m.FlashCorruptExtents = st.CorruptExtents
 		m.FlashRetiredBlocks = st.RetiredBlocks
-	}
+	})
 	return m
 }

@@ -9,12 +9,18 @@ import (
 )
 
 // SetFlash attaches a flash store under this engine's policy (nil
-// detaches). Admitted writes land in the store from then on; Snapshot
-// mirrors its wear counters into the Flash* metrics. Attach before
-// serving: from then on each request runs under the engine's lock, but
-// requests already in flight when the store is attached are not
-// serialized with it.
-func (e *Engine) SetFlash(s *flash.Store) { e.flash.Store(s) }
+// detaches), under the engine's lock. Admitted writes land in the store
+// from then on; Snapshot mirrors its wear counters into the Flash*
+// metrics. It does not install the store as the policy's eviction
+// callback; AttachFlash does. Attach before serving: from then on each
+// request runs under the engine's lock and drives the policy's
+// unlocked view, while a request already in flight still takes the
+// stripe locks, which no longer exclude the new ones.
+func (e *Engine) SetFlash(s *flash.Store) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.flash.Store(s)
+}
 
 // Flash returns the attached flash store, or nil.
 func (e *Engine) Flash() *flash.Store { return e.flash.Load() }
@@ -27,13 +33,11 @@ func (e *Engine) Flash() *flash.Store { return e.flash.Load() }
 // Each store is installed as its shard policy's eviction callback
 // (cache.Policy's SetEvictNotify), replacing any store attached
 // earlier, so its live counts are exact and a collection pass calls
-// nothing outside the store. The callback runs under the policy's
-// stripe lock, and the store never calls the policy. With a store
-// attached each shard serves one request at a time under its engine
-// lock, so the one lock order is engine → policy stripe → flash, and
-// the engine's flash.Write after an Admit cannot race another
-// admission's eviction. Attach before serving: requests already in
-// flight are not serialized with the store.
+// nothing outside the store; the store never calls the policy. Each
+// shard swaps its store and callback under its engine lock, the one
+// lock a flash shard takes: it serves one request at a time under it,
+// so the engine's flash.Write after an Admit cannot race another
+// admission's eviction. Attach before serving, as with SetFlash.
 func AttachFlash(srv Server, segmentSize int64, overprovision float64) error {
 	return AttachFlashOpts(srv, FlashOptions{SegmentSize: segmentSize, Overprovision: overprovision})
 }
@@ -108,8 +112,10 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 	}
 	for i, sh := range shards {
 		st := stores[i]
-		sh.Policy().SetEvictNotify(func(key uint64) { st.Invalidate(key) })
-		sh.SetFlash(st)
+		sh.mu.Lock()
+		sh.policy.SetEvictNotify(func(key uint64) { st.Invalidate(key) })
+		sh.flash.Store(st)
+		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -125,20 +131,19 @@ func AttachFlashOpts(srv Server, opts FlashOptions) error {
 //
 // The caller must not run traffic concurrently (the snapshot restore
 // path is drained), so no eviction callback fires during the rebuild.
-// Range holds the policy's stripe lock while Restore takes the store's:
-// the same policy → flash order the eviction callback uses.
+// The reset and each stripe's walk run under the shard lock, so a
+// running scrubber steps between them.
 func RebuildFlash(srv Server) {
 	for _, sh := range srv.Shards() {
 		fs := sh.Flash()
 		if fs == nil {
 			continue
 		}
-		r, ok := cache.AsRanger(sh.Policy())
-		if !ok {
+		if _, ok := cache.AsRanger(sh.Policy()); !ok {
 			continue
 		}
-		fs.Reset()
-		r.Range(func(key uint64, size int64) bool {
+		sh.WithFlash(func(cache.Policy, *flash.Store) { fs.Reset() })
+		sh.RangeResidents(func(key uint64, size int64) bool {
 			//lint:allow errsink rebuild is best-effort; an unrestorable resident stays unmaterialized and reads as a miss
 			fs.Restore(key, size)
 			return true

@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"otacache/internal/cache"
 	"otacache/internal/faults"
+	"otacache/internal/flash"
 )
 
 // Scrubber patrols the shards' flash stores in the background, one
@@ -60,15 +62,18 @@ func NewScrubber(srv Server, interval time.Duration, clock faults.Clock) (*Scrub
 // Step advances every shard's scrub cursor by one sealed segment,
 // returning how many segments were scanned (shards with no flash store
 // or nothing sealed contribute zero) and how many extents were dropped
-// as unreadable or corrupt. Safe to call concurrently with traffic;
-// no engine or policy lock is held while a store scrubs.
+// as unreadable or corrupt. Safe to call concurrently with traffic:
+// each shard's step runs under that shard's engine lock (the store
+// takes none of its own), one shard at a time, so a step stalls a
+// shard's requests for one segment's scrub.
 func (sc *Scrubber) Step() (segments, dropped int) {
 	for _, sh := range sc.srv.Shards() {
-		fs := sh.Flash()
-		if fs == nil {
-			continue
-		}
-		seg, _, drop := fs.ScrubStep()
+		seg, drop := -1, 0
+		sh.WithFlash(func(_ cache.Policy, fs *flash.Store) {
+			if fs != nil {
+				seg, _, drop = fs.ScrubStep()
+			}
+		})
 		if seg < 0 {
 			continue
 		}

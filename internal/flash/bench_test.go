@@ -1,9 +1,6 @@
 package flash
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // benchStore sizes a store so the collector runs hot: the live working
 // set fills ~70% of the device, forcing steady relocation traffic.
@@ -21,24 +18,21 @@ const (
 	benchKeys    = 700 // 700 x 4KiB live in a 4MiB device ≈ 68% utilization
 )
 
-// BenchmarkFlashGC measures the write path with the collector engaged
-// under concurrent writers — the race matrix runs it with -race at
-// several GOMAXPROCS. It reports the measured WAF alongside the
-// throughput, so the benchmark line carries device-level amplification.
+// BenchmarkFlashGC measures the write path with the collector engaged.
+// A store is not safe for concurrent use, so one writer drives it. It
+// reports the measured WAF alongside the throughput, so the benchmark
+// line carries device-level amplification.
 func BenchmarkFlashGC(b *testing.B) {
 	s := benchStore(b)
-	var ctr atomic.Uint64
 	b.SetBytes(benchObjSize)
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Per-goroutine LCG over a shared key space: overwrites scatter
-		// across segments so victims carry survivors.
-		rng := ctr.Add(1) * 0x9E3779B97F4A7C15
-		for pb.Next() {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			s.Write((rng>>33)%benchKeys, benchObjSize, nil)
-		}
-	})
+	// An LCG over the key space: overwrites scatter across segments so
+	// victims carry survivors.
+	rng := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < b.N; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		s.Write((rng>>33)%benchKeys, benchObjSize, nil)
+	}
 	b.StopTimer()
 	st := s.Stats()
 	b.ReportMetric(st.WAF(), "waf")

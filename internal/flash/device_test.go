@@ -52,8 +52,6 @@ func (d *scriptDev) Erase(seg int) error {
 // so tests can corrupt the exact device bytes under it.
 func extentLoc(t *testing.T, s *Store, key uint64) (seg int, physOff, physLen int64) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i := s.index.Lookup(key)
 	if i == slab.Nil {
 		t.Fatalf("key %d has no live extent", key)

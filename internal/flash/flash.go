@@ -43,8 +43,9 @@
 // spare pool the device is end-of-life (Exhausted) and the serving
 // layer flips unready.
 //
-// A Store is safe for concurrent use; the serving stack runs one store
-// per engine shard, so the single mutex shards with the engines.
+// A Store is not safe for concurrent use: its caller serializes every
+// call, as with slab.Arena. The serving stack runs one store per engine
+// shard and calls it only under that shard's lock.
 package flash
 
 import (
@@ -52,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"sync/atomic"
 
 	"otacache/internal/slab"
@@ -62,7 +62,7 @@ import (
 // four, the three heads leave as few as one sealed segment to collect:
 // an append that finds no free segment then falls back to any open head
 // with room (appendObj), and a stalled head is collected in its place
-// (collectLocked).
+// (collectPass).
 const minSegments = 4
 
 // Placement classes: the append head a record goes to. A segment takes
@@ -126,8 +126,8 @@ var (
 // program/read/erase over fixed segment (erase-block) ids. Offsets are
 // physical offsets within a segment's image, which may exceed the
 // logical segment size by per-extent header overhead (see
-// recHeaderSize). Implementations are called only under the store's
-// mutex and need not be concurrency-safe on their own.
+// recHeaderSize). The store calls its device one call at a time, so
+// implementations need not be concurrency-safe on their own.
 type Device interface {
 	// Program writes p at physical offset off in segment seg. A failed
 	// program retires the block.
@@ -337,20 +337,21 @@ type extent struct {
 	ix int32
 }
 
-// Store is a log-structured flash store. Safe for concurrent use.
+// Store is a log-structured flash store. It is not safe for concurrent
+// use: the caller serializes every call (the engine holds its shard
+// lock); only the observer hook is atomic.
 type Store struct {
 	segSize int64
 	dev     Device
 	spare   int64
 	// rec is the record buffer readRecord and encodeRecord share; every
-	// user holds mu and is done with (or has copied out of) the bytes
-	// before the next record is read or encoded.
+	// user is done with (or has copied out of) the bytes before the next
+	// record is read or encoded.
 	rec []byte
 	// obsv is the optional latency observer (see Observer); atomic so
 	// attachment may race serving traffic.
 	obsv atomic.Pointer[Observer]
 
-	mu    sync.Mutex
 	segs  []segment
 	free  []int           // erased segment ids, LIFO
 	heads [numClasses]int // open head segment id per class, -1 when closed
@@ -429,8 +430,6 @@ func (s *Store) SegmentSize() int64 { return s.segSize }
 
 // Capacity returns the store capacity (whole segments).
 func (s *Store) Capacity() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return int64(len(s.segs)) * s.segSize
 }
 
@@ -439,8 +438,6 @@ func (s *Store) Capacity() int64 {
 // still serves reads and attempts writes on surviving blocks), but the
 // serving layer should stop routing traffic to it (/readyz flips 503).
 func (s *Store) Exhausted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.retired >= s.spare
 }
 
@@ -476,8 +473,6 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	if data != nil && int64(len(data)) != size {
 		return fmt.Errorf("flash: data length %d does not match size %d", len(data), size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i := s.index.Lookup(key); i != slab.Nil {
 		s.markDead(*s.index.Val(i))
 		s.index.Del(i)
@@ -504,8 +499,7 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	return nil
 }
 
-// recBuf returns the store's record buffer sized to n bytes. Caller
-// holds mu.
+// recBuf returns the store's record buffer sized to n bytes.
 func (s *Store) recBuf(n int) []byte {
 	if cap(s.rec) < n {
 		s.growRec(n)
@@ -521,7 +515,7 @@ func (s *Store) recBuf(n int) []byte {
 func (s *Store) growRec(n int) { s.rec = make([]byte, n) }
 
 // encodeRecord lays out the device record for one extent in the record
-// buffer: the 16-byte header plus the payload, if any. Caller holds mu.
+// buffer: the 16-byte header plus the payload, if any.
 func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
 	rec := s.recBuf(recHeaderSize + len(data))
 	binary.LittleEndian.PutUint64(rec[0:8], key)
@@ -539,7 +533,6 @@ func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
 // segment and retries, bounded by the segment count. gc allows the roll
 // to run the collector; the collector's own relocations pass false and
 // draw on the reserve instead — collection must never reenter itself.
-// Caller holds mu.
 func (s *Store) appendObj(x extent, gc bool) bool {
 	for attempt := 0; attempt <= len(s.segs); attempt++ {
 		id := s.heads[x.class]
@@ -609,7 +602,7 @@ func (s *Store) appendObj(x extent, gc bool) bool {
 // head is tried first: during the collection a host write runs, its
 // leftover tail is about to be sealed unused. (Survivor heads first
 // moved more: the decision digest's flash arm read 0.687 device bytes
-// per requested byte against 0.661.) Caller holds mu.
+// per requested byte against 0.661.)
 func (s *Store) roomyHead(size int64) int {
 	for _, id := range s.heads {
 		if id >= 0 && !s.segs[id].retired && s.segs[id].used+size <= s.segSize {
@@ -621,8 +614,7 @@ func (s *Store) roomyHead(size int64) int {
 
 // allocSegment returns a free segment id, running the collector when
 // the pool is empty (gc false skips collection — the relocation path,
-// which lands in the segment its own collection just erased). Caller
-// holds mu.
+// which lands in the segment its own collection just erased).
 func (s *Store) allocSegment(gc bool) (int, bool) {
 	// Collect until a segment is free, bounded by the segment count so a
 	// store with nothing reclaimable cannot spin. Each round nets the
@@ -650,27 +642,27 @@ func (s *Store) allocSegment(gc bool) (int, bool) {
 }
 
 // collect runs one greedy collection pass, timing it into the GC
-// histogram when an observer is attached. Caller holds mu.
+// histogram when an observer is attached.
 func (s *Store) collect() {
 	o := s.obsv.Load()
 	if o == nil {
-		s.collectLocked()
+		s.collectPass()
 		return
 	}
 	start := o.Now()
-	s.collectLocked()
+	s.collectPass()
 	o.GC.Record(int64(o.Now().Sub(start)))
 }
 
-// collectLocked is the collection pass itself: pick the sealed segment
+// collectPass is the collection pass itself: pick the sealed segment
 // with the fewest live bytes (or a stalled head, see below), stash the
 // survivors, erase the block, and re-append the survivors to the head
 // of the class the victim implies (survivorClass) — which may open on
 // the block just erased, so collection makes forward progress with zero
 // standing free segments. A survivor keeps its index slot across the
 // move: the relocation is an update of where the index says the key
-// lives. Caller holds mu.
-func (s *Store) collectLocked() {
+// lives.
+func (s *Store) collectPass() {
 	victim := -1
 	var victimLive int64
 	for id := range s.segs {
@@ -760,7 +752,6 @@ func (s *Store) collectLocked() {
 // stashObj reads one live extent back from the device, verifies it,
 // and packages it for relocation, unindexed, appending its payload to
 // buf (the staged extent's data points into the returned buffer).
-// Caller holds mu.
 func (s *Store) stashObj(id int, o *obj, buf []byte) (extent, []byte, error) {
 	rec, err := s.readRecord(id, o)
 	if err != nil {
@@ -778,8 +769,7 @@ func (s *Store) stashObj(id int, o *obj, buf []byte) (extent, []byte, error) {
 // readRecord fetches and verifies one extent's record from the
 // device, charging the read-error and corruption counters on failure.
 // The returned bytes are the store's record buffer: the caller copies
-// out what it keeps before the next record is read or encoded. Caller
-// holds mu.
+// out what it keeps before the next record is read or encoded.
 func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
 	rec := s.recBuf(int(o.physLen))
 	if err := s.dev.Read(id, o.physOff, rec); err != nil {
@@ -795,7 +785,7 @@ func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
 
 // retireSegment permanently removes a bad block from service: it never
 // rejoins the free pool, its live extents are queued for relocation,
-// and the spare pool shrinks by one. Caller holds mu.
+// and the spare pool shrinks by one.
 func (s *Store) retireSegment(id int) {
 	seg := &s.segs[id]
 	if seg.retired {
@@ -837,7 +827,6 @@ func (s *Store) retireSegment(id int) {
 // drainReloc places extents queued by block retirements. Placement can
 // itself hit a bad block and queue more, so the length is read again
 // each round; the drained queue keeps its array and drops its payloads.
-// Caller holds mu.
 func (s *Store) drainReloc() {
 	for i := 0; i < len(s.relocq); i++ {
 		st := s.relocq[i]
@@ -854,7 +843,7 @@ func (s *Store) drainReloc() {
 
 // eraseSegment wipes one block and returns it to the free pool,
 // charging the erase counters. A failed erase retires the block
-// instead. Caller holds mu.
+// instead.
 func (s *Store) eraseSegment(id int) {
 	seg := &s.segs[id]
 	//lint:allow errsink retireSegment charges the retirement counters for this media failure
@@ -871,7 +860,7 @@ func (s *Store) eraseSegment(id int) {
 }
 
 // indexed returns key's index slot if the index places key at slot of
-// segment id, and slab.Nil otherwise. Caller holds mu.
+// segment id, and slab.Nil otherwise.
 func (s *Store) indexed(key uint64, id, slot int) int32 {
 	i := s.index.Lookup(key)
 	if i == slab.Nil || *s.index.Val(i) != (loc{seg: int32(id), slot: int32(slot)}) {
@@ -880,7 +869,7 @@ func (s *Store) indexed(key uint64, id, slot int) int32 {
 	return i
 }
 
-// markDead invalidates one extent. Caller holds mu.
+// markDead invalidates one extent.
 func (s *Store) markDead(l loc) {
 	seg := &s.segs[l.seg]
 	o := &seg.objs[l.slot]
@@ -895,8 +884,6 @@ func (s *Store) markDead(l loc) {
 // nothing outside the store, so it is safe under a policy lock. It
 // reports whether the key was present.
 func (s *Store) Invalidate(key uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i := s.index.Lookup(key)
 	if i == slab.Nil {
 		return false
@@ -908,8 +895,6 @@ func (s *Store) Invalidate(key uint64) bool {
 
 // Contains reports whether key has a live extent.
 func (s *Store) Contains(key uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.index.Lookup(key) != slab.Nil
 }
 
@@ -931,8 +916,6 @@ func (s *Store) ReadExtent(key uint64) (data []byte, size int64, err error) {
 
 // readExtent is ReadExtent without the timing wrapper.
 func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i := s.index.Lookup(key)
 	if i == slab.Nil {
 		return nil, 0, ErrNotFound
@@ -957,13 +940,6 @@ func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
 // scanned and dropped. Free, retired, and out-of-range segments scan
 // zero extents.
 func (s *Store) ScrubSegment(id int) (scanned, dropped int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scrubSegment(id)
-}
-
-// scrubSegment is ScrubSegment under mu.
-func (s *Store) scrubSegment(id int) (scanned, dropped int) {
 	if id < 0 || id >= len(s.segs) {
 		return 0, 0
 	}
@@ -1000,8 +976,6 @@ func (s *Store) scrubSegment(id int) (scanned, dropped int) {
 // per scrub interval keeps the pass gentle; len(segs) steps cover the
 // whole device.
 func (s *Store) ScrubStep() (segment, scanned, dropped int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := 0; i < len(s.segs); i++ {
 		id := (s.scrubAt + i) % len(s.segs)
 		seg := &s.segs[id]
@@ -1009,7 +983,7 @@ func (s *Store) ScrubStep() (segment, scanned, dropped int) {
 			continue
 		}
 		s.scrubAt = (id + 1) % len(s.segs)
-		scanned, dropped = s.scrubSegment(id)
+		scanned, dropped = s.ScrubSegment(id)
 		return id, scanned, dropped
 	}
 	return -1, 0, 0
@@ -1017,8 +991,6 @@ func (s *Store) ScrubStep() (segment, scanned, dropped int) {
 
 // Len returns the number of live extents in the index.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.index.Len()
 }
 
@@ -1030,8 +1002,6 @@ func (s *Store) Len() int {
 // restart. Every head is closed and the repeat survivors' head
 // reopened, since the Restore rebuild that follows lands there.
 func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.index = slab.Arena[loc]{}
 	s.relocq = nil
 	for i := range s.segs {
@@ -1048,7 +1018,7 @@ func (s *Store) Reset() {
 // reopen closes every head, returns every unretired segment to the free
 // pool, and opens class's head on the lowest-numbered one. With every
 // block retired nothing opens and every write fails, which is the truth
-// about that device. Caller holds mu or owns the store.
+// about that device.
 func (s *Store) reopen(class uint8) {
 	for c := range s.heads {
 		s.heads[c] = -1
@@ -1068,8 +1038,6 @@ func (s *Store) reopen(class uint8) {
 
 // Stats returns the current wear counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		SegmentSize:      s.segSize,
 		Segments:         len(s.segs),
@@ -1107,8 +1075,6 @@ func (s *Store) Stats() Stats {
 // ErasesPerSegment returns each block's erase count, in segment order
 // — the wear-leveling histogram.
 func (s *Store) ErasesPerSegment() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]int64, len(s.segs))
 	for i := range s.segs {
 		out[i] = s.segs[i].erases

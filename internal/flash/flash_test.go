@@ -336,11 +336,16 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentWriters hammers one store from many goroutines (the
-// race matrix runs this under -race at several GOMAXPROCS) and checks
-// the counters still satisfy the accounting invariants.
+// TestConcurrentWriters hammers one store from many goroutines, each
+// call serialized by a caller-held mutex as the Store contract asks
+// (the engine's shard lock in the daemon), and checks the counters
+// still satisfy the accounting invariants under any interleaving of
+// writes, invalidations, reads and stats reads. The race matrix runs
+// this under -race at several GOMAXPROCS, which also pins that the
+// store keeps no shared state the caller's lock does not cover.
 func TestConcurrentWriters(t *testing.T) {
 	s := newStore(t, 1024, 64*1024)
+	var mu sync.Mutex
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -350,8 +355,10 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := uint64(w*31+i) % 97
+				mu.Lock()
 				if i%17 == 0 {
 					s.Invalidate(k)
+					mu.Unlock()
 					continue
 				}
 				s.Write(k, int64(64+(i%8)*32), nil)
@@ -359,6 +366,7 @@ func TestConcurrentWriters(t *testing.T) {
 					s.ReadExtent(k)
 					s.Stats()
 				}
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -380,15 +388,17 @@ func TestConcurrentWriters(t *testing.T) {
 
 // TestConcurrentScrubAndWrites runs the scrub patrol against live
 // write/read/invalidate traffic — the interleaving the background
-// Scrubber produces in the daemon. The race matrix runs this under
-// -race at several GOMAXPROCS; the invariant checks pin that a scrub
-// pass racing a GC or an overwrite never drops a healthy extent's
-// accounting below zero or strands the cursor. The writers keep going
-// past perWorker until the scrubber has completed a step, so the
-// progress check waits on the scrubber, not on how the scheduler
-// happens to interleave the goroutines.
+// Scrubber produces in the daemon — with every call serialized by a
+// caller-held mutex, as the engine's shard lock does there. The race
+// matrix runs this under -race at several GOMAXPROCS; the invariant
+// checks pin that a scrub step landing between a GC and an overwrite
+// never drops a healthy extent's accounting below zero or strands the
+// cursor. The writers keep going past perWorker until the scrubber has
+// completed a step, so the progress check waits on the scrubber, not on
+// how the scheduler happens to interleave the goroutines.
 func TestConcurrentScrubAndWrites(t *testing.T) {
 	s := newStore(t, 1024, 64*1024)
+	var mu sync.Mutex
 	const workers = 4
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -404,7 +414,10 @@ func TestConcurrentScrubAndWrites(t *testing.T) {
 				return
 			default:
 			}
-			if seg, _, _ := s.ScrubStep(); seg >= 0 {
+			mu.Lock()
+			seg, _, _ := s.ScrubStep()
+			mu.Unlock()
+			if seg >= 0 {
 				if scrubbed == 0 {
 					close(firstScrub)
 				}
@@ -430,14 +443,17 @@ func TestConcurrentScrubAndWrites(t *testing.T) {
 					}
 				}
 				k := uint64(w*31+i) % 97
+				mu.Lock()
 				if i%17 == 0 {
 					s.Invalidate(k)
+					mu.Unlock()
 					continue
 				}
 				s.Write(k, int64(64+(i%8)*32), nil)
 				if i%5 == 0 {
 					s.ReadExtent(k)
 				}
+				mu.Unlock()
 			}
 		}(w)
 	}

@@ -31,11 +31,9 @@ func checkStore(t testing.TB, s *Store) {
 	}
 }
 
-// storeAgreement checks checkStore's invariants under mu and returns the
-// live bytes the segments hold.
+// storeAgreement checks checkStore's invariants and returns the live
+// bytes the segments hold.
 func storeAgreement(s *Store) (live int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// A slot is in use exactly when its key's lookup lands on it: a freed
 	// slot keeps the key it last held, which is then absent or elsewhere.
 	entries := 0

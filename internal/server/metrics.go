@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"otacache/internal/cache"
 	"otacache/internal/engine"
 	"otacache/internal/flash"
 	"otacache/internal/obs"
@@ -102,13 +103,15 @@ func (s *Server) writeMetricsPage(tw *obs.TextWriter) {
 	}, 1)
 	tw.Family("ota_engine_shards", "Independent engine shards behind the ring.", "gauge")
 	tw.Int("ota_engine_shards", nil, int64(len(s.shards)))
-	// Occupancy is read once per shard, so the aggregate is the sum of
-	// the per-shard samples beside it.
+	// Occupancy is read once per shard (under a flash shard's lock), so
+	// the aggregate is the sum of the per-shard samples beside it.
 	residents := make([]int64, len(s.shards))
 	residentBytes := make([]int64, len(s.shards))
 	var sumResidents, sumBytes int64
 	for i, sh := range s.shards {
-		residents[i], residentBytes[i] = int64(sh.Policy().Len()), sh.Policy().Used()
+		sh.WithFlash(func(p cache.Policy, _ *flash.Store) {
+			residents[i], residentBytes[i] = int64(p.Len()), p.Used()
+		})
 		sumResidents += residents[i]
 		sumBytes += residentBytes[i]
 	}
@@ -203,18 +206,23 @@ func (s *Server) writeBreakerMetrics(tw *obs.TextWriter) {
 
 // writeFlashMetrics renders the flash fleet families not already
 // covered by the engine.Metrics mirror (skipped when no shard has a
-// store attached): the shard devices' flash.Stats summed, with the WAF
-// recomputed from the summed byte counters — the byte-weighted mean
-// over the devices, not a mean of per-device WAFs.
+// store attached): the shard devices' flash.Stats, each read under its
+// shard's lock, summed, with the WAF recomputed from the summed byte
+// counters — the byte-weighted mean over the devices, not a mean of
+// per-device WAFs.
 func (s *Server) writeFlashMetrics(tw *obs.TextWriter) {
 	var agg flash.Stats
 	var capacity int64
 	for _, sh := range s.shards {
-		fs := sh.Flash()
-		if fs == nil {
+		var st flash.Stats
+		sh.WithFlash(func(_ cache.Policy, fs *flash.Store) {
+			if fs != nil {
+				st = fs.Stats()
+			}
+		})
+		if st.Segments == 0 { // no store on this shard
 			continue
 		}
-		st := fs.Stats()
 		capacity += st.SegmentSize * int64(st.Segments)
 		agg.FreeSegments += st.FreeSegments
 		agg.HostBytes += st.HostBytes

@@ -72,6 +72,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"otacache/internal/cache"
 	"otacache/internal/core"
 	"otacache/internal/engine"
 	"otacache/internal/faults"
@@ -322,7 +323,9 @@ func (s *Server) notReadyReason() string {
 		return reason
 	}
 	for i, sh := range s.shards {
-		if fs := sh.Flash(); fs != nil && fs.Exhausted() {
+		exhausted := false
+		sh.WithFlash(func(_ cache.Policy, fs *flash.Store) { exhausted = fs != nil && fs.Exhausted() })
+		if exhausted {
 			return fmt.Sprintf("shard %d flash spare pool exhausted (device EOL)", i)
 		}
 	}

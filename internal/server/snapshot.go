@@ -14,6 +14,7 @@ import (
 	"otacache/internal/cache"
 	"otacache/internal/core"
 	"otacache/internal/engine"
+	"otacache/internal/flash"
 	"otacache/internal/ml/cart"
 	"otacache/internal/obs"
 )
@@ -111,21 +112,19 @@ type snapResident struct {
 
 // WriteSnapshot serializes the engine's warm state to w, one section
 // per shard. The engine may be serving concurrently: each section is
-// internally consistent (a policy is walked under its own locks, a
-// table under its own), though the sections are not one atomic cut —
+// internally consistent (a policy is walked stripe by stripe under the
+// lock its requests take, a table under its own), though the sections
+// are not one atomic cut —
 // the same property engine.Snapshot has, and sufficient for a warm
 // restart. Shard states are collected by one goroutine per shard, so a
 // wide daemon is not serialized on its coldest shard's walk.
 func WriteSnapshot(w io.Writer, srv engine.Server) (SnapshotResult, error) {
 	var res SnapshotResult
 	shards := srv.Shards()
-	rangers := make([]cache.Ranger, len(shards))
 	for i, sh := range shards {
-		ranger, ok := cache.AsRanger(sh.Policy())
-		if !ok {
+		if _, ok := cache.AsRanger(sh.Policy()); !ok {
 			return res, fmt.Errorf("snapshot: shard %d policy %s cannot enumerate residents", i, sh.Policy().Name())
 		}
-		rangers[i] = ranger
 	}
 
 	states := make([]shardState, len(shards))
@@ -137,7 +136,7 @@ func WriteSnapshot(w io.Writer, srv engine.Server) (SnapshotResult, error) {
 			st := &states[i]
 			// Resident set, cold to hot. Collected so the count can be
 			// written before the records.
-			rangers[i].Range(func(key uint64, size int64) bool {
+			shards[i].RangeResidents(func(key uint64, size int64) bool {
 				st.residents = append(st.residents, snapResident{key, size})
 				st.bytes += size
 				return true
@@ -437,18 +436,21 @@ func ReadSnapshot(r io.Reader, srv engine.Server) (SnapshotResult, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			policy := shards[i].Policy()
 			var table interface{ Insert(key uint64, tick int) }
 			if hasDest[i] {
 				table = admissions[i].Table()
 			}
-			for _, rec := range pending[i] {
-				if rec.table {
-					table.Insert(rec.key, int(rec.val))
-				} else {
-					policy.Admit(rec.key, rec.val, 0)
+			// Under a flash shard's lock: the admits' evictions reach the
+			// store, which a running scrubber steps under the same lock.
+			shards[i].WithFlash(func(policy cache.Policy, _ *flash.Store) {
+				for _, rec := range pending[i] {
+					if rec.table {
+						table.Insert(rec.key, int(rec.val))
+					} else {
+						policy.Admit(rec.key, rec.val, 0)
+					}
 				}
-			}
+			})
 		}(i)
 	}
 	wg.Wait()
