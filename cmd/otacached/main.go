@@ -14,11 +14,11 @@
 //	otacached -mode proposal -trace t.bin -bytes 500000000 -retrain-hour 5
 //	otacached -mode original -photos 30000          # traditional cache
 //	otacached -mode proposal -snapshot state.snap   # crash-safe restarts
-//	otacached -mode proposal -engine-shards 8       # ring of 8 engines
+//	otacached -mode proposal -engine-shards 8       # 8 hash-routed engines
 //	otacached -mode proposal -flash-segment-size 4194304  # device WAF on /metrics
 //
 // With -engine-shards N > 1, the daemon serves N fully independent
-// engines behind a consistent-hash ring: each shard owns 1/N of the
+// engines, routed by a seeded hash of the key: each shard owns 1/N of the
 // capacity with its own policy, admission filter, history table, and
 // circuit breaker, so classifier degradation and lock contention stay
 // isolated per shard. /metrics reports a per-shard breakdown, the admin
@@ -102,7 +102,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&c.Bytes, "bytes", c.Bytes, "cache capacity in bytes")
 	fs.Float64Var(&c.Frac, "frac", c.Frac, "cache capacity as a fraction of the trace footprint (used when -bytes is 0)")
 	fs.IntVar(&c.Shards, "shards", c.Shards, "policy shard count (0 = 2x GOMAXPROCS)")
-	fs.IntVar(&c.EngineShards, "engine-shards", c.EngineShards, "independent engine shards behind a consistent-hash ring, each with its own policy, filter, history table, and breaker (1 = single engine)")
+	fs.IntVar(&c.EngineShards, "engine-shards", c.EngineShards, "independent engine shards routed by a seeded key hash, each with its own policy, filter, history table, and breaker (1 = single engine)")
 	fs.Float64Var(&c.V, "v", c.V, "cost-matrix v (0 = Table 4 rule)")
 	fs.IntVar(&c.Samples, "samples", c.Samples, "training samples per minute (bootstrap and live retraining)")
 	fs.BoolVar(&c.NoHistoryTable, "no-history-table", c.NoHistoryTable, "disable the rectification table")

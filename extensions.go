@@ -37,8 +37,8 @@ type (
 	// ShardedEngine satisfy — everything downstream (daemon, snapshots,
 	// replay) programs against it.
 	EngineServer = engine.Server
-	// ShardedEngine routes keys over a consistent-hash ring to fully
-	// independent Engines, one per shard, under one global tick stream.
+	// ShardedEngine routes keys by a seeded hash to fully independent
+	// Engines, one per shard, under one global tick stream.
 	ShardedEngine = engine.ShardedEngine
 	// ServingLayer is one assembled cache layer: an Engine plus the
 	// criteria it was solved for — the unit a tiered deployment runs
@@ -66,10 +66,11 @@ func BuildServingLayer(t *Trace, next []int, cfg TierConfig, lc TierLayer) (*Ser
 
 // NewShardedEngine composes already-built engines into a shard-routed
 // server: each engine owns its policy, admission filter, and history;
-// keys are routed by consistent hashing seeded with ringSeed. A
-// one-shard ShardedEngine behaves exactly like its single Engine.
-func NewShardedEngine(shards []*Engine, ringSeed uint64) (*ShardedEngine, error) {
-	return engine.NewShardedEngine(shards, ringSeed)
+// keys are routed by a hash salted with seed, each shard owning an
+// equal share of the hash range. A one-shard ShardedEngine behaves
+// exactly like its single Engine.
+func NewShardedEngine(shards []*Engine, seed uint64) (*ShardedEngine, error) {
+	return engine.NewShardedEngine(shards, seed)
 }
 
 // Two-tier hierarchy (OC -> DC -> backend).

@@ -100,6 +100,22 @@ func (s *Sharded) Admit(key uint64, size int64, tick int) {
 	sh.p.Admit(key, size, tick)
 }
 
+// Insert admits key as Admit does and reports whether this call made it
+// resident: false when the key was resident already (a concurrent
+// request admitted it first) or the policy rejected it. The check and
+// the admission share one stripe acquisition, so of concurrent callers
+// admitting one key exactly one sees true.
+func (s *Sharded) Insert(key uint64, size int64, tick int) bool {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.p.Contains(key) {
+		return false
+	}
+	sh.p.Admit(key, size, tick)
+	return sh.p.Contains(key)
+}
+
 // Contains implements Policy.
 func (s *Sharded) Contains(key uint64) bool {
 	sh := s.shardFor(key)

@@ -36,8 +36,8 @@ func (featureStub) Score(x []float64) float64 { return x[0] }
 //     device's erases (evicting miss with a store attached);
 //   - the obs record path: Sampler.Hit, Histogram.Record, recorderShard,
 //     bucketIndex (instrumented hit, observed flash hit);
-//   - ShardedEngine.Lookup, Get, Offer and ShardFor, and cluster.Ring's
-//     Server under them (the sharded subtests);
+//   - ShardedEngine.Lookup, Get, Offer and ShardFor's hashed route
+//     under them (the sharded subtests);
 //   - the classifier decision behind a healthy breaker.
 //
 // AllocsPerRun divides the mallocs by the runs as integers, so a path
@@ -228,8 +228,8 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatalf("seeding Offer not admitted: %+v", out)
 		}
 		tick := srv.NextTick()
-		// Routes through Ring.Server on every call: the multi-shard
-		// composition covers internal/cluster's share of the hot path.
+		// Hashes the key on every call: the multi-shard composition
+		// covers the route's share of the hot path.
 		if n := testing.AllocsPerRun(200, func() {
 			if out := srv.Lookup(key, size, tick, nil); !out.Hit {
 				t.Fatal("hit path missed")

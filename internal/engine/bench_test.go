@@ -56,7 +56,7 @@ func benchAdmission(b *testing.B) *core.ClassifierAdmission {
 }
 
 // benchSharded splits the benchEngine composition into n independent
-// engine shards behind a ring: total capacity and inner cache shards
+// hash-routed engine shards: total capacity and inner cache shards
 // are divided so every variant manages the same aggregate cache.
 func benchSharded(b *testing.B, n int, classified bool) *ShardedEngine {
 	b.Helper()
@@ -166,7 +166,7 @@ func BenchmarkLookupFlashAttached(b *testing.B) {
 	b.ReportMetric(float64(fs.Stats().Erases-before)/float64(b.N), "gc-passes/op")
 }
 
-// BenchmarkLookupShardedAdmitAll measures ring routing over N
+// BenchmarkLookupShardedAdmitAll measures hash routing over N
 // independent admit-all engines; shards=1 prices the routing layer
 // itself against BenchmarkLookupAdmitAll.
 func BenchmarkLookupShardedAdmitAll(b *testing.B) {

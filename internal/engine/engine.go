@@ -89,8 +89,9 @@ type Outcome struct {
 	Hit bool
 	// Decision is the filter's verdict for the miss.
 	Decision core.Decision
-	// Written reports that the policy accepted the admitted object
-	// (an over-capacity object can be rejected by the policy itself).
+	// Written reports that this request inserted the admitted object:
+	// false when the policy rejected it (an over-capacity object) or a
+	// concurrent request inserted it first. Writes counts these.
 	Written bool
 }
 
@@ -322,9 +323,8 @@ func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, p cache
 		e.c[cBypassed].Add(1)
 		return Outcome{Decision: d}
 	}
-	p.Admit(key, size, tick)
 	out := Outcome{Decision: d}
-	if p.Contains(key) {
+	if admitted(p, key, size, tick) {
 		out.Written = true
 		e.c[cWrites].Add(1)
 		e.c[cWriteBytes].Add(size)
@@ -338,6 +338,22 @@ func (e *Engine) offer(key uint64, size int64, tick int, feat []float64, p cache
 		}
 	}
 	return out
+}
+
+// admitted admits key into p and reports whether this call made it
+// resident, so a write is counted once however many requests missed the
+// key together. A cache.Sharded policy answers under one stripe
+// acquisition. Any other policy is asked Contains after the Admit,
+// which is exact when one request at a time drives it (a bare policy,
+// or the unlocked view under mu): the Get that just missed means the
+// key was absent. A concurrent wrapper around a cache.Sharded is not
+// exact.
+func admitted(p cache.Policy, key uint64, size int64, tick int) bool {
+	if s, ok := p.(*cache.Sharded); ok {
+		return s.Insert(key, size, tick)
+	}
+	p.Admit(key, size, tick)
+	return p.Contains(key)
 }
 
 // Lookup runs the full pipeline for one request: policy lookup, and on

@@ -2,15 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
-
-	"otacache/internal/cluster"
 )
 
 // Server is the serving-stack abstraction over one or many engines: the
 // surface internal/server, the snapshot subsystem, and the daemon drive.
 // *Engine satisfies it directly (a fleet of one); ShardedEngine routes
-// keys over a consistent-hash ring to N fully independent engines.
+// keys by a seeded hash to N fully independent engines.
 //
 // Tick numbering is global to the Server, never per shard: reaccess
 // distances (the criteria's M) are defined over the total request
@@ -51,24 +50,36 @@ func (e *Engine) Shards() []*Engine { return []*Engine{e} }
 // ShardFor implements Server: a plain Engine owns every key.
 func (e *Engine) ShardFor(key uint64) int { return 0 }
 
-// ShardedEngine routes requests over a consistent-hash ring to N fully
-// independent engines. Each shard owns its own policy, admission filter,
-// history table, and (when the daemon wraps one) circuit breaker, so a
-// degraded classifier or a contended lock on one shard never stalls the
-// others. Only the tick counter is shared — see Server.
+// ShardedEngine routes requests by a seeded hash to N fully independent
+// engines. Each shard owns its own policy, admission filter, history
+// table, and (when the daemon wraps one) circuit breaker, so a degraded
+// classifier or a contended lock on one shard never stalls the others.
+// Only the tick counter is shared — see Server.
 //
 // It is safe for concurrent use when every shard engine is (the usual
 // composition: cache.NewSharded policies and the thread-safe filters).
 type ShardedEngine struct {
-	ring   *cluster.Ring
+	// shards and salt are read by every request and never written after
+	// NewShardedEngine.
 	shards []*Engine
-	tick   atomic.Int64
+	salt   uint64
+	// tick is the one field every request writes. The padding gives it
+	// a cache line of its own, so its writes do not evict shards and
+	// salt from the other CPUs' caches: the first pad fills the line
+	// after the slice header (24 bytes) and salt (8).
+	_    [cacheLine - 32]byte
+	tick atomic.Int64
+	_    [cacheLine - 8]byte
 }
 
+// cacheLine is the cache line size of the amd64 and arm64 CPUs the
+// daemon runs on.
+const cacheLine = 64
+
 // NewShardedEngine assembles a sharded engine over the given shard
-// engines. ringSeed fixes the ring's virtual-node placement; the same
-// seed and shard count always route identically, which restarts rely on.
-func NewShardedEngine(shards []*Engine, ringSeed uint64) (*ShardedEngine, error) {
+// engines. seed salts the routing hash; the same seed and shard count
+// always route identically, which restarts rely on.
+func NewShardedEngine(shards []*Engine, seed uint64) (*ShardedEngine, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: sharded engine needs at least one shard")
 	}
@@ -77,25 +88,32 @@ func NewShardedEngine(shards []*Engine, ringSeed uint64) (*ShardedEngine, error)
 			return nil, fmt.Errorf("engine: nil shard %d", i)
 		}
 	}
-	ring, err := cluster.NewRing(len(shards), 0, ringSeed)
-	if err != nil {
-		return nil, err
-	}
-	s := &ShardedEngine{ring: ring, shards: shards}
-	return s, nil
+	return &ShardedEngine{shards: shards, salt: mix(seed)}, nil
 }
 
 // Shards implements Server.
 func (s *ShardedEngine) Shards() []*Engine { return s.shards }
 
-// ShardFor implements Server. A one-shard engine skips the ring walk:
-// the route is forced, and the fast path keeps the 1-shard composition
-// at single-Engine cost on the serving hot path.
+// ShardFor implements Server: the high word of the salted key hash
+// times the shard count (Lemire's multiply-shift range reduction), so
+// each shard owns an equal slice of the hash range. A one-shard engine
+// skips the hash: the route is forced, and the fast path keeps the
+// 1-shard composition at single-Engine cost on the serving hot path.
 func (s *ShardedEngine) ShardFor(key uint64) int {
 	if len(s.shards) == 1 {
 		return 0
 	}
-	return s.ring.Server(key)
+	hi, _ := bits.Mul64(mix(key^s.salt), uint64(len(s.shards)))
+	return int(hi)
+}
+
+// mix is the splitmix64 finalizer: every key bit reaches every output
+// bit, so sequential and strided keys spread evenly.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // NextTick implements Server over the global counter.
@@ -117,9 +135,7 @@ func (s *ShardedEngine) Offer(key uint64, size int64, tick int, feat []float64) 
 	return s.shards[s.ShardFor(key)].Offer(key, size, tick, feat)
 }
 
-// Lookup implements Server, routing to the owning shard. The shard is
-// resolved once: Get and Offer of one request must not race a ring
-// change onto different shards.
+// Lookup implements Server, routing to the owning shard.
 func (s *ShardedEngine) Lookup(key uint64, size int64, tick int, feat []float64) Outcome {
 	return s.shards[s.ShardFor(key)].Lookup(key, size, tick, feat)
 }

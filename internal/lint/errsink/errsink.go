@@ -44,7 +44,6 @@ var DefaultScope = []string{
 	"internal/flash",
 	"internal/cache",
 	"internal/core",
-	"internal/cluster",
 	"internal/server",
 	"cmd/otacached",
 	"cmd/otaload",

@@ -45,7 +45,6 @@ var DefaultScope = []string{
 	"internal/cache",
 	"internal/flash",
 	"internal/core",
-	"internal/cluster",
 	"internal/server",
 }
 

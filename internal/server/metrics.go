@@ -101,7 +101,7 @@ func (s *Server) writeMetricsPage(tw *obs.TextWriter) {
 		{Name: "policy", Value: s.shards[0].Policy().Name()},
 		{Name: "filter", Value: s.shards[0].Filter().Name()},
 	}, 1)
-	tw.Family("ota_engine_shards", "Independent engine shards behind the ring.", "gauge")
+	tw.Family("ota_engine_shards", "Independent engine shards the keys are routed over.", "gauge")
 	tw.Int("ota_engine_shards", nil, int64(len(s.shards)))
 	// Occupancy is read once per shard (under a flash shard's lock), so
 	// the aggregate is the sum of the per-shard samples beside it.

@@ -1,7 +1,7 @@
 // Package server puts the serving engine on the network: an HTTP cache
 // daemon (otacached) exposing an engine.Server — a single engine.Engine
-// or an engine.ShardedEngine routing keys over a consistent-hash ring
-// to independent engine shards — to remote clients, with the
+// or an engine.ShardedEngine routing keys by a seeded hash to
+// independent engine shards — to remote clients, with the
 // operational surface a production cache node needs: cumulative and
 // per-shard metrics, classifier hot-swap across all shards (the
 // wire-level analogue of the §4.4.3 daily retrain), live retraining

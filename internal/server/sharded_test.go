@@ -18,8 +18,8 @@ import (
 	"otacache/internal/trace"
 )
 
-// newShardedTestEngine assembles n admit-all engine shards behind a
-// ring, each with its own thread-safe policy.
+// newShardedTestEngine assembles n hash-routed admit-all engine shards,
+// each with its own thread-safe policy.
 func newShardedTestEngine(t testing.TB, n int) *engine.ShardedEngine {
 	t.Helper()
 	shards := make([]*engine.Engine, n)
@@ -311,7 +311,7 @@ func TestShardedSwapClassifierAllShards(t *testing.T) {
 // TestSnapshotReshardKillAndRestart is the resharding acceptance
 // criterion: a snapshot written by a 4-shard daemon restores into a
 // freshly built 2-shard daemon — residents and history rerouted by the
-// new ring — and the restored node's tail hit rate lands within one
+// new routing — and the restored node's tail hit rate lands within one
 // percentage point of an uninterrupted 2-shard run, with no
 // re-admission write burst.
 func TestSnapshotReshardKillAndRestart(t *testing.T) {
@@ -352,7 +352,7 @@ func TestSnapshotReshardKillAndRestart(t *testing.T) {
 		t.Fatalf("restored tick %d, want %d", restored.Tick(), crashing.Tick())
 	}
 	// Every restored resident must live on exactly the shard the new
-	// ring routes it to, or post-restore lookups would miss warm state.
+	// routing sends it to, or post-restore lookups would miss warm state.
 	shards := restored.Shards()
 	checked := 0
 	for i := range tr.Photos {
@@ -360,7 +360,7 @@ func TestSnapshotReshardKillAndRestart(t *testing.T) {
 		home := restored.ShardFor(key)
 		for si, sh := range shards {
 			if si != home && sh.Policy().Contains(key) {
-				t.Fatalf("key %d restored onto shard %d, ring owner is %d", key, si, home)
+				t.Fatalf("key %d restored onto shard %d, its owner is %d", key, si, home)
 			}
 		}
 		if shards[home].Policy().Contains(key) {

@@ -54,8 +54,8 @@ import (
 // encoder or decoder drifts from it.
 //
 // Restoring does NOT require the stored and configured shard counts to
-// match: every record routes through the restoring engine's own ring
-// (engine.Server.ShardFor), so a 4-shard snapshot reshards cleanly into
+// match: every record routes through the restoring engine's own
+// routing (engine.Server.ShardFor), so a 4-shard snapshot reshards cleanly into
 // a 2-shard daemon and vice versa. Shard sections are collected in
 // parallel on write and applied in parallel on restore (one worker per
 // target shard, which also keeps each shard's re-admission order
@@ -280,7 +280,7 @@ type restoreRec struct {
 // Restore before serving — ideally behind a readiness gate.
 //
 // The stored shard count need not match srv's: every record is routed
-// through srv's own ring (ShardFor), so restoring reshards. The stream
+// through srv's own routing (ShardFor), so restoring reshards. The stream
 // is decoded fully — every shard section and the classifier — before a
 // single record is applied: a truncated or corrupt snapshot (a crash
 // mid-rotation, a bad disk) is rejected with the engine still exactly

@@ -24,7 +24,7 @@ func goldenPath() string {
 	return fmt.Sprintf("testdata/snapshot_v%d.golden", snapVersion)
 }
 
-// goldenEngine builds the golden fixture, cold: two shards on ring
+// goldenEngine builds the golden fixture, cold: two shards on routing
 // seed 7, each an LRU over two stripes (explicit, so the bytes do not
 // depend on GOMAXPROCS). Shard 0 admits everything; shard 1 runs the
 // classifier admission with a history table and a one-split tree, so
@@ -153,10 +153,12 @@ func residents(sh *engine.Engine) []snapResident {
 // per format version: the fixture's WriteSnapshot output must equal
 // the golden byte for byte, reading the golden into a fresh fixture
 // must restore the source's exact state, and writing that restored
-// engine must give the golden back. A layout change without a
-// snapVersion bump fails the first check; a bump without a new golden
-// fails the read of the file. Regenerate with -update only for a
-// deliberate format change.
+// engine must give the golden back. The bytes follow the layout and
+// the fixture's decisions, routing included: a layout change must bump
+// snapVersion (a bump without a new golden fails the read of the
+// file), while a routing or policy change at the same layout
+// regenerates the golden with -update, and the file it replaces must
+// still restore (TestSnapshotRingGoldenRestores).
 func TestSnapshotGolden(t *testing.T) {
 	src := goldenEngine(t)
 	driveGolden(src)
@@ -171,7 +173,8 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	golden := goldenSnapshot(t)
 	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d in %s; "+
+		t.Fatalf("WriteSnapshot wrote %d bytes that differ from the %d in %s: "+
+			"the wire layout or the fixture's decisions (routing, admission, eviction) moved; "+
 			"a layout change must bump snapVersion and add its golden", buf.Len(), len(golden), goldenPath())
 	}
 
@@ -214,6 +217,89 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
 		t.Error("writing the restored engine does not reproduce the golden")
+	}
+}
+
+// ringGoldenPath is a version-2 snapshot written by the same fixture
+// when engine shards were routed over a consistent-hash ring, so its
+// records sit in the sections that ring chose.
+const ringGoldenPath = "testdata/snapshot_v2_ring.golden"
+
+// TestSnapshotRingGoldenRestores pins that a snapshot written under the
+// ring routing restores into today's fixture, each record moved to the
+// shard ShardFor names now. The reference is the file restored into one
+// wide shard, which keeps every record in file order. Each fixture
+// shard must then hold exactly what re-admitting its share of those
+// residents, in file order, leaves in a fresh policy of its shape (its
+// 1 KiB stripes evict a few), and shard 1's table exactly its share of
+// the entries.
+func TestSnapshotRingGoldenRestores(t *testing.T) {
+	data, err := os.ReadFile(ringGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := goldenEngine(t)
+	adm, err := core.NewClassifierAdmission(engine.Admission(tmpl.Shards()[1].Filter()).Classifier(),
+		core.NewHistoryTable(64), labeling.Criteria{M: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := engine.New(cache.NewLRU(1<<20), adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(data), wide); err != nil {
+		t.Fatal(err)
+	}
+	fileResidents, fileEntries := residents(wide), adm.Table().Entries()
+
+	dst := goldenEngine(t)
+	res, err := ReadSnapshot(bytes.NewReader(data), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fileResidents) == 0 || res.Residents != len(fileResidents) {
+		t.Fatalf("restore decoded %d residents, the file holds %d", res.Residents, len(fileResidents))
+	}
+	restored := 0
+	for i, sh := range dst.Shards() {
+		ref, err := cache.NewSharded(2048, 2, func(c int64) cache.Policy { return cache.NewLRU(c) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range fileResidents {
+			if dst.ShardFor(r.key) == i {
+				ref.Admit(r.key, r.size, 0)
+			}
+		}
+		want, err := engine.New(ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := residents(sh)
+		if !slices.Equal(got, residents(want)) {
+			t.Errorf("shard %d residents after restore:\n got %v\nwant %v", i, got, residents(want))
+		}
+		restored += len(got)
+	}
+	if restored == 0 {
+		t.Fatal("nothing restored")
+	}
+
+	// Only shard 1 keeps a table; entries routed to the admit-all shard
+	// are dropped, as on any restore.
+	var kept []core.TableEntry
+	for _, e := range fileEntries {
+		if dst.ShardFor(e.Key) == 1 {
+			kept = append(kept, e)
+		}
+	}
+	entries := engine.Admission(dst.Shards()[1].Filter()).Table().Entries()
+	if len(kept) == 0 || !slices.Equal(entries, kept) {
+		t.Errorf("table entries after restore:\n got %v\nwant %v (of %v)", entries, kept, fileEntries)
+	}
+	if dst.Tick() != wide.Tick() || dst.Tick() == 0 {
+		t.Errorf("restored tick %d, the wide restore's %d", dst.Tick(), wide.Tick())
 	}
 }
 

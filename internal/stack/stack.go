@@ -35,7 +35,7 @@ type Config struct {
 	Policy string // -policy: a cache.Names() replacement policy
 	Mode   string // -mode: original|proposal|ideal|doorkeeper
 
-	Seed           uint64  // -seed: bootstrap training and the ring's placement
+	Seed           uint64  // -seed: bootstrap training and the engine shards' routing salt
 	Bytes          int64   // -bytes: capacity (0 = Frac of the trace footprint)
 	Frac           float64 // -frac
 	Shards         int     // -shards: policy stripes (0 = 2x GOMAXPROCS)

@@ -76,8 +76,8 @@ type LayerConfig struct {
 	Shards int
 	// EngineShards, when > 1, builds that many fully independent
 	// engines — each owning 1/N of the capacity with its own policy,
-	// admission filter, and history table — behind a consistent-hash
-	// ring (engine.ShardedEngine, exposed as Layer.Server). The layer's
+	// admission filter, and history table — routed by a seeded hash of
+	// the key (engine.ShardedEngine, exposed as Layer.Server). The layer's
 	// Shards cache-shard budget is split across them, but every engine
 	// shard's policy is lock-protected regardless, since requests for
 	// different keys land on the same engine shard concurrently. 0 or 1
@@ -297,7 +297,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 
 // BuildLayer assembles one serving-ready layer from a trace: the
 // replacement policy, the layer's admission (NewAdmission), and the
-// Engine (or, with EngineShards > 1, the ring of independent engines)
+// Engine (or, with EngineShards > 1, the hash-routed independent engines)
 // composing them. Exported so a cache server can deploy a single layer
 // without running the two-tier simulation.
 //
@@ -361,7 +361,7 @@ func BuildLayer(tr *trace.Trace, next []int, cfg Config, lc LayerConfig) (*Layer
 	}
 
 	// Engine-sharded: the capacity, inner cache-shard budget, and
-	// history-table budget split evenly; the ring seed is the layer
+	// history-table budget split evenly; the routing seed is the layer
 	// seed, so an identically configured restart routes identically.
 	per := lc.CacheBytes / int64(nshards)
 	if per < 1 {
