@@ -15,6 +15,11 @@ import (
 // distances (the criteria's M) are defined over the total request
 // stream, so the history tables of every shard must compare ticks drawn
 // from one counter.
+//
+// Lookup and Offer read feat only while they run and keep no reference
+// to it (a filter that wants the vector later copies it), so a caller
+// may decode every request's features into one reused buffer, as the
+// daemon's connection loop does.
 type Server interface {
 	// Lookup runs the full pipeline for one request: policy lookup, and
 	// on a miss the admission decision and insertion.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -18,7 +17,7 @@ var (
 // newBenchServer is the handler rung's stack: a four-stripe LRU behind
 // classifier admission, with the feature arity enforced, as the
 // http-proposal daemon runs it.
-func newBenchServer(b *testing.B) *Server {
+func newBenchServer(b testing.TB) *Server {
 	return New(newTestEngine(b, trainThresholdTree(b, 0.5, false)), Config{NumFeatures: 5})
 }
 
@@ -63,14 +62,7 @@ func BenchmarkObjectHandler(b *testing.B) {
 // as otabench runs them. It prices the client, the socket and the
 // server's connection handling on top of the handler rung.
 func BenchmarkClientLoopback(b *testing.B) {
-	s := newBenchServer(b)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go s.Serve(ln)
-	b.Cleanup(func() { s.httpSrv.Close() })
-	c := NewClient("http://"+ln.Addr().String(), 1)
+	c := NewClient(serveTest(b, newBenchServer(b)).URL, 1)
 	c.SetRetry(RetryConfig{MaxAttempts: 1})
 	if _, err := c.Lookup(1, 100, benchFeat); err != nil {
 		b.Fatal(err)

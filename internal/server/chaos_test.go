@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -84,8 +83,7 @@ func TestE2EChaosMediaFaults(t *testing.T) {
 	}
 
 	srv := New(se, Config{})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	hs := serveTest(t, srv)
 	c := NewClient(hs.URL, 2)
 	// One attempt per request: a 5xx fails the Lookup instead of being
 	// retried away, so "zero 5xx under media faults" is measured honestly.
@@ -248,8 +246,7 @@ func TestReadyzFlashEOL(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(se, Config{})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	hs := serveTest(t, srv)
 	c := NewClient(hs.URL, 1)
 	c.SetRetry(RetryConfig{MaxAttempts: 1})
 

@@ -105,7 +105,9 @@ func NewClient(base string, workers int) *Client {
 	// A base that does not parse fails every request: object requests
 	// return urlErr, control requests fail in http.NewRequest.
 	if c.url, c.urlErr = url.Parse(c.base); c.urlErr == nil {
-		c.rt = newConnPool(c.url, workers*2, clientTimeout)
+		p := newConnPool(c.url, workers*2, clientTimeout)
+		p.target = c.objectTarget()
+		c.rt = p
 	}
 	c.SetRetry(RetryConfig{})
 	return c
@@ -229,6 +231,28 @@ func (c *Client) newObjectRequest(method string, key uint64, size int64, feat []
 	}, nil
 }
 
+// objectTarget returns an object request's request-URI up to its key
+// for the codec, or "" when the codec cannot write this base URL's
+// object requests byte for byte as (*http.Request).Write does: the
+// check renders one both ways.
+func (c *Client) objectTarget() string {
+	req, err := c.newObjectRequest(http.MethodGet, 0, 1, nil)
+	if err != nil {
+		return ""
+	}
+	target, ok := strings.CutSuffix(req.URL.RequestURI(), "/object/0")
+	if !ok {
+		return ""
+	}
+	target += "/object/"
+	var want bytes.Buffer
+	if req.Write(&want) != nil ||
+		!bytes.Equal(want.Bytes(), appendObjectRequest(nil, http.MethodGet, target, c.url.Host, 0, 1, nil)) {
+		return ""
+	}
+	return target
+}
+
 // roundTrip sends req through the client's transport, naming the
 // request in a failure as http.Client does.
 func (c *Client) roundTrip(req *http.Request) (*http.Response, error) {
@@ -248,7 +272,16 @@ func (c *Client) do(method, path string, body io.Reader) (*http.Response, error)
 	return c.roundTrip(req)
 }
 
+// objectRequest sends one object request: through the codec on the
+// default transport, as an *http.Request on any other.
 func (c *Client) objectRequest(method string, key uint64, size int64, feat []float64) (LookupResult, error) {
+	if p, ok := c.rt.(*connPool); ok && p.target != "" {
+		x := exchange{method: method, key: key, size: size, feat: feat}
+		if err := p.run(&x); err != nil {
+			return LookupResult{}, &url.Error{Op: method, URL: c.base + "/object/" + strconv.FormatUint(key, 10), Err: err}
+		}
+		return x.res, x.err
+	}
 	req, err := c.newObjectRequest(method, key, size, feat)
 	if err != nil {
 		return LookupResult{}, err

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"otacache/internal/engine"
@@ -61,8 +60,7 @@ func TestE2EServerMatchesInProcess(t *testing.T) {
 	// by the otaload client machinery with one worker so the request
 	// order (and hence the tick sequence) matches the trace.
 	srv := New(buildE2E(t, tr), Config{NumFeatures: len(features.PaperSelected())})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	hs := serveTest(t, srv)
 
 	c := NewClient(hs.URL, 1)
 	rep, err := c.Replay(tr, ReplayOptions{Workers: 1, Features: true})

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +39,7 @@ func (s errPanicMix) Nth(n uint64) faults.Fault {
 // schedule, guarded by a breaker (unless bare is set, in which case the
 // faulty filter is wired in directly and only the HTTP-layer recovery
 // middleware stands between a panic and the client).
-func newFaultyServer(t *testing.T, sched faults.Schedule, bare bool) (*Server, *httptest.Server) {
+func newFaultyServer(t *testing.T, sched faults.Schedule, bare bool) (*Server, *testServer) {
 	t.Helper()
 	policy, err := cache.NewSharded(1<<20, 4, func(c int64) cache.Policy { return cache.NewLRU(c) })
 	if err != nil {
@@ -61,9 +60,7 @@ func newFaultyServer(t *testing.T, sched faults.Schedule, bare bool) (*Server, *
 		t.Fatal(err)
 	}
 	srv := New(eng, Config{NumFeatures: 5})
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-	return srv, hs
+	return srv, serveTest(t, srv)
 }
 
 // TestObjectPathNever5xxUnderClassifierFaults is the acceptance

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -131,6 +133,98 @@ func FuzzDecodeObject(f *testing.F) {
 		}
 		if res.Hit != (hit == "true") || res.Degraded != (degraded == "true") {
 			t.Fatalf("decoded %+v from hit=%q degraded=%q", res, hit, degraded)
+		}
+	})
+}
+
+// FuzzObjectHead checks the daemon's object codec against net/http:
+// whatever head parseObjectHead accepts, http.ReadRequest (and the
+// checks the fallback adds) accepts too, consuming the same bytes, and
+// the two agree on the method, the key, X-Ota-Size, X-Ota-Feat and
+// whether the connection closes.
+func FuzzObjectHead(f *testing.F) {
+	for _, h := range []string{
+		"GET /object/17 HTTP/1.1\r\nHost: 127.0.0.1:8344\r\nUser-Agent: Go-http-client/1.1\r\nX-Ota-Feat: 0.25,3,1024,0.125,7\r\nX-Ota-Size: 100\r\n\r\n",
+		"PUT /object/0 HTTP/1.1\r\nhost: h\r\nContent-Length: 0\r\nx-ota-size:  9 \r\nConnection: close\r\n\r\nGET /",
+		"GET /object/1 HTTP/1.1\r\nHost: h\r\nConnection: Keep-Alive\r\nX-Ota-Feat:\t\r\n\r\n",
+		"GET /object/1 HTTP/1.1\r\nHost: h\r\nHost: h\r\n\r\n",
+		"GET /object/1 HTTP/1.1\r\nHost: h\r\n folded\r\n\r\n",
+		"GET /object/1 HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n",
+		"GET /object/99999999999999999999 HTTP/1.1\r\nHost: [::1]:80\r\n\r\n",
+	} {
+		f.Add([]byte(h))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, n, st := parseObjectHead(b)
+		if st != headDone {
+			return
+		}
+		hosts, counted := hostLines(b)
+		src := bytes.NewReader(b)
+		br := bufio.NewReader(src)
+		req, err := http.ReadRequest(br)
+		if err == nil {
+			err = checkRequest(req, hosts, counted)
+		}
+		if err != nil {
+			t.Fatalf("codec accepted %q; net/http: %v", b[:n], err)
+		}
+		if consumed := len(b) - br.Buffered() - src.Len(); consumed != n {
+			t.Fatalf("codec read %d bytes of head, net/http %d: %q", n, consumed, b)
+		}
+		method := http.MethodGet
+		if h.offer {
+			method = http.MethodPut
+		}
+		got := fmt.Sprintf("%s %s size=%q feat=%q close=%v", method, "/object/"+string(h.key), h.size, h.feat, h.close)
+		want := fmt.Sprintf("%s %s size=%q feat=%q close=%v", req.Method, req.URL.RequestURI(),
+			req.Header.Get("X-Ota-Size"), req.Header.Get("X-Ota-Feat"), req.Close)
+		if got != want || req.ContentLength != 0 || req.TransferEncoding != nil {
+			t.Fatalf("%q:\ncodec:    %s\nnet/http: %s (length %d, encoding %v)", b, got, want, req.ContentLength, req.TransferEncoding)
+		}
+	})
+}
+
+// FuzzObjectResponse checks the client's object codec against
+// http.ReadResponse and decodeObject: whatever response head
+// parseObjectResponse accepts, net/http reads with the same status,
+// length and close, consuming the same bytes, and decodes to the same
+// result or error.
+func FuzzObjectResponse(f *testing.F) {
+	for _, h := range []string{
+		"HTTP/1.1 404 Not Found\r\nX-Ota-Admitted: true\r\nX-Ota-Hit: false\r\nX-Ota-Predicted-One-Time: false\r\nX-Ota-Rectified: false\r\nX-Ota-Written: true\r\nDate: Mon, 19 Oct 2026 17:06:01 GMT\r\nContent-Length: 5\r\nContent-Type: text/plain; charset=utf-8\r\n\r\nMISS\n",
+		"HTTP/1.1 200 OK\r\nx-ota-hit:  true \r\nContent-Length: 4\r\nConnection: close\r\n\r\nHIT\n",
+		"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 400\r\nContent-Length: 3\r\nX-Ota-Degraded: TRUE\r\n\r\nbad",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nHIT\n\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nHIT\n",
+	} {
+		f.Add([]byte(h))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, n, st := parseObjectResponse(b)
+		if st != headDone {
+			return
+		}
+		src := bytes.NewReader(b)
+		br := bufio.NewReader(src)
+		resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+		if err != nil {
+			t.Fatalf("codec accepted %q; net/http: %v", b[:n], err)
+		}
+		if consumed := len(b) - br.Buffered() - src.Len(); consumed != n {
+			t.Fatalf("codec read %d bytes of head, net/http %d: %q", n, consumed, b)
+		}
+		res, err := r.decode()
+		wantRes, wantErr := decodeObject(resp)
+		got := fmt.Sprintf("%d %q length=%d close=%v %+v %v", r.code, r.status, r.length, r.close, res, err)
+		want := fmt.Sprintf("%d %q length=%d close=%v %+v %v", resp.StatusCode, resp.Status, resp.ContentLength, resp.Close, wantRes, wantErr)
+		if got != want {
+			t.Fatalf("%q:\ncodec:    %s\nnet/http: %s", b, got, want)
+		}
+		var r5 retryable5xx
+		if errors.As(err, &r5) != errors.As(wantErr, &r5) {
+			t.Fatalf("%q: retryable disagrees: codec %v, net/http %v", b, err, wantErr)
 		}
 	})
 }

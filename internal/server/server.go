@@ -56,10 +56,26 @@
 // Responses decided by the circuit breaker's fallback (classifier
 // error, panic, or latency-budget overrun) carry X-Ota-Degraded: true;
 // /metrics reports the breaker state and the degraded-decision count.
+//
+// # Serving
+//
+// Serve runs the daemon's own HTTP/1.1 connection loop, one goroutine
+// per connection; net/http's server is not on the serving path. A
+// request head of the object route's exact shape (GET|PUT
+// /object/<decimal> HTTP/1.1, token header names, exactly one Host, at
+// most one X-Ota-Size and X-Ota-Feat, Content-Length absent or 0,
+// Connection keep-alive or close, no Transfer-Encoding, Expect, Upgrade
+// or Trailer, the whole head within 4 KiB) is parsed and answered by
+// the object codec (wire.go) on the connection goroutine, allocating
+// nothing. Every other request is read by http.ReadRequest and served
+// by Handler() through a buffered ResponseWriter, with net/http's
+// rules for the response head and the connection's reuse; a
+// differential test and two fuzz targets hold the two paths to
+// net/http's answers. The client's default transport writes and reads
+// object requests through the same codec.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,13 +99,18 @@ import (
 
 // Config carries the operational knobs of one daemon.
 type Config struct {
-	// MaxConns caps concurrently accepted connections (0 = unlimited).
+	// MaxConns caps concurrently open connections (0 = unlimited): the
+	// accept loop takes a slot before each Accept, and a connection
+	// gives it back when it closes, so an idle keep-alive connection
+	// holds one.
 	MaxConns int
-	// RequestTimeout bounds reading each request's headers, and the
-	// handling of every request but GET and PUT /object/<decimal key>
-	// (0 = 5s). Object requests run on the connection goroutine with no
-	// handler timeout: their handler does no I/O, so the header read is
-	// the only wait they have.
+	// RequestTimeout bounds reading each request's head, counted from
+	// accept for a connection's first request and from the first byte
+	// for every later one (a connection idle between requests has no
+	// deadline), and the handling of every request but GET and PUT
+	// /object/<decimal key> (0 = 5s). Object requests run on the
+	// connection goroutine with no handler timeout: their handler does
+	// no I/O, so the head read is the only wait they have.
 	RequestTimeout time.Duration
 	// NumFeatures is the expected X-Ota-Feat vector length; requests
 	// with a different length are rejected with 400 before they can
@@ -156,7 +177,19 @@ type Server struct {
 	swapMu    sync.Mutex
 	retrainer *Retrainer
 	snap      *Snapshotter
-	httpSrv   *http.Server
+	// handler is the net/http side of the wire protocol (Handler): the
+	// connection loop serves every request the object codec declines
+	// through it.
+	handler http.Handler
+	// The connection loop's state (conn.go): the listeners Serve is
+	// accepting on and the open connections, both under mu; shutdown
+	// is set, and quit closed, once Shutdown begins.
+	mu        sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[*conn]struct{}
+	shutdown  atomic.Bool
+	quit      chan struct{}
+	quitOnce  sync.Once
 	// clock supplies the server's notion of time (uptime accounting and
 	// all latency measurement); tests substitute a faults.FakeClock.
 	clock   faults.Clock
@@ -193,7 +226,7 @@ type Server struct {
 // new server is ready; use SetNotReady around snapshot restoration.
 func New(eng engine.Server, cfg Config) *Server {
 	cfg.normalize()
-	s := &Server{eng: eng, cfg: cfg, clock: cfg.Clock}
+	s := &Server{eng: eng, cfg: cfg, clock: cfg.Clock, quit: make(chan struct{})}
 	s.started = s.clock.Now()
 	s.notReady.Store("")
 	s.shards = eng.Shards()
@@ -228,26 +261,23 @@ func New(eng engine.Server, cfg Config) *Server {
 	}
 	object := s.recoverPanics(http.HandlerFunc(s.handleObject))
 	rest := http.TimeoutHandler(s.recoverPanics(s.mux()), cfg.RequestTimeout, "request timeout\n")
-	s.httpSrv = &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if key, ok := objectKey(r); ok {
-				r.SetPathValue("key", key)
-				object.ServeHTTP(w, r)
-				return
-			}
-			rest.ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: cfg.RequestTimeout,
-	}
+	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if key, ok := objectKey(r); ok {
+			r.SetPathValue("key", key)
+			object.ServeHTTP(w, r)
+			return
+		}
+		rest.ServeHTTP(w, r)
+	})
 	return s
 }
 
-// objectKey recognizes the serving hot path, GET or PUT /object/ and
-// one segment of decimal digits, returning that segment. It runs on the
-// connection goroutine: no mux match and no TimeoutHandler, which would
-// start a goroutine per request. Anything else, including every path
-// the mux would clean or redirect, goes to the mux, whose object routes
-// serve the same handler.
+// objectKey recognizes the object route in a request net/http parsed,
+// GET or PUT /object/ and one segment of decimal digits, returning that
+// segment. It runs on the connection goroutine: no mux match and no
+// TimeoutHandler, which would start a goroutine per request. Anything
+// else, including every path the mux would clean or redirect, goes to
+// the mux, whose object routes serve the same handler.
 func objectKey(r *http.Request) (string, bool) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPut {
 		return "", false
@@ -347,10 +377,11 @@ func (s *Server) AttachRetrainer(rt *Retrainer) { s.retrainer = rt }
 // Retrainer returns the attached retrainer (nil if none).
 func (s *Server) Retrainer() *Retrainer { return s.retrainer }
 
-// Handler returns the daemon's full HTTP handler (the object fast path
-// and the control plane's per-request timeout included), for tests and
-// embedders that bring their own listener management.
-func (s *Server) Handler() http.Handler { return s.httpSrv.Handler }
+// Handler returns the daemon's full HTTP handler (the object route and
+// the control plane's per-request timeout included), for tests and
+// embedders that bring their own listener management. Serve answers
+// every request as this handler does under net/http's server.
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // mux routes the wire protocol.
 func (s *Server) mux() *http.ServeMux {
@@ -387,49 +418,50 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// Serve accepts connections on ln until Shutdown, applying the
-// connection cap. It returns nil after a clean Shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	if s.cfg.MaxConns > 0 {
-		ln = limitListener(ln, s.cfg.MaxConns)
-	}
-	err := s.httpSrv.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Shutdown drains in-flight requests: readiness flips to "draining",
-// the listener closes immediately (new connections are refused), idle
-// connections are torn down, and active requests get until ctx expires
-// to finish.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.SetNotReady("draining")
-	return s.httpSrv.Shutdown(ctx)
-}
+// text is the two forms an object request's fields arrive in: strings
+// from a parsed *http.Request, bytes from the codec's read buffer.
+type text interface{ ~string | ~[]byte }
 
 // parseObject extracts the key, size, and feature vector of one object
-// request, enforcing the configured feature arity.
+// request parsed by net/http.
 func (s *Server) parseObject(r *http.Request) (key uint64, size int64, feat []float64, err error) {
-	key, err = strconv.ParseUint(r.PathValue("key"), 10, 64)
+	return parseObjectFields(s, r.PathValue("key"), r.Header.Get("X-Ota-Size"), r.Header.Get("X-Ota-Feat"), nil)
+}
+
+// parseObjectFields is the object route's one validation: the key
+// segment, the X-Ota-Size value and the X-Ota-Feat value (empty when
+// absent) become the key, the size and the feature vector, enforcing
+// the configured feature arity. The vector is decoded into buf when it
+// fits there.
+func parseObjectFields[T text](s *Server, keySeg, sizeHdr, featHdr T, buf []float64) (key uint64, size int64, feat []float64, err error) {
+	key, err = strconv.ParseUint(string(keySeg), 10, 64)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("bad key: %v", err)
 	}
-	sizeHdr := r.Header.Get("X-Ota-Size")
-	if sizeHdr == "" {
+	if len(sizeHdr) == 0 {
 		return 0, 0, nil, fmt.Errorf("missing X-Ota-Size header")
 	}
-	size, err = strconv.ParseInt(sizeHdr, 10, 64)
+	size, err = strconv.ParseInt(string(sizeHdr), 10, 64)
 	if err != nil || size <= 0 {
 		return 0, 0, nil, fmt.Errorf("bad X-Ota-Size %q", sizeHdr)
 	}
-	if fh := r.Header.Get("X-Ota-Feat"); fh != "" {
-		feat = make([]float64, strings.Count(fh, ",")+1)
+	if len(featHdr) > 0 {
+		n := 1
+		for i := 0; i < len(featHdr); i++ {
+			if featHdr[i] == ',' {
+				n++
+			}
+		}
+		if feat = buf[:0]; cap(feat) < n {
+			feat = make([]float64, n)
+		}
+		feat = feat[:n]
 		for i := range feat {
-			var p string
-			p, fh, _ = strings.Cut(fh, ",")
-			feat[i], err = strconv.ParseFloat(strings.TrimSpace(p), 64)
+			p := featHdr
+			if j := indexComma(featHdr); j >= 0 {
+				p, featHdr = featHdr[:j], featHdr[j+1:]
+			}
+			feat[i], err = strconv.ParseFloat(strings.TrimSpace(string(p)), 64)
 			if err != nil || math.IsNaN(feat[i]) || math.IsInf(feat[i], 0) {
 				return 0, 0, nil, fmt.Errorf("bad X-Ota-Feat element %q", p)
 			}
@@ -442,6 +474,42 @@ func (s *Server) parseObject(r *http.Request) (key uint64, size int64, feat []fl
 		return 0, 0, nil, fmt.Errorf("classifier admission requires X-Ota-Feat")
 	}
 	return key, size, feat, nil
+}
+
+func indexComma[T text](b T) int {
+	for i := 0; i < len(b); i++ {
+		if b[i] == ',' {
+			return i
+		}
+	}
+	return -1
+}
+
+// serveObject is the object route past the wire, for handleObject and
+// the codec alike: parse, the retrainer's sample, the engine call, and
+// the latency and trace records. A non-nil error is a 400 with its
+// text. feat is the decoded vector (in buf when it fitted).
+func serveObject[T text](s *Server, offer bool, keySeg, sizeHdr, featHdr T, buf []float64) (out engine.Outcome, feat []float64, err error) {
+	t := s.beginObject()
+	key, size, feat, err := parseObjectFields(s, keySeg, sizeHdr, featHdr, buf)
+	if err != nil {
+		return out, feat, err
+	}
+	s.afterParse(&t)
+	if s.testHookRequest != nil {
+		s.testHookRequest()
+	}
+	tick := s.eng.NextTick()
+	if s.retrainer != nil {
+		s.retrainer.Observe(key, tick, feat)
+	}
+	if offer {
+		out = s.eng.Offer(key, size, tick, feat)
+	} else {
+		out = s.eng.Lookup(key, size, tick, feat)
+	}
+	s.finishObject(t, key, tick, out, offer)
+	return out, feat, nil
 }
 
 // Decision header values. Responses share these slices, so nothing may
@@ -458,56 +526,22 @@ func hdrBool(b bool) []string {
 	return hdrFalse
 }
 
-func writeDecision(h http.Header, out engine.Outcome) {
-	h["X-Ota-Admitted"] = hdrBool(out.Decision.Admit)
-	h["X-Ota-Written"] = hdrBool(out.Written)
-	h["X-Ota-Rectified"] = hdrBool(out.Decision.Rectified)
-	h["X-Ota-Predicted-One-Time"] = hdrBool(out.Decision.PredictedOneTime)
-	if out.Decision.Degraded {
-		h["X-Ota-Degraded"] = hdrTrue
-	}
-}
-
-// handleObject serves both object routes: GET (and, through the mux,
-// HEAD) runs the full lookup, answering 200 on a hit and 404 with the
-// decision on a miss; PUT runs the offer and always answers 200 with
-// the decision.
+// handleObject serves both object routes for net/http: GET (and,
+// through the mux, HEAD) runs the full lookup, answering 200 on a hit
+// and 404 with the decision on a miss; PUT runs the offer and always
+// answers 200 with the decision.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	t := s.beginObject()
-	key, size, feat, err := s.parseObject(r)
+	offer := r.Method == http.MethodPut
+	out, _, err := serveObject(s, offer, r.PathValue("key"), r.Header.Get("X-Ota-Size"), r.Header.Get("X-Ota-Feat"), nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.afterParse(&t)
-	if s.testHookRequest != nil {
-		s.testHookRequest()
-	}
-	tick := s.eng.NextTick()
-	if s.retrainer != nil {
-		s.retrainer.Observe(key, tick, feat)
-	}
-	offer := r.Method == http.MethodPut
-	var out engine.Outcome
-	if offer {
-		out = s.eng.Offer(key, size, tick, feat)
-	} else {
-		out = s.eng.Lookup(key, size, tick, feat)
-	}
-	s.finishObject(t, key, tick, out, offer)
 	h := w.Header()
-	body := "OFFERED\n"
-	switch {
-	case offer:
-		writeDecision(h, out)
-	case out.Hit:
-		h["X-Ota-Hit"] = hdrTrue
-		body = "HIT\n"
-	default:
-		h["X-Ota-Hit"] = hdrFalse
-		writeDecision(h, out)
-		w.WriteHeader(http.StatusNotFound)
-		body = "MISS\n"
+	objectHeaders(out, offer, func(name string, v bool) { h[name] = hdrBool(v) })
+	code, body := objectStatus(out, offer)
+	if code != http.StatusOK {
+		w.WriteHeader(code)
 	}
 	if _, err := io.WriteString(w, body); err != nil {
 		s.encodeErrors.Add(1)
@@ -586,37 +620,4 @@ func (s *Server) handleRetrain(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
 	s.writeJSON(w, res)
-}
-
-// limitListener caps concurrent connections with a semaphore acquired
-// before Accept and released when the connection closes.
-type limitedListener struct {
-	net.Listener
-	sem chan struct{}
-}
-
-func limitListener(ln net.Listener, n int) net.Listener {
-	return &limitedListener{Listener: ln, sem: make(chan struct{}, n)}
-}
-
-func (l *limitedListener) Accept() (net.Conn, error) {
-	l.sem <- struct{}{}
-	c, err := l.Listener.Accept()
-	if err != nil {
-		<-l.sem
-		return nil, err
-	}
-	return &limitedConn{Conn: c, release: func() { <-l.sem }}, nil
-}
-
-type limitedConn struct {
-	net.Conn
-	once    sync.Once
-	release func()
-}
-
-func (c *limitedConn) Close() error {
-	err := c.Conn.Close()
-	c.once.Do(c.release)
-	return err
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,10 +65,43 @@ func newTestEngine(t testing.TB, filter core.Filter) *engine.Engine {
 	return eng
 }
 
-func startTestServer(t testing.TB, s *Server) (*httptest.Server, *Client) {
+// testServer is a Server running Serve on a loopback listener until
+// the test ends, then drained with Shutdown: the harness the server
+// tests run on, so they reach the connection loop the daemon ships.
+type testServer struct {
+	URL string
+	ln  *countingListener
+}
+
+func serveTest(t testing.TB, s *Server) *testServer {
 	t.Helper()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(cl) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if s.Shutdown(ctx) != nil {
+			cl.CloseConns()
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return &testServer{URL: "http://" + ln.Addr().String(), ln: cl}
+}
+
+// CloseClientConnections closes every connection the server accepted,
+// as httptest.Server's method of the name does.
+func (ts *testServer) CloseClientConnections() { ts.ln.CloseConns() }
+
+func startTestServer(t testing.TB, s *Server) (*testServer, *Client) {
+	t.Helper()
+	ts := serveTest(t, s)
 	return ts, NewClient(ts.URL, 4)
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -60,8 +59,7 @@ func TestE2EShardedServerMatchesInProcess(t *testing.T) {
 	}
 
 	srv := New(buildE2E(t, tr, withEngineShards(4)), Config{NumFeatures: len(features.PaperSelected())})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	hs := serveTest(t, srv)
 
 	c := NewClient(hs.URL, 1)
 	rep, err := c.Replay(tr, ReplayOptions{Workers: 1, Features: true})

@@ -24,8 +24,11 @@ import (
 // connection the server closed is only noticed when it is next used;
 // GET and HEAD redial once in that case (below).
 type connPool struct {
-	host    string // the URL host the pool serves, as in the base URL
-	addr    string // dial address: host with the port made explicit
+	host string // the URL host the pool serves, as in the base URL
+	addr string // dial address: host with the port made explicit
+	// target is an object request's request-URI up to the key, when the
+	// codec writes this pool's object requests ("" when it does not).
+	target  string
 	maxIdle int
 	// timeout is each request's connection deadline (dial, write, and
 	// the response up to the body's last byte).
@@ -49,6 +52,22 @@ func newConnPool(u *url.URL, maxIdle int, timeout time.Duration) *connPool {
 	return &connPool{host: u.Host, addr: addr, maxIdle: maxIdle, timeout: timeout}
 }
 
+// exchange is one round trip on the pool: an *http.Request, or (req
+// nil) an object request the codec writes and reads itself.
+type exchange struct {
+	req  *http.Request
+	resp *http.Response
+
+	method string
+	key    uint64
+	size   int64
+	feat   []float64
+	// res and err are the object request's decoded outcome: err is a
+	// status the server answered with, not a transport failure.
+	res LookupResult
+	err error
+}
+
 // RoundTrip implements http.RoundTripper. A connection returns to the
 // pool only once its response body has been read to EOF and closed,
 // and neither side asked to close it; any error discards it.
@@ -56,17 +75,28 @@ func (p *connPool) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL.Scheme != "http" || req.URL.Host != p.host {
 		return nil, closeBody(req, fmt.Errorf("transport serves http://%s only", p.host))
 	}
+	x := exchange{req: req}
+	if err := p.run(&x); err != nil {
+		return nil, closeBody(req, err)
+	}
+	return x.resp, nil
+}
+
+// run performs one exchange on a pooled or fresh connection.
+func (p *connPool) run(x *exchange) error {
 	// net/http's rule for replaying a request on a fresh connection:
 	// GET and HEAD with no body, which the server cannot have acted on
 	// if the reused connection failed before any response byte.
-	replayable := (req.Method == http.MethodGet || req.Method == http.MethodHead) &&
-		(req.Body == nil || req.Body == http.NoBody)
+	replayable := x.method == http.MethodGet
+	if req := x.req; req != nil {
+		replayable = (req.Method == http.MethodGet || req.Method == http.MethodHead) &&
+			(req.Body == nil || req.Body == http.NoBody)
+	}
 	pc, reused, err := p.get()
 	for err == nil {
-		var resp *http.Response
 		var received bool
-		if resp, received, err = p.exchange(pc, req); err == nil {
-			return resp, nil
+		if received, err = p.exchange(pc, x); err == nil {
+			return nil
 		}
 		err = errors.Join(err, pc.conn.Close())
 		// A reused connection that failed before any response byte, and
@@ -77,29 +107,58 @@ func (p *connPool) RoundTrip(req *http.Request) (*http.Response, error) {
 		pc, err = p.dial()
 		reused = false
 	}
-	return nil, closeBody(req, err)
+	return err
 }
 
-// exchange writes req on pc and reads the response head. received
-// reports whether any response byte arrived before an error.
-func (p *connPool) exchange(pc *poolConn, req *http.Request) (resp *http.Response, received bool, err error) {
+// exchange writes x's request on pc and reads the response: for an
+// *http.Request its head (the body is the caller's to read), for an
+// object request all of it. received reports whether any response byte
+// arrived before an error.
+func (p *connPool) exchange(pc *poolConn, x *exchange) (received bool, err error) {
 	// A socket deadline is wall time whatever clock the client paces
 	// its backoff with.
 	if err := pc.conn.SetDeadline(faults.WallClock{}.Now().Add(p.timeout)); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	if err := req.Write(pc.bw); err != nil {
-		return nil, false, err
+	if x.req != nil {
+		err = x.req.Write(pc.bw)
+	} else {
+		buf := appendObjectRequest(pc.bw.AvailableBuffer(), x.method, p.target, p.host, x.key, x.size, x.feat)
+		_, err = pc.bw.Write(buf)
+	}
+	if err != nil {
+		return false, err
 	}
 	if err := pc.bw.Flush(); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if _, err := pc.br.Peek(1); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	resp, err = http.ReadResponse(pc.br, req)
+	if x.req == nil {
+		for {
+			b := buffered(pc.br)
+			r, n, st := parseObjectResponse(b)
+			if st == headDone {
+				x.res, x.err = r.decode()
+				p.finishObject(pc, n, r.length, r.close)
+				return true, nil
+			}
+			if st == headReject || len(b) == pc.br.Size() {
+				break // http.ReadResponse reads it
+			}
+			if _, err := pc.br.Peek(len(b) + 1); err != nil {
+				return true, err
+			}
+		}
+	}
+	req := x.req
+	if req == nil {
+		req = &http.Request{Method: x.method}
+	}
+	resp, err := http.ReadResponse(pc.br, req)
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	resp.Body = &pooledBody{
 		rc:   resp.Body,
@@ -108,7 +167,29 @@ func (p *connPool) exchange(pc *poolConn, req *http.Request) (resp *http.Respons
 		keep: !resp.Close && !req.Close,
 		eof:  resp.Body == http.NoBody,
 	}
-	return resp, true, nil
+	if x.req == nil {
+		x.res, x.err = decodeObject(resp)
+	} else {
+		x.resp = resp
+	}
+	return true, nil
+}
+
+// finishObject consumes an object response's head and body and pools
+// the connection, as decodeObject's drain does: a body past 4 KiB, or
+// one that fails, closes it instead.
+func (p *connPool) finishObject(pc *poolConn, head, body int, close bool) {
+	//lint:allow errsink head bytes are buffered: Discard cannot fail
+	pc.br.Discard(head)
+	if body <= 4096 && !close {
+		if _, err := pc.br.Discard(body); err == nil {
+			//lint:allow errsink best-effort reuse, as pooledBody.Close: a failed close only forfeits the connection
+			p.put(pc)
+			return
+		}
+	}
+	//lint:allow errsink read-side close after the response; nothing left to account
+	pc.conn.Close()
 }
 
 // get takes the most recently pooled connection, or dials a new one.

@@ -16,38 +16,43 @@ import (
 	"time"
 )
 
-// countingListener counts the connections a server accepts.
+// countingListener counts the connections a server accepts and keeps
+// them, so a test can close them under the server.
 type countingListener struct {
 	net.Listener
 	accepts atomic.Int64
+	mu      sync.Mutex
+	conns   []net.Conn
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err == nil {
 		l.accepts.Add(1)
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
 	}
 	return c, err
+}
+
+// CloseConns closes every accepted connection.
+func (l *countingListener) CloseConns() {
+	l.mu.Lock()
+	conns := l.conns
+	l.conns = nil
+	l.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // serveCounting serves s on a counting loopback listener until the test
 // ends.
 func serveCounting(t *testing.T, s *Server) (*countingListener, string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &countingListener{Listener: ln}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(cl) }()
-	t.Cleanup(func() {
-		s.httpSrv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return cl, "http://" + ln.Addr().String()
+	ts := serveTest(t, s)
+	return ts.ln, ts.URL
 }
 
 func idleConns(c *Client) int {
