@@ -58,7 +58,7 @@ func extentLoc(t *testing.T, s *Store, key uint64) (seg int, physOff, physLen in
 	}
 	l := *s.index.Val(i)
 	o := s.segs[l.seg].objs[l.slot]
-	return int(l.seg), o.physOff, o.physLen
+	return int(l.seg), o.physOff, int64(o.physLen)
 }
 
 // corruptByte flips one payload byte of key's record directly in the

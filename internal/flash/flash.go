@@ -22,6 +22,15 @@
 // plus erase counts per block, which ssd.Endurance turns into a live
 // lifetime estimate (Endurance.WithMeasuredWAF).
 //
+// A pass runs inside a host Write, under the lock every hit on the
+// shard also needs, so it consults the index cheaply instead of twice.
+// The greedy choice reads one dense victim array, a segment's live
+// bytes while it is sealed and unretired and math.MaxInt64 otherwise,
+// kept current at every change to a segment's state. Each extent (obj,
+// 40 bytes) remembers the index slot that names it, so the collector,
+// a block retirement and the scrubber confirm a live extent with one
+// index node read, not a hash probe.
+//
 // Which head a record goes to is its placement class, the LFS
 // hot/cold separation (Rosenblum and Ousterhout 1992) keyed by how many
 // collections the record has survived (as MiDAS, FAST '24, groups by
@@ -53,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync/atomic"
 
 	"otacache/internal/slab"
@@ -95,6 +105,10 @@ func survivorClass(c uint8) uint8 {
 // area — they do not consume the logical segment budget, only the
 // device's physical image.
 const recHeaderSize = 16
+
+// maxSegmentSize is the largest segment New accepts: an obj keeps its
+// logical size and record length in 32 bits.
+const maxSegmentSize = math.MaxInt32 - recHeaderSize
 
 // castagnoli is the CRC-32C table every record is checksummed with; the
 // crc32 package computes it with the SSE4.2 (or ARMv8) CRC instruction
@@ -284,15 +298,22 @@ type loc struct {
 	slot int32
 }
 
-// obj is one appended extent inside a segment.
+// obj is one appended extent inside a segment. It is 40 bytes (New
+// bounds the segment size so size and physLen fit in 32 bits): the
+// store keeps one per extent on every unerased segment, and a 48-byte
+// obj grew the flash workload's heap by 9 %.
 type obj struct {
-	key  uint64
-	size int64 // logical size (what the cache above accounts)
+	key uint64
 	// physOff/physLen place the checksummed record (header + optional
 	// payload) in the segment's device image.
 	physOff int64
-	physLen int64
+	physLen int32
+	size    int32 // logical size (what the cache above accounts)
 	crc     uint32
+	// ix is the index slot that names this obj while it is live, recorded
+	// at the append, so the collector, retirement and the scrubber
+	// confirm a live obj with one node read instead of a probe (indexed).
+	ix int32
 	// hasData marks extents whose payload bytes were programmed;
 	// extent-only objects carry a header record alone.
 	hasData bool
@@ -352,15 +373,23 @@ type Store struct {
 	// attachment may race serving traffic.
 	obsv atomic.Pointer[Observer]
 
-	segs  []segment
-	free  []int           // erased segment ids, LIFO
-	heads [numClasses]int // open head segment id per class, -1 when closed
+	segs []segment
+	// victims holds, per segment, the live bytes of a sealed, unretired
+	// segment and math.MaxInt64 for any other, so the collector's greedy
+	// scan reads one dense array instead of every segment. Every change
+	// to a segment's sealed, retired or live state refreshes its entry
+	// (noteVictim).
+	victims []int64
+	free    []int           // erased segment ids, LIFO
+	heads   [numClasses]int // open head segment id per class, -1 when closed
 	// index maps each key with a live extent to its loc. It grows to the
 	// most extents ever live at once and then allocates no more.
 	index  slab.Arena[loc]
 	relocq []extent // extents awaiting relocation off retired blocks
-	// keep and keepData stage one collection pass's survivors and their
-	// payloads; each pass clears and reuses them.
+	// stash lists the victim slots one collection pass relocates; keep
+	// and keepData stage those survivors and their payloads. Each pass
+	// clears and reuses all three.
+	stash    []int32
 	keep     []extent
 	keepData []byte
 	scrubAt  int // next segment the scrubber visits
@@ -398,6 +427,9 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("flash: capacity must be positive, got %d", cfg.Capacity)
 	}
+	if cfg.SegmentSize > maxSegmentSize {
+		return nil, fmt.Errorf("flash: segment size must be at most %d, got %d", maxSegmentSize, cfg.SegmentSize)
+	}
 	if cfg.SpareBlocks < 0 {
 		return nil, fmt.Errorf("flash: spare blocks must be non-negative, got %d", cfg.SpareBlocks)
 	}
@@ -418,6 +450,10 @@ func New(cfg Config) (*Store, error) {
 		dev:     dev,
 		spare:   spare,
 		segs:    make([]segment, n),
+		victims: make([]int64, n),
+	}
+	for i := range s.victims {
+		s.victims[i] = math.MaxInt64
 	}
 	// Segment 0 opens the host head; the rest are free (NAND ships
 	// erased).
@@ -485,7 +521,7 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 	if !host {
 		x.class = classRepeat
 	}
-	ok := s.appendObj(x, true)
+	ok := s.appendObj(&x, true)
 	// A program-fail retirement along the way queued that block's live
 	// extents; move them before the caller observes the store.
 	s.drainReloc()
@@ -533,7 +569,7 @@ func (s *Store) encodeRecord(key uint64, size int64, data []byte) []byte {
 // segment and retries, bounded by the segment count. gc allows the roll
 // to run the collector; the collector's own relocations pass false and
 // draw on the reserve instead — collection must never reenter itself.
-func (s *Store) appendObj(x extent, gc bool) bool {
+func (s *Store) appendObj(x *extent, gc bool) bool {
 	for attempt := 0; attempt <= len(s.segs); attempt++ {
 		id := s.heads[x.class]
 		if id < 0 || s.segs[id].retired || s.segs[id].used+x.size > s.segSize {
@@ -549,6 +585,7 @@ func (s *Store) appendObj(x extent, gc bool) bool {
 				// rolled a survivor head while relocating.
 				if cur := s.heads[x.class]; cur >= 0 {
 					s.segs[cur].sealed = true
+					s.noteVictim(cur)
 				}
 				s.heads[x.class], s.segs[next].class = next, x.class
 				id = next
@@ -571,23 +608,25 @@ func (s *Store) appendObj(x extent, gc bool) bool {
 		if crc == 0 {
 			crc = crc32.Checksum(rec, castagnoli)
 		}
-		head.objs = append(head.objs, obj{
-			key:     x.key,
-			size:    x.size,
-			physOff: head.phys,
-			physLen: int64(len(rec)),
-			crc:     crc,
-			hasData: x.hasData,
-		})
 		// A collection survivor moves in its own index slot. Every other
 		// caller has dropped the key: write before it appends, retirement
 		// as it stashes.
-		l := loc{seg: int32(id), slot: int32(len(head.objs) - 1)}
-		if x.ix == slab.Nil {
-			s.index.Add(x.key, l)
+		l := loc{seg: int32(id), slot: int32(len(head.objs))}
+		ix := x.ix
+		if ix == slab.Nil {
+			ix = s.index.Add(x.key, l)
 		} else {
-			*s.index.Val(x.ix) = l
+			*s.index.Val(ix) = l
 		}
+		head.objs = append(head.objs, obj{
+			key:     x.key,
+			physOff: head.phys,
+			physLen: int32(len(rec)),
+			size:    int32(x.size),
+			crc:     crc,
+			ix:      ix,
+			hasData: x.hasData,
+		})
 		head.used += x.size
 		head.phys += int64(len(rec))
 		head.live += x.size
@@ -638,6 +677,7 @@ func (s *Store) allocSegment(gc bool) (int, bool) {
 	seg.sealed = false
 	seg.objs = seg.objs[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
+	s.noteVictim(id)
 	return id, true
 }
 
@@ -663,15 +703,12 @@ func (s *Store) collect() {
 // move: the relocation is an update of where the index says the key
 // lives.
 func (s *Store) collectPass() {
-	victim := -1
-	var victimLive int64
-	for id := range s.segs {
-		seg := &s.segs[id]
-		if !seg.sealed || seg.retired {
-			continue
-		}
-		if victim == -1 || seg.live < victimLive {
-			victim, victimLive = id, seg.live
+	// The first minimum, as a walk of the segments would find it: ties go
+	// to the lowest id.
+	victim, victimLive := -1, int64(math.MaxInt64)
+	for id, live := range s.victims {
+		if live < victimLive {
+			victim, victimLive = id, live
 		}
 	}
 	// Open heads are still filling, so the greedy choice skips them. But
@@ -694,45 +731,58 @@ func (s *Store) collectPass() {
 	if closed >= 0 {
 		s.segs[victim].sealed = true
 		s.heads[closed] = -1
+		s.noteVictim(victim)
 	}
 	if victim == -1 {
 		return
 	}
 	seg := &s.segs[victim]
 	class := survivorClass(seg.class)
-	clear(s.keep)
-	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
+	// Every survivor is dead in the victim from here on, so a retirement
+	// of it (a failed erase) cannot stash it a second time. The ones the
+	// index still names are listed first: their node reads are
+	// independent loads, so one short loop overlaps their cache misses
+	// instead of waiting out each one ahead of a record read.
+	s.stash = s.stash[:0]
 	for slot := range seg.objs {
 		o := &seg.objs[slot]
 		if o.dead {
 			continue
 		}
-		// Every survivor is dead in the victim from here on, so a
-		// retirement of it (a failed erase) cannot stash it a second time.
 		o.dead = true
-		seg.live -= o.size
-		i := s.indexed(o.key, victim, slot)
-		if i == slab.Nil {
-			continue
+		seg.live -= int64(o.size)
+		if s.indexed(o, victim, slot) != slab.Nil {
+			s.stash = append(s.stash, int32(slot))
 		}
+	}
+	clear(s.keep)
+	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
+	for _, slot := range s.stash {
+		o := &seg.objs[slot]
 		// Read the record back through the device and verify it before
 		// relocating: a survivor that cannot be read, or whose checksum
 		// fails, is dropped here instead of being copied forward as
 		// corruption. readRecord charges the error counters.
-		st, data, err := s.stashObj(victim, o, s.keepData)
+		rec, err := s.readRecord(victim, o)
 		if err != nil {
-			s.index.Del(i)
+			s.index.Del(o.ix)
 			continue
 		}
 		// The index slot names the erased victim until the re-append
 		// below writes the survivor's new loc into it.
-		st.ix, st.class = i, class
-		s.keep, s.keepData = append(s.keep, st), data
+		s.keep = append(s.keep, o.stage(class))
+		if o.hasData {
+			n := len(s.keepData)
+			s.keepData = append(s.keepData, rec[recHeaderSize:]...)
+			s.keep[len(s.keep)-1].data = s.keepData[n:]
+		}
 	}
+	s.noteVictim(victim)
 	// A failed erase retires the victim instead of freeing it; either
 	// way its survivors are stashed in keep and still need placing.
 	s.eraseSegment(victim)
-	for _, st := range s.keep {
+	for i := range s.keep {
+		st := &s.keep[i]
 		// Relocation rides the same append path as host writes — that is
 		// the amplification — but lands in a survivor head and in
 		// gcBytes, not hostBytes, and must not reenter the collector (the
@@ -749,21 +799,10 @@ func (s *Store) collectPass() {
 	}
 }
 
-// stashObj reads one live extent back from the device, verifies it,
-// and packages it for relocation, unindexed, appending its payload to
-// buf (the staged extent's data points into the returned buffer).
-func (s *Store) stashObj(id int, o *obj, buf []byte) (extent, []byte, error) {
-	rec, err := s.readRecord(id, o)
-	if err != nil {
-		return extent{}, buf, err
-	}
-	st := extent{key: o.key, size: o.size, hasData: o.hasData, crc: o.crc, ix: slab.Nil}
-	if o.hasData {
-		n := len(buf)
-		buf = append(buf, rec[recHeaderSize:]...)
-		st.data = buf[n:]
-	}
-	return st, buf, nil
+// stage packages o for relocation to class's head in its own index
+// slot; the caller attaches the payload.
+func (o *obj) stage(class uint8) extent {
+	return extent{key: o.key, size: int64(o.size), hasData: o.hasData, class: class, crc: o.crc, ix: o.ix}
 }
 
 // readRecord fetches and verifies one extent's record from the
@@ -794,6 +833,7 @@ func (s *Store) retireSegment(id int) {
 	seg.retired = true
 	seg.sealed = true
 	s.retired++
+	s.noteVictim(id)
 	class := survivorClass(seg.class)
 	for i, f := range s.free {
 		if f == id {
@@ -806,20 +846,25 @@ func (s *Store) retireSegment(id int) {
 		if o.dead {
 			continue
 		}
-		i := s.indexed(o.key, id, slot)
+		i := s.indexed(o, id, slot)
 		if i == slab.Nil {
 			continue
 		}
 		o.dead = true
-		seg.live -= o.size
+		seg.live -= int64(o.size)
 		s.index.Del(i)
-		st, _, err := s.stashObj(id, o, nil)
+		rec, err := s.readRecord(id, o)
 		if err != nil {
 			// Unreadable or corrupt on the way out: the extent is lost.
 			s.dropped++
 			continue
 		}
-		st.class = class
+		// The key left the index above; the append adds it back.
+		st := o.stage(class)
+		st.ix = slab.Nil
+		if o.hasData {
+			st.data = append([]byte(nil), rec[recHeaderSize:]...)
+		}
 		s.relocq = append(s.relocq, st)
 	}
 }
@@ -829,8 +874,9 @@ func (s *Store) retireSegment(id int) {
 // each round; the drained queue keeps its array and drops its payloads.
 func (s *Store) drainReloc() {
 	for i := 0; i < len(s.relocq); i++ {
+		// A copy: the append can queue more retirements, growing relocq.
 		st := s.relocq[i]
-		if s.appendObj(st, true) {
+		if s.appendObj(&st, true) {
 			s.gcBytes += st.size
 			s.relocations++
 		} else {
@@ -854,19 +900,31 @@ func (s *Store) eraseSegment(id int) {
 	seg.objs = seg.objs[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
 	seg.sealed = false
+	s.noteVictim(id)
 	seg.erases++
 	s.erases++
 	s.free = append(s.free, id)
 }
 
-// indexed returns key's index slot if the index places key at slot of
-// segment id, and slab.Nil otherwise.
-func (s *Store) indexed(key uint64, id, slot int) int32 {
-	i := s.index.Lookup(key)
-	if i == slab.Nil || *s.index.Val(i) != (loc{seg: int32(id), slot: int32(slot)}) {
+// indexed returns o's index slot if that slot still names o, the obj
+// at slot of segment id, and slab.Nil otherwise. The slot was recorded
+// when o was appended, so this reads one node instead of probing the
+// index. A slot freed since keeps its last key and loc, but only a
+// dead obj's slot is ever freed, and the callers skip dead objs.
+func (s *Store) indexed(o *obj, id, slot int) int32 {
+	if s.index.Key(o.ix) != o.key || *s.index.Val(o.ix) != (loc{seg: int32(id), slot: int32(slot)}) {
 		return slab.Nil
 	}
-	return i
+	return o.ix
+}
+
+// noteVictim refreshes segment id's entry in the victim array.
+func (s *Store) noteVictim(id int) {
+	if seg := &s.segs[id]; seg.sealed && !seg.retired {
+		s.victims[id] = seg.live
+	} else {
+		s.victims[id] = math.MaxInt64
+	}
 }
 
 // markDead invalidates one extent.
@@ -875,7 +933,8 @@ func (s *Store) markDead(l loc) {
 	o := &seg.objs[l.slot]
 	if !o.dead {
 		o.dead = true
-		seg.live -= o.size
+		seg.live -= int64(o.size)
+		s.noteVictim(int(l.seg))
 	}
 }
 
@@ -931,7 +990,7 @@ func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
 	if o.hasData {
 		data = append([]byte(nil), rec[recHeaderSize:]...)
 	}
-	return data, o.size, nil
+	return data, int64(o.size), nil
 }
 
 // ScrubSegment verifies every live extent in one segment against the
@@ -952,14 +1011,15 @@ func (s *Store) ScrubSegment(id int) (scanned, dropped int) {
 		if o.dead {
 			continue
 		}
-		i := s.indexed(o.key, id, slot)
+		i := s.indexed(o, id, slot)
 		if i == slab.Nil {
 			continue
 		}
 		scanned++
 		if _, err := s.readRecord(id, o); err != nil {
 			o.dead = true
-			seg.live -= o.size
+			seg.live -= int64(o.size)
+			s.noteVictim(id)
 			s.index.Del(i)
 			dropped++
 		}
@@ -1011,6 +1071,7 @@ func (s *Store) Reset() {
 		if !seg.retired {
 			seg.sealed = false
 		}
+		s.victims[i] = math.MaxInt64
 	}
 	s.reopen(classRepeat)
 }

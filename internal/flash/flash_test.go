@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func newStore(t testing.TB, segSize, capacity int64) *Store {
@@ -25,6 +26,13 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{SegmentSize: 100, Capacity: 0}); err == nil {
 		t.Fatal("zero capacity must be rejected")
 	}
+	// An obj holds a record's length in 32 bits.
+	if _, err := New(Config{SegmentSize: maxSegmentSize + 1, Capacity: 1}); err == nil {
+		t.Fatal("a segment whose records overflow 32 bits must be rejected")
+	}
+	if _, err := New(Config{SegmentSize: maxSegmentSize, Capacity: 1}); err != nil {
+		t.Fatalf("the largest segment size is rejected: %v", err)
+	}
 	// Capacity rounds up to whole segments with a floor the collector
 	// can operate in.
 	s := newStore(t, 100, 150)
@@ -34,6 +42,15 @@ func TestNewValidates(t *testing.T) {
 	s = newStore(t, 100, 950)
 	if got := s.Capacity(); got != 1000 {
 		t.Fatalf("capacity = %d, want 1000 (rounded up)", got)
+	}
+}
+
+// TestObjSize pins the per-extent record at 40 bytes: the store keeps
+// one per extent ever appended to an unerased segment, so a wider obj
+// grows the serving heap with the device, not with the traffic.
+func TestObjSize(t *testing.T) {
+	if got := unsafe.Sizeof(obj{}); got != 40 {
+		t.Fatalf("obj is %d bytes, want 40", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"otacache/internal/slab"
@@ -17,9 +18,12 @@ var CheckStore = checkStore
 // description of what is on the device):
 //   - every index entry names a live obj with the same key, in a
 //     segment that is not retired;
-//   - every live obj is the one its key's index entry names;
+//   - every live obj is the one its key's index entry names, and the
+//     index slot it remembers is that entry's;
 //   - each segment's live count is the bytes of its live objs, and
-//     those add up to Stats().LiveBytes.
+//     those add up to Stats().LiveBytes;
+//   - the victim array holds each sealed, unretired segment's live
+//     bytes and math.MaxInt64 for every other segment.
 func checkStore(t testing.TB, s *Store) {
 	t.Helper()
 	live, err := storeAgreement(s)
@@ -69,13 +73,24 @@ func storeAgreement(s *Store) (live int64, err error) {
 			if o.dead {
 				continue
 			}
-			bytes += o.size
-			if s.indexed(o.key, id, slot) == slab.Nil {
+			bytes += int64(o.size)
+			i := s.index.Lookup(o.key)
+			if i == slab.Nil || *s.index.Val(i) != (loc{seg: int32(id), slot: int32(slot)}) {
 				return 0, fmt.Errorf("segment %d slot %d: live obj for key %d is not where the index says", id, slot, o.key)
+			}
+			if o.ix != i {
+				return 0, fmt.Errorf("segment %d slot %d: live obj for key %d remembers index slot %d, the index has it at %d", id, slot, o.key, o.ix, i)
 			}
 		}
 		if bytes != seg.live {
 			return 0, fmt.Errorf("segment %d counts %d live bytes, its live objs hold %d", id, seg.live, bytes)
+		}
+		want := int64(math.MaxInt64)
+		if seg.sealed && !seg.retired {
+			want = seg.live
+		}
+		if s.victims[id] != want {
+			return 0, fmt.Errorf("segment %d: victim array holds %d, want %d (sealed %v, retired %v, live %d)", id, s.victims[id], want, seg.sealed, seg.retired, seg.live)
 		}
 		live += bytes
 	}

@@ -317,7 +317,7 @@ func (s *Server) writeHistogramMetrics(tw *obs.TextWriter) {
 	tw.Histogram("ota_flash_gc_duration_seconds",
 		"Flash greedy collection pass latency.", nil, flashGC.Snapshot(), scale)
 	tw.Histogram("ota_http_request_duration_seconds",
-		"Object handler latency end to end (sampled; parse, engine, response).", nil, s.httpHist.Snapshot(), scale)
+		"Object request latency through parse and engine (sampled; the response write is not included).", nil, s.httpHist.Snapshot(), scale)
 	tw.Histogram("ota_snapshot_save_duration_seconds",
 		"Snapshot write latency (periodic, admin-triggered, and shutdown writes).", nil, s.snapSave.Snapshot(), scale)
 	tw.Histogram("ota_snapshot_restore_duration_seconds",
