@@ -126,7 +126,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&c.FlashFaultProgramEvery, "flash-fault-program-every", c.FlashFaultProgramEvery, "fault drill: fail every Nth device program, retiring its block (0 = off; with -flash-segment-size)")
 	fs.Uint64Var(&c.FlashFaultEraseEvery, "flash-fault-erase-every", c.FlashFaultEraseEvery, "fault drill: fail every Nth device erase, retiring its block (0 = off; with -flash-segment-size)")
 
-	fs.IntVar(&o.sampleEvery, "sample-every", 0, "latency sampling period for the /metrics histograms: 1 in N object requests, engine lookups, and flash reads are timed (0 = 64; 1 = every request; the lookup stage rounds N up to a power of two)")
+	fs.IntVar(&o.sampleEvery, "sample-every", 0, "latency sampling period for the /metrics histograms: 1 in N object requests, engine lookups, and flash reads and programs are timed (0 = 64; 1 = every request; the lookup stage rounds N up to a power of two)")
 	fs.IntVar(&o.traceCap, "trace-cap", 0, "decision-trace ring capacity served by /admin/trace (0 = 1024; negative disables tracing)")
 	fs.IntVar(&o.traceEvery, "trace-every", 0, "trace 1 in N object requests into the decision ring (0 = 16)")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off, never exposed on the serving port)")

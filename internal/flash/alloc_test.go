@@ -1,6 +1,9 @@
 package flash
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestStoreSteadyStateAllocs pins the store's steady state at zero
 // allocations. Once the index, each segment's extent list and device
@@ -75,5 +78,28 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 				t.Error("no collection pass relocated a survivor")
 			}
 		})
+	}
+}
+
+// TestStoreFootprint pins the store's metadata per live extent at the
+// serving geometry (servingChurn, settled): the index's slices and the
+// segments' slot lists, each counted as capacity times element size.
+// It reads the store's own slices, not the runtime's heap statistics,
+// so it holds under -race too. It reads 82.5 bytes per live extent
+// (8 812 extents: a 672 kB index of 32-byte nodes, 8-byte links and
+// 8-byte buckets, and 55 kB of 4-byte slot lists).
+func TestStoreFootprint(t *testing.T) {
+	const maxPerExtent = 90
+	c := newServingChurn(t)
+	c.settle(t)
+	s := c.s
+	index, lists := s.index.Footprint(), 0
+	for i := range s.segs {
+		lists += cap(s.segs[i].slots) * int(unsafe.Sizeof(int32(0)))
+	}
+	perExtent := float64(index+lists) / float64(s.Len())
+	t.Logf("%d live extents: index %d B, slot lists %d B, %.1f B per extent", s.Len(), index, lists, perExtent)
+	if perExtent > maxPerExtent {
+		t.Errorf("store metadata is %.1f bytes per live extent, want at most %d", perExtent, maxPerExtent)
 	}
 }

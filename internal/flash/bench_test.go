@@ -72,14 +72,73 @@ func BenchmarkFlashWriteNoGC(b *testing.B) {
 	b.ReportMetric(s.Stats().WAF(), "waf")
 }
 
+// The serving bench's flash geometry: 216 segments of 4 MiB, each
+// holding 51 extent-only records of 80 KiB.
+const (
+	servingSegments = 216
+	servingSegSize  = 4 << 20
+	servingObjSize  = 80 << 10
+	// servingLRUCap is the objects the cache above the store holds: 80 %
+	// of the device's records. At the daemon's 1.15 overprovision this
+	// stream settles either side of 40 % survivors (about 30 or 12 of 51,
+	// by key space), never near it.
+	servingLRUCap = servingSegments * (servingSegSize / servingObjSize) * 100 / 125
+	// servingKeySpace sets the hit ratio, and with it the survivors.
+	servingKeySpace = servingLRUCap * 7 / 4
+)
+
+// servingChurn drives a store at the serving geometry with an LRU cache
+// above it that draws keys uniformly: its misses write and its
+// evictions invalidate, so extents die in LRU order and a victim keeps
+// the keys hit since they were written, about 21 of its 51 records.
+type servingChurn struct {
+	s    *Store
+	lru  slab.Arena[struct{}]
+	list slab.List
+	rng  uint64
+}
+
+func newServingChurn(tb testing.TB) *servingChurn {
+	tb.Helper()
+	s, err := New(Config{SegmentSize: servingSegSize, Capacity: servingSegments * servingSegSize})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &servingChurn{s: s, lru: slab.Make[struct{}](servingLRUCap), rng: 0x5eed}
+}
+
+// request sends one request through the cache: a hit refreshes its key,
+// a miss evicts the back key when the cache is full and writes the new
+// one.
+func (c *servingChurn) request(tb testing.TB) {
+	c.rng = c.rng*6364136223846793005 + 1442695040888963407
+	key := (c.rng >> 33) % servingKeySpace
+	if i := c.lru.Lookup(key); i != slab.Nil {
+		c.list.MoveToFront(c.lru.Links(), i)
+		return
+	}
+	if c.list.N == servingLRUCap {
+		c.s.Invalidate(c.lru.EvictBack(&c.list, 0))
+	}
+	i := c.lru.Add(key, struct{}{})
+	c.list.PushFront(c.lru.Links(), i, 0)
+	if err := c.s.Write(key, servingObjSize, nil); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// settle runs requests until the store has erased each segment four
+// times: the steady state both serving benchmarks start from.
+func (c *servingChurn) settle(tb testing.TB) {
+	for c.s.erases < 4*servingSegments {
+		c.request(tb)
+	}
+}
+
 // BenchmarkCollectPass prices one collection pass at the serving
-// bench's flash geometry: 216 segments of 4 MiB, each holding 51
-// extent-only records of 80 KiB. An LRU cache above the store draws
-// keys uniformly; its misses write and its evictions invalidate, so
-// extents die in LRU order and a victim keeps the keys hit since they
-// were written, about 21 of its 51 records. (BenchmarkFlashGC writes 16
-// records per block and moves only a few survivors per pass, so it
-// cannot price the per-survivor work.)
+// geometry (servingChurn). (BenchmarkFlashGC writes 16 records per
+// block and moves only a few survivors per pass, so it cannot price the
+// per-survivor work.)
 //
 // Each op is one pass. The store never collects on its own: as soon as
 // a write empties the free pool, the benchmark runs passes until a
@@ -93,61 +152,43 @@ func BenchmarkFlashWriteNoGC(b *testing.B) {
 // store's lines out of the core's private caches. The cold pass is the
 // one that comes close to the serving bench's untraced pass time.
 func BenchmarkCollectPass(b *testing.B) {
+	evict := evictBuffer()
 	b.Run("warm", func(b *testing.B) { benchCollectPass(b, nil) })
+	b.Run("cold", func(b *testing.B) { benchCollectPass(b, evict) })
+}
+
+// evictBuffer returns 4 MiB of written memory, whose reads push the
+// store's lines out of the core's private caches.
+func evictBuffer() []byte {
 	evict := make([]byte, 4<<20)
 	for i := range evict {
 		evict[i] = byte(i) // a page never written reads as the shared zero page
 	}
-	b.Run("cold", func(b *testing.B) { benchCollectPass(b, evict) })
+	return evict
 }
 
 // evictSink keeps the eviction reads live.
 var evictSink byte
 
-// benchCollectPass runs BenchmarkCollectPass, reading one byte of each
-// cache line of evict before each timed pass.
-func benchCollectPass(b *testing.B, evict []byte) {
-	const (
-		segments = 216
-		segSize  = 4 << 20
-		objSize  = 80 << 10
-		// lruCap is the objects the cache holds: 80 % of the device's
-		// records. At the daemon's 1.15 overprovision this stream settles
-		// either side of 40 % survivors (about 30 or 12 of 51, by key
-		// space), never near it.
-		lruCap = segments * (segSize / objSize) * 100 / 125
-		// keySpace sets the hit ratio, and with it the survivors.
-		keySpace = lruCap * 7 / 4
-	)
-	s, err := New(Config{SegmentSize: segSize, Capacity: segments * segSize})
-	if err != nil {
-		b.Fatal(err)
+// evictCaches reads one byte of each cache line of evict.
+func evictCaches(evict []byte) {
+	for j := 0; j < len(evict); j += 64 {
+		evictSink += evict[j]
 	}
-	lru := slab.Make[struct{}](lruCap)
-	var list slab.List
+}
+
+// benchCollectPass runs BenchmarkCollectPass, evicting the caches with
+// evict, when it is not nil, before each timed pass.
+func benchCollectPass(b *testing.B, evict []byte) {
+	c := newServingChurn(b)
+	s := c.s
 	var passNs, passes, moved int64
 	timed := false
-	rng := uint64(0x5eed)
 	request := func() {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		key := (rng >> 33) % keySpace
-		if i := lru.Lookup(key); i != slab.Nil {
-			list.MoveToFront(lru.Links(), i)
-			return
-		}
-		if list.N == lruCap {
-			s.Invalidate(lru.EvictBack(&list, 0))
-		}
-		i := lru.Add(key, struct{}{})
-		list.PushFront(lru.Links(), i, 0)
-		if err := s.Write(key, objSize, nil); err != nil {
-			b.Fatal(err)
-		}
+		c.request(b)
 		for len(s.free) == 0 {
-			if timed {
-				for j := 0; j < len(evict); j += 64 {
-					evictSink += evict[j]
-				}
+			if timed && evict != nil {
+				evictCaches(evict)
 			}
 			before := s.relocations
 			start := time.Now()
@@ -158,7 +199,7 @@ func benchCollectPass(b *testing.B, evict []byte) {
 		}
 	}
 	// Warm up until the device has been collected round a few times.
-	for passes < 4*segments {
+	for passes < 4*servingSegments {
 		request()
 	}
 	passNs, passes, moved = 0, 0, 0
@@ -170,4 +211,49 @@ func benchCollectPass(b *testing.B, evict []byte) {
 	b.StopTimer()
 	b.ReportMetric(float64(passNs)/float64(passes), "ns/pass")
 	b.ReportMetric(float64(moved)/float64(passes), "survivors/pass")
+}
+
+// BenchmarkReadExtent prices a flash hit, ReadExtent of a live key, on a
+// store settled at the serving geometry (servingChurn). Reads go to
+// keys drawn uniformly from the cache's residents, in batches of 64
+// timed together, so ns/read is the read alone. As with
+// BenchmarkCollectPass, "warm" runs the batches back to back, with the
+// store's index and images in L2, and "cold" first reads 4 MiB of other
+// memory, as a serving hit finds the store after the policy and the
+// admission tables ran.
+func BenchmarkReadExtent(b *testing.B) {
+	evict := evictBuffer()
+	b.Run("warm", func(b *testing.B) { benchReadExtent(b, nil) })
+	b.Run("cold", func(b *testing.B) { benchReadExtent(b, evict) })
+}
+
+// benchReadExtent runs BenchmarkReadExtent, evicting the caches with
+// evict, when it is not nil, before each timed batch.
+func benchReadExtent(b *testing.B, evict []byte) {
+	const batch = 64
+	c := newServingChurn(b)
+	c.settle(b)
+	keys := make([]uint64, 0, c.list.N)
+	for i := c.list.Head; i != slab.Nil; i = c.lru.Links()[i].Next {
+		keys = append(keys, c.lru.Key(i))
+	}
+	var readNs, reads int64
+	rng := uint64(0x5eed)
+	b.ResetTimer()
+	for reads < int64(b.N) {
+		if evict != nil {
+			evictCaches(evict)
+		}
+		start := time.Now()
+		for range batch {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			if _, _, err := c.s.ReadExtent(keys[(rng>>33)%uint64(len(keys))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		readNs += int64(time.Since(start))
+		reads += batch
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(readNs)/float64(reads), "ns/read")
 }

@@ -56,9 +56,8 @@ func extentLoc(t *testing.T, s *Store, key uint64) (seg int, physOff, physLen in
 	if i == slab.Nil {
 		t.Fatalf("key %d has no live extent", key)
 	}
-	l := *s.index.Val(i)
-	o := s.segs[l.seg].objs[l.slot]
-	return int(l.seg), o.physOff, int64(o.physLen)
+	e := s.index.Val(i)
+	return int(e.seg), e.physOff, int64(e.physLen())
 }
 
 // corruptByte flips one payload byte of key's record directly in the

@@ -26,10 +26,16 @@
 // shard also needs, so it consults the index cheaply instead of twice.
 // The greedy choice reads one dense victim array, a segment's live
 // bytes while it is sealed and unretired and math.MaxInt64 otherwise,
-// kept current at every change to a segment's state. Each extent (obj,
-// 40 bytes) remembers the index slot that names it, so the collector,
-// a block retirement and the scrubber confirm a live extent with one
-// index node read, not a hash probe.
+// kept current at every change to a segment's state.
+//
+// The index entry is the one description of an extent: its segment,
+// list position, record offset, size and checksum fill a 32-byte index
+// node, so a hit reads the index and the device and nothing else. A
+// segment keeps only a list of 4-byte index slots, one per record in
+// append order, and a list entry is live exactly when the slot's node
+// is in use and names it back. The collector, a block retirement and
+// the scrubber walk that list and confirm each record with one node
+// read, not a hash probe.
 //
 // Which head a record goes to is its placement class, the LFS
 // hot/cold separation (Rosenblum and Ousterhout 1992) keyed by how many
@@ -106,8 +112,8 @@ func survivorClass(c uint8) uint8 {
 // device's physical image.
 const recHeaderSize = 16
 
-// maxSegmentSize is the largest segment New accepts: an obj keeps its
-// logical size and record length in 32 bits.
+// maxSegmentSize is the largest segment New accepts: an index entry
+// keeps an extent's logical size in 32 bits.
 const maxSegmentSize = math.MaxInt32 - recHeaderSize
 
 // castagnoli is the CRC-32C table every record is checksummed with; the
@@ -291,41 +297,54 @@ func (s Stats) WAF() float64 {
 	return float64(s.HostBytes+s.GCBytes) / float64(s.HostBytes)
 }
 
-// loc addresses one live object: a segment and a slot in its append
-// order. It is the payload of the store's index.
-type loc struct {
-	seg  int32
-	slot int32
+// entry is the index's payload and the only description of a live
+// extent: 24 bytes, so an index node (key and entry) is 32 and a hit
+// reads one node line of it.
+type entry struct {
+	// physOff places the checksummed record (header + optional payload)
+	// in the segment's device image.
+	physOff int64
+	// seg and slot name the record: position slot of segment seg's
+	// slots list holds this entry's index slot. seg is -1 while the
+	// extent is on no segment: from just before the index frees the
+	// slot, and while a collection survivor is staged off its victim.
+	seg, slot int32
+	// sz is the logical size (what the cache above accounts), negated
+	// when the record carries payload bytes; an extent-only record is a
+	// header alone.
+	sz  int32
+	crc uint32
 }
 
-// obj is one appended extent inside a segment. It is 40 bytes (New
-// bounds the segment size so size and physLen fit in 32 bits): the
-// store keeps one per extent on every unerased segment, and a 48-byte
-// obj grew the flash workload's heap by 9 %.
-type obj struct {
-	key uint64
-	// physOff/physLen place the checksummed record (header + optional
-	// payload) in the segment's device image.
-	physOff int64
-	physLen int32
-	size    int32 // logical size (what the cache above accounts)
-	crc     uint32
-	// ix is the index slot that names this obj while it is live, recorded
-	// at the append, so the collector, retirement and the scrubber
-	// confirm a live obj with one node read instead of a probe (indexed).
-	ix int32
-	// hasData marks extents whose payload bytes were programmed;
-	// extent-only objects carry a header record alone.
-	hasData bool
-	dead    bool
+func (e *entry) hasData() bool { return e.sz < 0 }
+
+func (e *entry) size() int64 {
+	if e.sz < 0 {
+		return -int64(e.sz)
+	}
+	return int64(e.sz)
 }
+
+// physLen is the length of the record in the device image.
+func (e *entry) physLen() int {
+	if e.sz < 0 {
+		return recHeaderSize - int(e.sz)
+	}
+	return recHeaderSize
+}
+
+// names reports whether e is the record at position slot of segment id.
+func (e *entry) names(id, slot int) bool { return int(e.seg) == id && int(e.slot) == slot }
 
 // segment is one erase block.
 type segment struct {
-	objs   []obj
+	// slots holds the index slot of each record in append order, dead
+	// ones included until the erase; position p is live exactly when its
+	// slot's node is in use and names (segment, p).
+	slots  []int32
 	used   int64 // logical write head (includes dead extents until erase)
 	phys   int64 // physical write head in the device image
-	live   int64 // bytes of extents not marked dead, see Stats.LiveBytes
+	live   int64 // bytes of the live records, see Stats.LiveBytes
 	erases int64
 	// sealed marks a segment that is neither an open head nor free: a
 	// collection victim candidate.
@@ -382,11 +401,11 @@ type Store struct {
 	victims []int64
 	free    []int           // erased segment ids, LIFO
 	heads   [numClasses]int // open head segment id per class, -1 when closed
-	// index maps each key with a live extent to its loc. It grows to the
-	// most extents ever live at once and then allocates no more.
-	index  slab.Arena[loc]
+	// index maps each key with a live extent to its entry. It grows to
+	// the most extents ever live at once and then allocates no more.
+	index  slab.Arena[entry]
 	relocq []extent // extents awaiting relocation off retired blocks
-	// stash lists the victim slots one collection pass relocates; keep
+	// stash lists the index slots one collection pass relocates; keep
 	// and keepData stage those survivors and their payloads. Each pass
 	// clears and reuses all three.
 	stash    []int32
@@ -484,7 +503,7 @@ func (s *Store) Exhausted() bool {
 // the stale extent — and writes the collector cannot place return
 // ErrNoSpace.
 func (s *Store) Write(key uint64, size int64, data []byte) error {
-	if o := s.obsv.Load(); o != nil {
+	if o := s.obsv.Load(); o != nil && o.Sampler.Hit() {
 		start := o.Now()
 		err := s.write(key, size, data, true)
 		o.Program.Record(int64(o.Now().Sub(start)))
@@ -510,8 +529,7 @@ func (s *Store) write(key uint64, size int64, data []byte, host bool) error {
 		return fmt.Errorf("flash: data length %d does not match size %d", len(data), size)
 	}
 	if i := s.index.Lookup(key); i != slab.Nil {
-		s.markDead(*s.index.Val(i))
-		s.index.Del(i)
+		s.drop(i)
 	}
 	if size <= 0 || size > s.segSize {
 		s.oversize++
@@ -608,25 +626,20 @@ func (s *Store) appendObj(x *extent, gc bool) bool {
 		if crc == 0 {
 			crc = crc32.Checksum(rec, castagnoli)
 		}
+		e := entry{physOff: head.phys, seg: int32(id), slot: int32(len(head.slots)), sz: int32(x.size), crc: crc}
+		if x.hasData {
+			e.sz = -e.sz
+		}
 		// A collection survivor moves in its own index slot. Every other
 		// caller has dropped the key: write before it appends, retirement
 		// as it stashes.
-		l := loc{seg: int32(id), slot: int32(len(head.objs))}
 		ix := x.ix
 		if ix == slab.Nil {
-			ix = s.index.Add(x.key, l)
+			ix = s.index.Add(x.key, e)
 		} else {
-			*s.index.Val(ix) = l
+			*s.index.Val(ix) = e
 		}
-		head.objs = append(head.objs, obj{
-			key:     x.key,
-			physOff: head.phys,
-			physLen: int32(len(rec)),
-			size:    int32(x.size),
-			crc:     crc,
-			ix:      ix,
-			hasData: x.hasData,
-		})
+		head.slots = append(head.slots, ix)
 		head.used += x.size
 		head.phys += int64(len(rec))
 		head.live += x.size
@@ -675,7 +688,7 @@ func (s *Store) allocSegment(gc bool) (int, bool) {
 	s.free = s.free[:len(s.free)-1]
 	seg := &s.segs[id]
 	seg.sealed = false
-	seg.objs = seg.objs[:0]
+	seg.slots = seg.slots[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
 	s.noteVictim(id)
 	return id, true
@@ -738,40 +751,36 @@ func (s *Store) collectPass() {
 	}
 	seg := &s.segs[victim]
 	class := survivorClass(seg.class)
-	// Every survivor is dead in the victim from here on, so a retirement
-	// of it (a failed erase) cannot stash it a second time. The ones the
-	// index still names are listed first: their node reads are
-	// independent loads, so one short loop overlaps their cache misses
-	// instead of waiting out each one ahead of a record read.
+	// The survivors are listed first: their node reads are independent
+	// loads, so one short loop overlaps their cache misses instead of
+	// waiting out each one ahead of a record read. Each one's entry is
+	// marked in flight (seg -1), so it names no record of the victim and
+	// a retirement of it (a failed erase) cannot stash it a second time.
 	s.stash = s.stash[:0]
-	for slot := range seg.objs {
-		o := &seg.objs[slot]
-		if o.dead {
-			continue
-		}
-		o.dead = true
-		seg.live -= int64(o.size)
-		if s.indexed(o, victim, slot) != slab.Nil {
-			s.stash = append(s.stash, int32(slot))
+	for slot, ix := range seg.slots {
+		if e := s.index.Val(ix); e.names(victim, slot) {
+			seg.live -= e.size()
+			e.seg = -1
+			s.stash = append(s.stash, ix)
 		}
 	}
 	clear(s.keep)
 	s.keep, s.keepData = s.keep[:0], s.keepData[:0]
-	for _, slot := range s.stash {
-		o := &seg.objs[slot]
+	for _, ix := range s.stash {
+		e := s.index.Val(ix)
 		// Read the record back through the device and verify it before
 		// relocating: a survivor that cannot be read, or whose checksum
 		// fails, is dropped here instead of being copied forward as
 		// corruption. readRecord charges the error counters.
-		rec, err := s.readRecord(victim, o)
+		rec, err := s.readRecord(victim, e)
 		if err != nil {
-			s.index.Del(o.ix)
+			s.index.Del(ix)
 			continue
 		}
-		// The index slot names the erased victim until the re-append
-		// below writes the survivor's new loc into it.
-		s.keep = append(s.keep, o.stage(class))
-		if o.hasData {
+		// The survivor keeps its index slot, in flight, until the
+		// re-append below writes its new place into it.
+		s.keep = append(s.keep, extent{key: s.index.Key(ix), size: e.size(), hasData: e.hasData(), class: class, crc: e.crc, ix: ix})
+		if e.hasData() {
 			n := len(s.keepData)
 			s.keepData = append(s.keepData, rec[recHeaderSize:]...)
 			s.keep[len(s.keep)-1].data = s.keepData[n:]
@@ -799,23 +808,17 @@ func (s *Store) collectPass() {
 	}
 }
 
-// stage packages o for relocation to class's head in its own index
-// slot; the caller attaches the payload.
-func (o *obj) stage(class uint8) extent {
-	return extent{key: o.key, size: int64(o.size), hasData: o.hasData, class: class, crc: o.crc, ix: o.ix}
-}
-
-// readRecord fetches and verifies one extent's record from the
-// device, charging the read-error and corruption counters on failure.
-// The returned bytes are the store's record buffer: the caller copies
-// out what it keeps before the next record is read or encoded.
-func (s *Store) readRecord(id int, o *obj) ([]byte, error) {
-	rec := s.recBuf(int(o.physLen))
-	if err := s.dev.Read(id, o.physOff, rec); err != nil {
+// readRecord fetches and verifies the record of e, on segment id, from
+// the device, charging the read-error and corruption counters on
+// failure. The returned bytes are the store's record buffer: the caller
+// copies out what it keeps before the next record is read or encoded.
+func (s *Store) readRecord(id int, e *entry) ([]byte, error) {
+	rec := s.recBuf(e.physLen())
+	if err := s.dev.Read(id, e.physOff, rec); err != nil {
 		s.readErrors++
 		return nil, fmt.Errorf("%w: %v", ErrUncorrectable, err)
 	}
-	if crc32.Checksum(rec, castagnoli) != o.crc {
+	if crc32.Checksum(rec, castagnoli) != e.crc {
 		s.corruptExtents++
 		return nil, ErrCorrupt
 	}
@@ -841,28 +844,22 @@ func (s *Store) retireSegment(id int) {
 			break
 		}
 	}
-	for slot := range seg.objs {
-		o := &seg.objs[slot]
-		if o.dead {
+	for slot, ix := range seg.slots {
+		e := *s.index.Val(ix)
+		if !e.names(id, slot) {
 			continue
 		}
-		i := s.indexed(o, id, slot)
-		if i == slab.Nil {
-			continue
-		}
-		o.dead = true
-		seg.live -= int64(o.size)
-		s.index.Del(i)
-		rec, err := s.readRecord(id, o)
+		key := s.index.Key(ix)
+		s.drop(ix)
+		rec, err := s.readRecord(id, &e)
 		if err != nil {
 			// Unreadable or corrupt on the way out: the extent is lost.
 			s.dropped++
 			continue
 		}
 		// The key left the index above; the append adds it back.
-		st := o.stage(class)
-		st.ix = slab.Nil
-		if o.hasData {
+		st := extent{key: key, size: e.size(), hasData: e.hasData(), class: class, crc: e.crc, ix: slab.Nil}
+		if e.hasData() {
 			st.data = append([]byte(nil), rec[recHeaderSize:]...)
 		}
 		s.relocq = append(s.relocq, st)
@@ -897,25 +894,13 @@ func (s *Store) eraseSegment(id int) {
 		s.retireSegment(id)
 		return
 	}
-	seg.objs = seg.objs[:0]
+	seg.slots = seg.slots[:0]
 	seg.used, seg.live, seg.phys = 0, 0, 0
 	seg.sealed = false
 	s.noteVictim(id)
 	seg.erases++
 	s.erases++
 	s.free = append(s.free, id)
-}
-
-// indexed returns o's index slot if that slot still names o, the obj
-// at slot of segment id, and slab.Nil otherwise. The slot was recorded
-// when o was appended, so this reads one node instead of probing the
-// index. A slot freed since keeps its last key and loc, but only a
-// dead obj's slot is ever freed, and the callers skip dead objs.
-func (s *Store) indexed(o *obj, id, slot int) int32 {
-	if s.index.Key(o.ix) != o.key || *s.index.Val(o.ix) != (loc{seg: int32(id), slot: int32(slot)}) {
-		return slab.Nil
-	}
-	return o.ix
 }
 
 // noteVictim refreshes segment id's entry in the victim array.
@@ -927,15 +912,15 @@ func (s *Store) noteVictim(id int) {
 	}
 }
 
-// markDead invalidates one extent.
-func (s *Store) markDead(l loc) {
-	seg := &s.segs[l.seg]
-	o := &seg.objs[l.slot]
-	if !o.dead {
-		o.dead = true
-		seg.live -= int64(o.size)
-		s.noteVictim(int(l.seg))
-	}
+// drop removes the extent in index slot i from the index and its
+// segment's live bytes. A freed node keeps its last entry, so its seg
+// is cleared first: the record's list entry then reads dead.
+func (s *Store) drop(i int32) {
+	e := s.index.Val(i)
+	s.segs[e.seg].live -= e.size()
+	s.noteVictim(int(e.seg))
+	e.seg = -1
+	s.index.Del(i)
 }
 
 // Invalidate drops key's extent: the policy's eviction callback on a
@@ -947,8 +932,7 @@ func (s *Store) Invalidate(key uint64) bool {
 	if i == slab.Nil {
 		return false
 	}
-	s.markDead(*s.index.Val(i))
-	s.index.Del(i)
+	s.drop(i)
 	return true
 }
 
@@ -979,18 +963,16 @@ func (s *Store) readExtent(key uint64) (data []byte, size int64, err error) {
 	if i == slab.Nil {
 		return nil, 0, ErrNotFound
 	}
-	l := *s.index.Val(i)
-	o := &s.segs[l.seg].objs[l.slot]
-	rec, err := s.readRecord(int(l.seg), o)
+	e := s.index.Val(i)
+	rec, err := s.readRecord(int(e.seg), e)
 	if err != nil {
-		s.markDead(l)
-		s.index.Del(i)
+		s.drop(i)
 		return nil, 0, err
 	}
-	if o.hasData {
+	if e.hasData() {
 		data = append([]byte(nil), rec[recHeaderSize:]...)
 	}
-	return data, int64(o.size), nil
+	return data, e.size(), nil
 }
 
 // ScrubSegment verifies every live extent in one segment against the
@@ -1006,21 +988,14 @@ func (s *Store) ScrubSegment(id int) (scanned, dropped int) {
 	if seg.retired {
 		return 0, 0
 	}
-	for slot := range seg.objs {
-		o := &seg.objs[slot]
-		if o.dead {
-			continue
-		}
-		i := s.indexed(o, id, slot)
-		if i == slab.Nil {
+	for slot, ix := range seg.slots {
+		e := s.index.Val(ix)
+		if !e.names(id, slot) {
 			continue
 		}
 		scanned++
-		if _, err := s.readRecord(id, o); err != nil {
-			o.dead = true
-			seg.live -= int64(o.size)
-			s.noteVictim(id)
-			s.index.Del(i)
+		if _, err := s.readRecord(id, e); err != nil {
+			s.drop(ix)
 			dropped++
 		}
 	}
@@ -1062,11 +1037,11 @@ func (s *Store) Len() int {
 // restart. Every head is closed and the repeat survivors' head
 // reopened, since the Restore rebuild that follows lands there.
 func (s *Store) Reset() {
-	s.index = slab.Arena[loc]{}
+	s.index = slab.Arena[entry]{}
 	s.relocq = nil
 	for i := range s.segs {
 		seg := &s.segs[i]
-		seg.objs = seg.objs[:0]
+		seg.slots = seg.slots[:0]
 		seg.used, seg.live, seg.phys = 0, 0, 0
 		if !seg.retired {
 			seg.sealed = false

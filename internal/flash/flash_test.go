@@ -26,7 +26,7 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{SegmentSize: 100, Capacity: 0}); err == nil {
 		t.Fatal("zero capacity must be rejected")
 	}
-	// An obj holds a record's length in 32 bits.
+	// An index entry holds an extent's size in 32 bits.
 	if _, err := New(Config{SegmentSize: maxSegmentSize + 1, Capacity: 1}); err == nil {
 		t.Fatal("a segment whose records overflow 32 bits must be rejected")
 	}
@@ -45,12 +45,18 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-// TestObjSize pins the per-extent record at 40 bytes: the store keeps
-// one per extent ever appended to an unerased segment, so a wider obj
-// grows the serving heap with the device, not with the traffic.
-func TestObjSize(t *testing.T) {
-	if got := unsafe.Sizeof(obj{}); got != 40 {
-		t.Fatalf("obj is %d bytes, want 40", got)
+// TestIndexEntrySize pins the index entry, the only description of a
+// live extent, at 24 bytes, so its index node (the key and the entry,
+// as slab lays them out) is 32: half a cache line, which a hit reads.
+func TestIndexEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Fatalf("entry is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(struct {
+		key uint64
+		val entry
+	}{}); got != 32 {
+		t.Fatalf("an index node is %d bytes, want 32", got)
 	}
 }
 

@@ -16,12 +16,11 @@ var CheckStore = checkStore
 // checkStore fails t unless the index and the segments describe the
 // same flash contents (Flashield's invariant: the DRAM index is the one
 // description of what is on the device):
-//   - every index entry names a live obj with the same key, in a
-//     segment that is not retired;
-//   - every live obj is the one its key's index entry names, and the
-//     index slot it remembers is that entry's;
-//   - each segment's live count is the bytes of its live objs, and
-//     those add up to Stats().LiveBytes;
+//   - every index node in use names a position of a segment that is not
+//     retired, and that position's list entry holds the node's own slot;
+//   - a list entry reads live only when its node is in use;
+//   - each segment's live count is the bytes of the entries that name
+//     it, and those add up to Stats().LiveBytes;
 //   - the victim array holds each sealed, unretired segment's live
 //     bytes and math.MaxInt64 for every other segment.
 func checkStore(t testing.TB, s *Store) {
@@ -40,26 +39,23 @@ func checkStore(t testing.TB, s *Store) {
 func storeAgreement(s *Store) (live int64, err error) {
 	// A slot is in use exactly when its key's lookup lands on it: a freed
 	// slot keeps the key it last held, which is then absent or elsewhere.
+	inUse := func(i int32) bool { return s.index.Lookup(s.index.Key(i)) == i }
 	entries := 0
 	for i := int32(1); int(i) < len(s.index.Links()); i++ {
-		key := s.index.Key(i)
-		if s.index.Lookup(key) != i {
+		if !inUse(i) {
 			continue
 		}
 		entries++
-		l := *s.index.Val(i)
-		if l.seg < 0 || int(l.seg) >= len(s.segs) || l.slot < 0 || int(l.slot) >= len(s.segs[l.seg].objs) {
-			return 0, fmt.Errorf("key %d: index names segment %d slot %d, which holds no obj", key, l.seg, l.slot)
+		key, e := s.index.Key(i), s.index.Val(i)
+		if e.seg < 0 || int(e.seg) >= len(s.segs) || e.slot < 0 || int(e.slot) >= len(s.segs[e.seg].slots) {
+			return 0, fmt.Errorf("key %d: index names segment %d slot %d, which holds no record", key, e.seg, e.slot)
 		}
-		seg := &s.segs[l.seg]
-		o := &seg.objs[l.slot]
+		seg := &s.segs[e.seg]
 		switch {
 		case seg.retired:
-			return 0, fmt.Errorf("key %d: index names retired segment %d", key, l.seg)
-		case o.dead:
-			return 0, fmt.Errorf("key %d: index names dead obj at segment %d slot %d", key, l.seg, l.slot)
-		case o.key != key:
-			return 0, fmt.Errorf("key %d: index names segment %d slot %d, which holds key %d", key, l.seg, l.slot, o.key)
+			return 0, fmt.Errorf("key %d: index names retired segment %d", key, e.seg)
+		case seg.slots[e.slot] != i:
+			return 0, fmt.Errorf("key %d: index slot %d names segment %d slot %d, whose list entry holds index slot %d", key, i, e.seg, e.slot, seg.slots[e.slot])
 		}
 	}
 	if entries != s.index.Len() {
@@ -68,22 +64,18 @@ func storeAgreement(s *Store) (live int64, err error) {
 	for id := range s.segs {
 		seg := &s.segs[id]
 		var bytes int64
-		for slot := range seg.objs {
-			o := &seg.objs[slot]
-			if o.dead {
+		for slot, ix := range seg.slots {
+			e := s.index.Val(ix)
+			if !e.names(id, slot) {
 				continue
 			}
-			bytes += int64(o.size)
-			i := s.index.Lookup(o.key)
-			if i == slab.Nil || *s.index.Val(i) != (loc{seg: int32(id), slot: int32(slot)}) {
-				return 0, fmt.Errorf("segment %d slot %d: live obj for key %d is not where the index says", id, slot, o.key)
+			if !inUse(ix) {
+				return 0, fmt.Errorf("segment %d slot %d: freed index slot %d still names it", id, slot, ix)
 			}
-			if o.ix != i {
-				return 0, fmt.Errorf("segment %d slot %d: live obj for key %d remembers index slot %d, the index has it at %d", id, slot, o.key, o.ix, i)
-			}
+			bytes += e.size()
 		}
 		if bytes != seg.live {
-			return 0, fmt.Errorf("segment %d counts %d live bytes, its live objs hold %d", id, seg.live, bytes)
+			return 0, fmt.Errorf("segment %d counts %d live bytes, the entries naming it hold %d", id, seg.live, bytes)
 		}
 		want := int64(math.MaxInt64)
 		if seg.sealed && !seg.retired {
@@ -95,4 +87,65 @@ func storeAgreement(s *Store) (live int64, err error) {
 		live += bytes
 	}
 	return live, nil
+}
+
+// TestEraseFailSurvivorsMoveOnce pins the in-flight mark: a collection
+// whose erase fails retires the victim, and the retirement must not
+// stash the survivors the pass already staged, so each moves exactly
+// once. The layout is scripted so the counters are known:
+//   - six segments of 100 bytes and records of 10, filled in order, so
+//     segment 0 holds keys 1–10, segment 1 keys 11–20, …, and the host
+//     head, segment 5, keys 51–54 with 60 bytes free;
+//   - keys 1–8 and 11–17 are invalidated, leaving 2 survivors on
+//     segment 0 and 3 on segment 1;
+//   - a 70-byte write rolls the head. The pass on segment 0 fails its
+//     erase, and its 2 survivors go to the host head's room, the only
+//     room there is. The next pass, on segment 1, erases it and moves 3
+//     more there, and the write opens segment 1 as the host head.
+func TestEraseFailSurvivorsMoveOnce(t *testing.T) {
+	const size = 10
+	sd := newScriptDev(6)
+	s, err := New(Config{SegmentSize: 100, Capacity: 600, Device: sd, SpareBlocks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 54; k++ {
+		if err := s.Write(k, size, nil); err != nil {
+			t.Fatalf("Write(%d): %v", k, err)
+		}
+	}
+	for k := uint64(1); k <= 17; k++ {
+		if k <= 8 || k >= 11 {
+			s.Invalidate(k)
+		}
+	}
+	checkStore(t, s)
+	if st := s.Stats(); st.FreeSegments != 0 || st.Erases != 0 || s.heads[classHost] != 5 {
+		t.Fatalf("setup: %d free segments, %d erases, host head %d; want 0, 0, 5", st.FreeSegments, st.Erases, s.heads[classHost])
+	}
+	sd.failErase = func(call int) bool { return call == 0 }
+	if err := s.Write(100, 70, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkStore(t, s)
+	st := s.Stats()
+	if st.RetiredBlocks != 1 || st.Erases != 1 || st.Dropped != 0 {
+		t.Fatalf("RetiredBlocks %d, Erases %d, Dropped %d; want 1, 1, 0", st.RetiredBlocks, st.Erases, st.Dropped)
+	}
+	if st.Relocations != 5 || st.GCBytes != 5*size {
+		t.Errorf("Relocations %d, GCBytes %d; want 5, %d: each survivor moves once", st.Relocations, st.GCBytes, 5*size)
+	}
+	// Keys 9, 10, 18–54 and 100.
+	if s.Len() != 2+37+1 {
+		t.Errorf("Len = %d, want %d", s.Len(), 2+37+1)
+	}
+	for _, k := range []uint64{9, 10, 18, 19, 20} {
+		i := s.index.Lookup(k)
+		if i == slab.Nil {
+			t.Fatalf("survivor %d lost", k)
+		}
+		if seg := s.index.Val(i).seg; seg != 5 {
+			t.Errorf("survivor %d is on segment %d, want the old host head, 5", k, seg)
+		}
+	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // Observer is the store's optional latency measurement plane: sampled
-// extent-read timing (the serving hot path, every cache hit) and
-// unsampled program and GC timing (orders of magnitude rarer). The
+// extent-read and host-program timing (one read per flash hit, one
+// program per admission, two clock reads per timed call) and unsampled
+// GC timing (a pass per segment's worth of writes). The
 // clock is a plain func field rather than a faults.Clock because the
 // dependency points the other way — faults wraps flash devices, so
 // flash cannot import it; the serving layer passes its clock's Now
@@ -18,13 +19,13 @@ import (
 type Observer struct {
 	// Now is the injected clock read.
 	Now func() time.Time
-	// Sampler gates read-path timing (1-in-N); program and GC timing is
-	// unconditional.
+	// Sampler gates read and program timing (1-in-N, one count shared
+	// by both); GC timing is unconditional.
 	Sampler *obs.Sampler
 	// Read observes ReadExtent latency for sampled reads.
 	Read *obs.Histogram
-	// Program observes host Write latency (admission -> device program,
-	// including any collection the append triggered).
+	// Program observes sampled host Write latency (admission -> device
+	// program, including any collection the append triggered).
 	Program *obs.Histogram
 	// GC observes one greedy collection pass (victim scan, survivor
 	// relocation, erase).
@@ -32,7 +33,7 @@ type Observer struct {
 }
 
 // NewObserver builds an observer around the injected clock read.
-// sampleEvery <= 1 times every read.
+// sampleEvery <= 1 times every read and every host write.
 func NewObserver(now func() time.Time, sampleEvery int) *Observer {
 	return &Observer{
 		Now:     now,

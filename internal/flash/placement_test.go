@@ -24,6 +24,9 @@ type placementDev struct {
 	// of another class.
 	victim      int
 	victimClass uint8
+	// staged holds the index slots on the last erased segment's list
+	// whose entries were in flight at the erase: its survivors.
+	staged []int32
 	// host, moved and fallback count programs of host writes, of
 	// survivors into their implied class, and of appends that took the
 	// fallback.
@@ -46,6 +49,12 @@ func (d *placementDev) Erase(seg int) error {
 		d.fail("collection erased open head %d (heads %v)", seg, s.heads)
 	}
 	d.victim, d.victimClass = seg, s.segs[seg].class
+	d.staged = d.staged[:0]
+	for _, ix := range s.segs[seg].slots {
+		if s.index.Val(ix).seg < 0 {
+			d.staged = append(d.staged, ix)
+		}
+	}
 	return d.inner.Erase(seg)
 }
 
@@ -59,9 +68,9 @@ func (d *placementDev) Program(seg int, off int64, p []byte) error {
 	switch i := s.index.Lookup(key); {
 	case i != slab.Nil:
 		// Only a collection survivor is still indexed while it is
-		// appended, and its index slot names the victim.
-		if from := int(s.index.Val(i).seg); from != d.victim {
-			d.fail("key %d relocated from segment %d, but the last erase was %d", key, from, d.victim)
+		// appended: its entry is in flight, staged off the victim.
+		if s.index.Val(i).seg >= 0 || !slices.Contains(d.staged, i) {
+			d.fail("key %d relocated in index slot %d (segment %d), which the last erase, of %d, did not stage", key, i, s.index.Val(i).seg, d.victim)
 		}
 		want := survivorClass(d.victimClass)
 		if seg == s.heads[want] {

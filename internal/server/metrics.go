@@ -313,7 +313,7 @@ func (s *Server) writeHistogramMetrics(tw *obs.TextWriter) {
 	tw.Histogram("ota_flash_read_duration_seconds",
 		"Flash extent read-and-verify latency (sampled).", nil, flashRead.Snapshot(), scale)
 	tw.Histogram("ota_flash_write_duration_seconds",
-		"Flash host program latency, including any collection the append triggered.", nil, flashWrite.Snapshot(), scale)
+		"Flash host program latency (sampled), including any collection the append triggered.", nil, flashWrite.Snapshot(), scale)
 	tw.Histogram("ota_flash_gc_duration_seconds",
 		"Flash greedy collection pass latency.", nil, flashGC.Snapshot(), scale)
 	tw.Histogram("ota_http_request_duration_seconds",

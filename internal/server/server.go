@@ -122,8 +122,8 @@ type Config struct {
 	Clock faults.Clock
 	// SampleEvery is the 1-in-N latency sampling period shared by the
 	// HTTP handler, the engine lookup instruments the server attaches,
-	// and the flash read path (0 = engine.DefaultSampleEvery; 1 = time
-	// every request).
+	// and the flash read and program paths (0 = engine.DefaultSampleEvery;
+	// 1 = time every request).
 	SampleEvery int
 	// TraceCap is the decision-trace ring capacity (0 = 1024; negative
 	// disables tracing and /admin/trace answers 409).

@@ -11,6 +11,7 @@ package slab
 import (
 	"iter"
 	"math/bits"
+	"unsafe"
 )
 
 // Nil ends a list and marks an empty index bucket. Slot 0 is never
@@ -85,6 +86,13 @@ func (a *Arena[P]) Val(s int32) *P { return &a.nodes[s].val }
 // that need a second link per slot keep their own slice, grown to this
 // one's length.
 func (a *Arena[P]) Links() []Link { return a.links }
+
+// Footprint returns the bytes the arena's slices hold: a node and a
+// Link for every slot of capacity and a bucket of the index, in use or
+// not.
+func (a *Arena[P]) Footprint() int {
+	return cap(a.nodes)*int(unsafe.Sizeof(node[P]{})) + cap(a.links)*int(unsafe.Sizeof(Link{})) + cap(a.index)*8
+}
 
 // Lookup returns key's slot, or Nil. The index is at most half full,
 // so the probe ends at an empty bucket. The n check keeps a zero Arena,

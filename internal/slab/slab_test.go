@@ -94,3 +94,17 @@ func TestArenaEmpty(t *testing.T) {
 		t.Fatalf("key 0 not stored: slot %d", s)
 	}
 }
+
+// TestArenaFootprint pins what Footprint counts: a 16-byte node (key and
+// an int64 payload) and an 8-byte Link per slot of capacity, slot 0
+// included, and 8 bytes per index bucket.
+func TestArenaFootprint(t *testing.T) {
+	var a Arena[int64]
+	if got := a.Footprint(); got != 0 {
+		t.Fatalf("zero arena holds %d bytes, want 0", got)
+	}
+	a = Make[int64](7) // 8 slots, 16 buckets
+	if got, want := a.Footprint(), 8*16+8*8+16*8; got != want {
+		t.Fatalf("Make(7) holds %d bytes, want %d", got, want)
+	}
+}
